@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .dp_exact import solve_exact
 from .dp_stratified import solve_stratified
@@ -101,18 +102,11 @@ def _build_policy(name: str, inst: Instance):
         return StratifiedTablePolicy(sol, grid), rounded
     if name.startswith("file:"):
         kind, table = load_policy_file(name[5:])
+        solution = SimpleNamespace(policy=table)
         if kind == "stratified":
             rounded, groups, grid, _ = prepare(inst)
-
-            class _Sol:
-                policy = table
-
-            return StratifiedTablePolicy(_Sol(), grid), rounded
-
-        class _Sol:
-            policy = table
-
-        return ExactTablePolicy(_Sol()), inst
+            return StratifiedTablePolicy(solution, grid), rounded
+        return ExactTablePolicy(solution), inst
     raise SystemExit(f"unknown policy {name!r}")
 
 

@@ -1,14 +1,25 @@
-"""Exact optimal policy by dynamic programming, plus two slow oracles.
+"""Optimal policies by dynamic programming, plus two slow oracles.
 
-The state is a sorted machine load profile together with per-type counts
-of unscheduled jobs.  At the earliest machine-available time the policy
-picks a type; the next job of that type is the remaining one with the
-smallest probability.  With probability q the job is long (the machine's
-load grows by p_j), otherwise it completes immediately.
+A state is a sorted machine-availability profile with per-type counts of
+unscheduled jobs.  At the earliest available time t the policy starts the
+next (lowest-q) job of a startable type; with probability q it is long and
+a transition rule sets the machine's next available time, otherwise the
+machine is free again at t.  When no type is startable, the rule's idle
+advance moves the lagging machines forward.  ``solve_core`` runs this DP
+for any rule: ``solve_exact`` passes ``ExactRule`` and ``dp_stratified``
+its grid rule.
 
-``brute_force_oracle`` deliberately shares none of these compressions:
-machine loads stay unsorted and jobs keep their identities, so it serves
-as an independent check.  ``idling_oracle`` additionally lets the policy
+Inside the core all arithmetic is on integers.  Times are multiples of
+1/unit, and the cost of a state with r jobs left is a numerator over
+D**r * unit, D the lcm of the probability denominators (floats are dyadic
+rationals, so this is exact).  The candidates at a state share that
+denominator, so comparing numerators breaks ties exactly and
+scale-invariantly, towards the lowest type index.  The traversal uses an
+explicit stack, so the job count does not meet the recursion limit.
+
+``brute_force_oracle`` deliberately shares none of this: machine loads stay
+unsorted and jobs keep their identities, so it serves as an independent
+check.  ``idling_oracle`` is the same expectimax where the policy may also
 defer a free machine to the next completion epoch; its value matching the
 non-idling one is itself a property under test.
 """
@@ -18,8 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .instances import Instance
+from .timegrid import GridError
 
 
 class SolverCapError(RuntimeError):
@@ -30,14 +43,104 @@ class SolverCapError(RuntimeError):
         self.states = states
 
 
-def initial_profile(m: int) -> tuple:
-    return (Fraction(0),) * m
+def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int,
+               idle_chain_cap: int = 0):
+    """``(value, table)``: the optimal expected total completion time under
+    ``rule`` as a float, and the decision of every reachable state with
+    jobs left, keyed by Fraction profiles in the instance's units.  More
+    than ``idle_chain_cap`` successive idle advances raise GridError.
+
+    A rule provides ``unit``, ``sizes`` (in units of 1/unit), ``labels``
+    (the decision recorded for starting type j, ``labels[-1]`` for an idle
+    advance), ``startable(t, nu)``, ``after_long(profile, j)`` and
+    ``after_idle(profile, nu)``, all on integer times.
+    """
+    if inst.total_jobs > max_jobs:
+        raise SolverCapError(inst.total_jobs)
+    qs = [[Fraction(q) for q in t.qs] for t in inst.types]
+    den = lcm(*(q.denominator for row in qs for q in row))
+    power = [den ** r for r in range(inst.total_jobs + 1)]
+    sizes, startable, after_long = rule.sizes, rule.startable, rule.after_long
+    time = lru_cache(maxsize=None)(lambda t: Fraction(t, rule.unit))
+    steps = {}  # nu -> per type: (nu less one job of it, its q numerator)
+    value = {}  # state -> cost numerator; states without jobs cost nothing
+    cost = value.get
+    table = {}
+    top = ((0,) * inst.machines, inst.counts)
+    # frames (state, jobs left, idle advances so far, moves): moves is None
+    # until the state is expanded, then a list of (type, q numerator, long
+    # state, short state), or the state an idle advance leads to
+    stack = [(top, inst.total_jobs, 0, None)]
+    while stack:
+        key, r, chain, moves = stack.pop()
+        profile, nu = key
+        if moves is None:
+            if key in value:
+                continue
+            js = startable(profile[0], nu)
+            if js:
+                step = steps.get(nu)
+                if step is None:
+                    step = steps[nu] = [
+                        (nu[:j] + (c - 1,) + nu[j + 1:], int(qs[j][-c] * den))
+                        if c else None for j, c in enumerate(nu)]
+                moves = []
+                for j in js:
+                    nu2, a = step[j]
+                    moves.append(
+                        (j, a, (after_long(profile, j), nu2), (profile, nu2)))
+                stack.append((key, r, chain, moves))
+                if r > 1:
+                    for _j, _a, long_key, short_key in moves:
+                        if long_key not in value:
+                            stack.append((long_key, r - 1, 0, None))
+                        if short_key not in value:
+                            stack.append((short_key, r - 1, 0, None))
+                continue
+            if chain >= idle_chain_cap:
+                raise GridError(f"idle chain exceeded {idle_chain_cap} "
+                                f"advances at {time(profile[0])}")
+            moves = (rule.after_idle(profile, nu), nu)
+            stack.append((key, r, chain, moves))
+            if moves not in value:
+                stack.append((moves, r, chain + 1, None))
+            continue
+
+        if len(value) > state_cap:
+            raise SolverCapError(len(value))
+        if isinstance(moves, list):
+            below = power[r - 1]
+            best = None
+            for j, a, long_key, short_key in moves:
+                v = a * (cost(long_key, 0) + sizes[j] * below) \
+                    + (den - a) * cost(short_key, 0)
+                if best is None or v < best:
+                    best, choice = v, j
+            value[key] = best + profile[0] * power[r]
+        else:
+            value[key], choice = value[moves], -1
+        table[tuple(map(time, profile)), nu] = rule.labels[choice]
+
+    return float(Fraction(value[top], power[-1] * rule.unit)), table
 
 
-def next_q(inst: Instance, j: int, nu_j: int) -> float:
-    """Probability of the next (minimum-q) remaining job of type j."""
-    t = inst.types[j]
-    return t.qs[t.count - nu_j]
+class ExactRule:
+    """Every type with jobs left is startable, and a long job's completion
+    time joins the profile.  Times are integers in units of 1/unit, the lcm
+    of the size denominators."""
+
+    after_idle = None  # never reached: some type is always startable
+
+    def __init__(self, inst: Instance):
+        self.unit = lcm(*(t.size.denominator for t in inst.types))
+        self.sizes = tuple((t.size * self.unit).numerator for t in inst.types)
+        self.labels = tuple(range(inst.n_types))
+
+    def startable(self, t, nu):
+        return [j for j, c in enumerate(nu) if c]
+
+    def after_long(self, profile, j):
+        return tuple(sorted(profile[1:] + (profile[0] + self.sizes[j],)))
 
 
 @dataclass
@@ -50,87 +153,27 @@ class ExactSolution:
 def solve_exact(inst: Instance, max_jobs: int = 12,
                 state_cap: int = 2_000_000) -> ExactSolution:
     """Optimal expected total completion time over all non-anticipatory
-    policies, with the chosen type recorded per state.
-
-    Costs are kept as exact rationals internally (the stored q floats
-    convert to Fraction without loss), so ties break by lowest type index
-    deterministically and decisions are invariant under size scaling; the
-    reported value is a float.
-    """
-    if inst.total_jobs > max_jobs:
-        raise SolverCapError(inst.total_jobs)
-    sizes = [t.size for t in inst.types]
-    counts = inst.counts
-    memo = {}
-    policy = {}
-
-    def cost(profile, nu):
-        if not any(nu):
-            return Fraction(0)
-        key = (profile, nu)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if len(memo) > state_cap:
-            raise SolverCapError(len(memo))
-        t_star = profile[0]
-        best = None
-        best_j = None
-        for j in range(len(nu)):
-            if nu[j] == 0:
-                continue
-            q = Fraction(next_q(inst, j, nu[j]))
-            nu2 = nu[:j] + (nu[j] - 1,) + nu[j + 1:]
-            long_profile = tuple(sorted(profile[1:] + (t_star + sizes[j],)))
-            v = q * (cost(long_profile, nu2) + t_star + sizes[j]) \
-                + (1 - q) * (cost(profile, nu2) + t_star)
-            if best is None or v < best:
-                best = v
-                best_j = j
-        memo[key] = best
-        policy[key] = best_j
-        return best
-
-    value = float(cost(initial_profile(inst.machines), counts))
-    return ExactSolution(value=value, policy=policy, states=len(memo))
+    policies, with the chosen type recorded per state.  The core runs on
+    integer times and integer cost numerators; ``Fraction`` is only at the
+    boundary, in the policy's keys (profiles in the instance's units)."""
+    value, table = solve_core(inst, ExactRule(inst), max_jobs, state_cap)
+    return ExactSolution(value=value, policy=table, states=len(table))
 
 
 def brute_force_oracle(inst: Instance, max_jobs: int = 6) -> float:
     """Expectimax over raw states: unsorted machine-indexed loads and
     explicit job subsets, no within-type compression."""
-    if inst.total_jobs > max_jobs:
-        raise SolverCapError(inst.total_jobs)
-    jobs = inst.job_ids()
-    size = {job: inst.job_size(job) for job in jobs}
-    prob = {job: inst.job_q(job) for job in jobs}
-
-    @lru_cache(maxsize=None)
-    def cost(loads, remaining):
-        if not remaining:
-            return 0.0
-        t_star = min(loads)
-        i_star = loads.index(t_star)
-        t = float(t_star)
-        best = None
-        for job in remaining:
-            rest = frozenset(remaining) - {job}
-            long_loads = loads[:i_star] + (t_star + size[job],) + loads[i_star + 1:]
-            q = prob[job]
-            v = q * (cost(long_loads, rest) + t + float(size[job])) \
-                + (1.0 - q) * (cost(loads, rest) + t)
-            if best is None or v < best:
-                best = v
-        return best
-
-    result = cost((Fraction(0),) * inst.machines, frozenset(jobs))
-    cost.cache_clear()
-    return result
+    return _expectimax(inst, max_jobs, allow_idle=False)
 
 
 def idling_oracle(inst: Instance, max_jobs: int = 4) -> float:
     """Expectimax where the free machine may also be deferred to the next
     completion epoch (the next strictly larger load) instead of starting a
     job.  Deferral is only available while some machine is ahead."""
+    return _expectimax(inst, max_jobs, allow_idle=True)
+
+
+def _expectimax(inst: Instance, max_jobs: int, allow_idle: bool) -> float:
     if inst.total_jobs > max_jobs:
         raise SolverCapError(inst.total_jobs)
     jobs = inst.job_ids()
@@ -153,12 +196,10 @@ def idling_oracle(inst: Instance, max_jobs: int = 4) -> float:
                 + (1.0 - q) * (cost(loads, rest) + t)
             if best is None or v < best:
                 best = v
-        ahead = [x for x in loads if x > t_star]
+        ahead = [x for x in loads if x > t_star] if allow_idle else []
         if ahead:
             idle_loads = loads[:i_star] + (min(ahead),) + loads[i_star + 1:]
-            v = cost(idle_loads, remaining)
-            if v < best:
-                best = v
+            best = min(best, cost(idle_loads, remaining))
         return best
 
     result = cost((Fraction(0),) * inst.machines, frozenset(jobs))

@@ -12,12 +12,13 @@ shrinks with eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, lcm
 
+from .dp_exact import solve_core
 from .instances import GroupStructure, Instance
-from .dp_exact import SolverCapError, initial_profile, next_q
 from .timegrid import GridError, TimeGrid
 
 
@@ -28,11 +29,7 @@ class Diagnostics:
     states: int
 
     def as_dict(self):
-        return {
-            "relevant_time_points": self.relevant_time_points,
-            "max_profiles_per_timepoint": self.max_profiles_per_timepoint,
-            "states": self.states,
-        }
+        return asdict(self)
 
 
 def time_point_ceiling(inst: Instance) -> int:
@@ -60,97 +57,73 @@ class StratSolution:
     diagnostics: Diagnostics
 
 
-def update_profile_long(profile: tuple, j: int, inst: Instance,
-                        grid: TimeGrid) -> tuple:
-    """Busy the least-loaded machine with a long type-j job: its next
-    available time is the first Q point of j's group at or beyond
-    max(group threshold, completion)."""
-    h = grid.group_of_type(j)
-    completion = profile[0] + inst.types[j].size
-    target = max(grid.thresholds.p_circ[h], completion)
-    return tuple(sorted(profile[1:] + (grid.q_successor(h, target),)))
+def _in_units(x: Fraction, unit: int) -> int:
+    n = x * unit
+    if n.denominator != 1:
+        raise GridError(f"{x} is not a multiple of 1/{unit}")
+    return n.numerator
 
 
-def update_profile_idle(profile: tuple, nu: tuple, grid: TimeGrid) -> tuple:
-    """Advance every machine below the next feasible start time.
+class GridRule:
+    """A type is startable at t when its group's Q-set holds t.  A long job
+    of group h frees its machine at the first Q_h point at or beyond
+    max(p_circ[h], completion); with no type startable, every machine below
+    the next Q point of the smallest remaining type's group is raised to it.
+    Times are integers in units of 1/unit, the lcm of the denominators of
+    the sizes and of the grid's O(gamma) generators.  Each grid query is
+    answered once per (group, time); an answer that is not an integer in
+    this unit raises GridError."""
 
-    The target is the next allowed point, strictly after the earliest
-    available time, for the smallest remaining size's group.  All entries
-    below it are raised together, so the profile stays sorted.
-    """
-    j_star = max(j for j in range(len(nu)) if nu[j] > 0)
-    t_star = profile[0]
-    target = grid.q_successor(grid.group_of_type(j_star), t_star)
-    if target <= t_star:
-        raise GridError(
-            f"idle advance stalled at {t_star}: type {j_star} already startable"
-        )
-    return tuple(target if x < target else x for x in profile)
+    def __init__(self, inst: Instance, grid: TimeGrid):
+        unit = self.unit = lcm(*(x.denominator for x in
+                                 [t.size for t in inst.types] + grid.generators()))
+        self.sizes = tuple(_in_units(t.size, unit) for t in inst.types)
+        self.group = tuple(grid.group_of_type(j) for j in range(inst.n_types))
+        self.p_circ = tuple(_in_units(p, unit) for p in grid.thresholds.p_circ)
+        self.labels = tuple(("start", j) for j in range(inst.n_types)) \
+            + (("idle",),)
+        self._allowed = lru_cache(maxsize=None)(
+            lambda t: grid.allowed_types(Fraction(t, unit)))
+        self._successor = lru_cache(maxsize=None)(
+            lambda h, t: _in_units(grid.q_successor(h, Fraction(t, unit)), unit))
+
+    def startable(self, t, nu):
+        return [j for j in self._allowed(t) if nu[j]]
+
+    def after_long(self, profile, j):
+        h = self.group[j]
+        s = self._successor(h, max(self.p_circ[h], profile[0] + self.sizes[j]))
+        return tuple(sorted(profile[1:] + (s,)))
+
+    def after_idle(self, profile, nu):
+        j_star = max(j for j, c in enumerate(nu) if c)
+        t = profile[0]
+        target = self._successor(self.group[j_star], t)
+        if target <= t:
+            raise GridError(f"idle advance stalled at {Fraction(t, self.unit)}"
+                            f": type {j_star} already startable")
+        return tuple(target if x < target else x for x in profile)
 
 
 def solve_stratified(inst: Instance, groups: GroupStructure, grid: TimeGrid,
                      max_jobs: int = 12, state_cap: int = 2_000_000,
                      idle_chain_cap: int = 1000) -> StratSolution:
     """Optimal policy within the grid-restricted class, with decisions and
-    state-count diagnostics recorded.  Costs are exact rationals internally
-    (float in the result), so ties go to the lowest type index and the
-    decision table is invariant under size scaling."""
-    if inst.total_jobs > max_jobs:
-        raise SolverCapError(inst.total_jobs)
-    sizes = [t.size for t in inst.types]
-    memo = {}
-    policy = {}
-
-    def cost(profile, nu, idle_chain=0):
-        if not any(nu):
-            return Fraction(0)
-        key = (profile, nu)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if len(memo) > state_cap:
-            raise SolverCapError(len(memo))
-        t_star = profile[0]
-        startable = [
-            j for j in range(len(nu))
-            if nu[j] > 0 and grid.q_contains(grid.group_of_type(j), t_star)
-        ]
-        if not startable:
-            if idle_chain >= idle_chain_cap:
-                raise GridError(
-                    f"idle chain exceeded {idle_chain_cap} advances at {t_star}"
-                )
-            advanced = update_profile_idle(profile, nu, grid)
-            result = cost(advanced, nu, idle_chain + 1)
-            memo[key] = result
-            policy[key] = ("idle",)
-            return result
-        best = None
-        best_j = None
-        for j in startable:
-            q = Fraction(next_q(inst, j, nu[j]))
-            nu2 = nu[:j] + (nu[j] - 1,) + nu[j + 1:]
-            long_profile = update_profile_long(profile, j, inst, grid)
-            v = q * (cost(long_profile, nu2) + t_star + sizes[j]) \
-                + (1 - q) * (cost(profile, nu2) + t_star)
-            if best is None or v < best:
-                best = v
-                best_j = j
-        memo[key] = best
-        policy[key] = ("start", best_j)
-        return best
-
-    value = float(cost(initial_profile(inst.machines), inst.counts))
-
+    state-count diagnostics recorded.  The core runs on integer times (in
+    ``GridRule``'s unit) and integer cost numerators; ``Fraction`` is only
+    at the boundary, in the policy's keys.  More than ``idle_chain_cap``
+    successive idle advances raise GridError."""
+    value, table = solve_core(inst, GridRule(inst, grid), max_jobs,
+                              state_cap, idle_chain_cap)
     by_time = {}
-    for profile, _nu in memo:
+    for profile, _nu in table:
         by_time.setdefault(profile[0], set()).add(profile)
     diagnostics = Diagnostics(
         relevant_time_points=len(by_time),
         max_profiles_per_timepoint=max(len(v) for v in by_time.values()),
-        states=len(memo),
+        states=len(table),
     )
-    return StratSolution(value=value, policy=policy, diagnostics=diagnostics)
+    return StratSolution(value=value, policy=table, diagnostics=diagnostics)
 
 
 def sandwich_bound(n_types: int, epsilon: Fraction) -> Fraction:

@@ -12,13 +12,14 @@ from .dp_exact import SolverCapError, solve_exact
 from .dp_stratified import sandwich_bound, solve_stratified
 from .instances import (
     Instance,
+    InstanceError,
     build_groups,
     round_for_divisibility,
     validate_and_canonicalize,
 )
 from .numerics import SeedStream
 from .policies import FixedAssignmentPolicy, SeptPolicy, expected_cost_exact
-from .timegrid import build_grid
+from .timegrid import GridError, build_grid
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,9 @@ class BoundViolation(RuntimeError):
 
 def compare(instances, heuristics: bool = True, **caps):
     """One row per instance: exact vs grid-restricted values, their ratio
-    against the analytic bound, and heuristic baselines.  A ratio outside
+    against the analytic bound, and heuristic baselines.  An instance that
+    hits a solver cap or raises GridError or InstanceError becomes a skipped
+    row whose reason starts with the exception's type name.  A ratio outside
     [1 - 1e-9, bound + 1e-9] aborts with the offending instance attached."""
     rows = []
     for idx, inst in enumerate(instances):
@@ -173,8 +176,8 @@ def compare(instances, heuristics: bool = True, **caps):
                 row.fixed_value = expected_cost_exact(
                     FixedAssignmentPolicy(), inst
                 )
-        except SolverCapError as exc:
-            row.skipped = str(exc)
+        except (SolverCapError, GridError, InstanceError) as exc:
+            row.skipped = f"{type(exc).__name__}: {exc}"
             rows.append(row)
             continue
         if not (1.0 - 1e-9 <= row.ratio <= row.bound + 1e-9):

@@ -83,12 +83,6 @@ class GroupStructure:
     def z(self) -> int:
         return max(len(g) for g in self.groups)
 
-    def group_of(self, type_index: int) -> int:
-        for h, g in enumerate(self.groups):
-            if type_index in g:
-                return h
-        raise InstanceError(f"type {type_index} not in any group")
-
     def group_of_map(self) -> list:
         out = {}
         for h, g in enumerate(self.groups):
@@ -131,12 +125,6 @@ def validate_and_canonicalize(machines, epsilon, raw_types) -> Instance:
     if sum(t.count for t in types) == 0:
         raise InstanceError("empty job list")
     return Instance(machines=machines, epsilon=eps, types=types)
-
-
-def canonicalize(inst: Instance) -> Instance:
-    return validate_and_canonicalize(
-        inst.machines, inst.epsilon, [(t.size, list(t.qs)) for t in inst.types]
-    )
 
 
 def build_groups(inst: Instance) -> GroupStructure:
@@ -300,18 +288,6 @@ def compute_stats(inst: Instance) -> InstanceStats:
     # Var[X]/E[X]^2 = (1-q)/q for a Bernoulli job
     delta = max((1.0 - q) / q for t in inst.types for q in t.qs)
     return InstanceStats(delta=delta)
-
-
-def scale_instance(inst: Instance, factor) -> Instance:
-    """Multiply all sizes by a positive factor (epsilon unchanged)."""
-    factor = Fraction(factor)
-    if factor <= 0:
-        raise InstanceError("scale factor must be positive")
-    return Instance(
-        machines=inst.machines,
-        epsilon=inst.epsilon,
-        types=tuple(JobType(size=t.size * factor, qs=t.qs) for t in inst.types),
-    )
 
 
 # ---------------------------------------------------------------------------

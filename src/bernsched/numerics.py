@@ -1,8 +1,10 @@
 """Exact rational time arithmetic and reproducible random substreams.
 
-All times, sizes and grid points are nonnegative ``fractions.Fraction``
-values so that grid membership and load-profile equality are bit-exact.
-Probabilities and expected costs are ordinary floats (tolerance 1e-9).
+Times, sizes and grid points are nonnegative ``fractions.Fraction`` values
+at every public interface, so that grid membership and load-profile
+equality are bit-exact; the solvers' shared core works on integer
+multiples of a common unit instead.  Probabilities and reported expected
+costs are ordinary floats.
 """
 
 from __future__ import annotations
@@ -10,9 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-
-#: comparison tolerance for floating-point expected costs
-COST_TOL = 1e-9
 
 
 class NumericsError(ValueError):

@@ -107,6 +107,7 @@ class TimeGrid:
         ps = self.thresholds.p_star
         prefix = [Fraction(0)]
         labels = [None]  # group of the interval starting at each endpoint
+        mids = []
         for h in range(self.gamma - 1, 0, -1):
             step = self.eps * self.reps[h]
             t = ps[h]
@@ -121,13 +122,24 @@ class TimeGrid:
             mid = prefix[-1] + (ps[h - 1] - prefix[-1]) / 2
             prefix.append(mid)
             labels.append(h)
+            mids.append(mid)
         self.prefix = tuple(prefix)
+        self.mids = tuple(mids)
         self.labels = tuple(labels)
         self.tail_start = ps[0]
         self.tail_step = self.eps * self.reps[0]
         self.prefix_stretched = tuple(self.stretch * l for l in prefix)
         self.tail_start_stretched = self.stretch * self.tail_start
         self.tail_step_stretched = self.stretch * self.tail_step
+
+    def generators(self):
+        """O(gamma) rationals of which every endpoint, stretched endpoint and
+        Q-set member is an integer combination: the steps eps*rep_h, the
+        thresholds p_star, the prefix midpoints, their stretched images, and
+        the group maxima."""
+        plain = [self.eps * r for r in self.reps]
+        plain += [*self.thresholds.p_star, *self.mids]
+        return plain + [self.stretch * x for x in plain] + list(self.pmaxs)
 
     # -- endpoint queries -------------------------------------------------
 
@@ -222,11 +234,10 @@ class TimeGrid:
         return self.q_successor(h, t + self.eps * self.reps[h])
 
     def allowed_types(self, t: Fraction):
-        """Type indices j whose group's Q-set contains t."""
-        return tuple(
-            j for j in range(self.inst.n_types)
-            if self.q_contains(self._group_of_type[j], t)
-        )
+        """Type indices j whose group's Q-set contains t (one query per
+        group)."""
+        holds = [self.q_contains(h, t) for h in range(self.gamma)]
+        return tuple(j for j, h in enumerate(self._group_of_type) if holds[h])
 
     def group_of_type(self, j: int) -> int:
         return self._group_of_type[j]

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernsched.dp_exact import (
     SolverCapError,
@@ -8,8 +10,15 @@ from bernsched.dp_exact import (
     idling_oracle,
     solve_exact,
 )
+from bernsched.dp_stratified import solve_stratified
+from bernsched.harness import prepare
 from bernsched.instances import validate_and_canonicalize
 from bernsched.numerics import SeedStream
+from bernsched.policies import (
+    ExactTablePolicy,
+    StratifiedTablePolicy,
+    expected_cost_exact,
+)
 
 
 def make(machines, raw, epsilon="1/13"):
@@ -48,6 +57,13 @@ class TestSolveExact:
         inst = make(1, [(3, [0.5] * 5)])
         with pytest.raises(SolverCapError):
             solve_exact(inst, max_jobs=4)
+
+    def test_1100_jobs(self):
+        # deeper than Python's recursion limit; 605,550 = 1 + 2 + ... + 1100
+        inst = make(1, [(1, [1.0] * 1100)])
+        sol = solve_exact(inst, max_jobs=1100)
+        assert sol.value == 605_550
+        assert sol.states == 605_550
 
     def test_deterministic_spt(self):
         # all q=1: shortest processing time first is optimal
@@ -141,3 +157,34 @@ class TestProperties:
         inst = make(2, [(3, [0.5, 0.5]), (1, [1.0])])
         sol = solve_exact(inst)
         assert ((Fraction(0), Fraction(0)), (2, 1)) in sol.policy
+
+
+# non-dyadic decimals (their floats have 2**-55-scale denominators) and
+# sizes that are not integers
+instances = st.builds(
+    lambda m, jobs: make(m, [(p, [q for p2, q in jobs if p2 == p])
+                             for p in {p for p, _q in jobs}]),
+    st.integers(1, 2),
+    st.lists(st.tuples(st.sampled_from([Fraction(5, 13), 1, Fraction(3, 2), 4]),
+                       st.sampled_from([0.1, 0.93, 0.5, 1.0])),
+             min_size=1, max_size=4),
+)
+
+
+class TestExactness:
+    @settings(max_examples=40, deadline=None)
+    @given(instances)
+    def test_solvers_match_oracle_and_replay(self, inst):
+        exact = solve_exact(inst)
+        assert exact.value == pytest.approx(brute_force_oracle(inst), abs=1e-9)
+        assert expected_cost_exact(ExactTablePolicy(exact), inst) == \
+            pytest.approx(exact.value, abs=1e-9)
+
+        rounded, groups, grid, _ = prepare(inst)
+        strat = solve_stratified(rounded, groups, grid)
+        assert expected_cost_exact(StratifiedTablePolicy(strat, grid),
+                                   rounded) == pytest.approx(strat.value, abs=1e-9)
+
+        for table in (exact.policy, strat.policy):
+            for profile, _nu in table:
+                assert all(type(x) is Fraction for x in profile)

@@ -4,20 +4,34 @@ import pytest
 
 from bernsched.dp_exact import solve_exact
 from bernsched.dp_stratified import (
+    GridRule,
     profiles_per_timepoint_ceiling,
     sandwich_bound,
     solve_stratified,
     time_point_ceiling,
-    update_profile_idle,
-    update_profile_long,
 )
 from bernsched.harness import prepare
 from bernsched.instances import validate_and_canonicalize
 from bernsched.numerics import SeedStream
+from bernsched.timegrid import GridError
 
 
 def make(machines, raw, epsilon="1/13"):
     return validate_and_canonicalize(machines, epsilon, raw)
+
+
+def after_long(profile, j, inst, grid):
+    """GridRule.after_long on Fraction times."""
+    rule = GridRule(inst, grid)
+    out = rule.after_long(tuple(int(x * rule.unit) for x in profile), j)
+    return tuple(Fraction(x, rule.unit) for x in out)
+
+
+def after_idle(profile, nu, inst, grid):
+    """GridRule.after_idle on Fraction times."""
+    rule = GridRule(inst, grid)
+    out = rule.after_idle(tuple(int(x * rule.unit) for x in profile), nu)
+    return tuple(Fraction(x, rule.unit) for x in out)
 
 
 def separated_instance(rng, n_max=2, jobs_max=6, m_max=3):
@@ -79,19 +93,27 @@ class TestHandWorked:
 class TestProfileUpdates:
     def test_long_rounds_to_circ(self, one_type):
         _, rounded, _, grid = one_type
-        out = update_profile_long((Fraction(0),), 0, rounded, grid)
+        out = after_long((Fraction(0),), 0, rounded, grid)
         assert out == (Fraction(234),)
 
     def test_long_in_tail(self, one_type):
         _, rounded, _, grid = one_type
-        out = update_profile_long((Fraction(234),), 0, rounded, grid)
+        out = after_long((Fraction(234),), 0, rounded, grid)
         # completion 403 is not on the stretched tail; next point is 414
         assert out == (Fraction(414),)
 
     def test_multi_machine_sorts(self, one_type):
         _, rounded, _, grid = one_type
-        out = update_profile_long((Fraction(0), Fraction(0)), 0, rounded, grid)
+        out = after_long((Fraction(0), Fraction(0)), 0, rounded, grid)
         assert out == (Fraction(0), Fraction(234))
+
+    def test_answer_off_the_unit_raises(self, one_type, monkeypatch):
+        _, rounded, _, grid = one_type
+        rule = GridRule(rounded, grid)
+        monkeypatch.setattr(grid, "q_successor",
+                            lambda h, t: t + Fraction(1, 7 * rule.unit))
+        with pytest.raises(GridError, match="not a multiple"):
+            rule.after_long((0,), 0)
 
     def test_idle_raises_lagging_machines(self):
         inst = make(2, [(169, [1.0]), (1, [1.0, 1.0])])
@@ -99,10 +121,38 @@ class TestProfileUpdates:
         # at t*=5/13 (not in Q_2), both machines below the next point move up
         profile = (Fraction(5, 13), Fraction(9))
         nu = (0, 1)
-        out = update_profile_idle(profile, nu, grid)
+        out = after_idle(profile, nu, rounded, grid)
         target = grid.q_successor(1, Fraction(5, 13))
         assert out[0] == target
         assert out[1] == Fraction(9)
+
+
+class TestIdleChain:
+    # a long type-1 job moves the machine to a point of Q_1 outside Q_0,
+    # from where the remaining type-0 job needs an idle advance
+    RAW = [(169, [0.25, 0.5]), (1, [0.25, 0.25])]
+
+    def test_idle_decisions_recorded(self):
+        rounded, groups, grid, _ = prepare(make(1, self.RAW))
+        sol = solve_stratified(rounded, groups, grid)
+        assert sol.policy[((Fraction(235),), (1, 0))] == ("idle",)
+
+    def test_cap_zero_raises_grid_error(self):
+        rounded, groups, grid, _ = prepare(make(1, self.RAW))
+        with pytest.raises(GridError, match="idle chain"):
+            solve_stratified(rounded, groups, grid, idle_chain_cap=0)
+
+
+class TestManyJobs:
+    def test_1100_jobs_within_bound(self):
+        # no Python recursion: 1100 jobs in a chain of 1100 decisions.  The
+        # exact optimum runs the unit jobs back to back: 1 + 2 + ... + 1100.
+        inst = make(1, [(1, [1.0] * 1100)])
+        rounded, groups, grid, _ = prepare(inst)
+        sol = solve_stratified(rounded, groups, grid, max_jobs=1100)
+        exact = 1100 * 1101 // 2
+        bound = float(sandwich_bound(1, inst.epsilon))
+        assert exact - 1e-9 <= sol.value <= bound * exact + 1e-9
 
 
 class TestSandwich:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bernsched import harness
 from bernsched.harness import (
     ComparisonRow,
     ExperimentSpec,
@@ -12,6 +13,7 @@ from bernsched.harness import (
     report,
 )
 from bernsched.instances import validate_and_canonicalize
+from bernsched.timegrid import GridError
 
 
 class TestGenerate:
@@ -66,7 +68,19 @@ class TestCompare:
             1, "1/13", [(169, [0.5] * 6), (1, [0.5] * 7)]
         )
         rows = compare([inst], max_jobs=4)
-        assert rows[0].skipped
+        assert rows[0].skipped.startswith("SolverCapError: ")
+
+    def test_grid_error_marks_skipped(self, monkeypatch):
+        def no_grid(inst, groups):
+            raise GridError("no room for group-1 endpoints between thresholds")
+
+        monkeypatch.setattr(harness, "build_grid", no_grid)
+        good = validate_and_canonicalize(1, "1/13", [(169, [1.0, 1.0])])
+        rows = compare([good, good])
+        assert [r.skipped for r in rows] == [
+            "GridError: no room for group-1 endpoints between thresholds"
+        ] * 2
+        assert rows[0].exact_value == pytest.approx(507.0)
 
     def test_ratios_at_least_one(self):
         spec = ExperimentSpec(n_types=2, jobs_per_type=2, machines=2,
