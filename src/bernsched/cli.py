@@ -3,7 +3,8 @@
 Subcommands: gen, solve-exact, solve-stratified, simulate, compare,
 grid-dump, round.  All numeric times print as exact "num/den" strings;
 JSON outputs follow the documented schemas.  Exit code is nonzero on any
-invariant violation.
+invariant violation; a typed error (replay, solver cap, grid, instance,
+numerics) prints "error: <Type>: <message>" to stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 from types import SimpleNamespace
 
-from .dp_exact import solve_exact
+from .dp_exact import SolverCapError, solve_exact
 from .dp_stratified import solve_stratified
 from .harness import (
     BoundViolation,
@@ -25,6 +26,7 @@ from .harness import (
 )
 from .instances import (
     Instance,
+    InstanceError,
     build_groups,
     instance_to_dict,
     load_instance,
@@ -32,7 +34,7 @@ from .instances import (
     round_to_powers_of_c,
     save_instance,
 )
-from .numerics import format_rat, parse_rat
+from .numerics import NumericsError, format_rat, parse_rat
 from .policies import (
     ExactTablePolicy,
     FixedAssignmentPolicy,
@@ -42,6 +44,7 @@ from .policies import (
     expected_cost_exact,
     expected_cost_mc,
 )
+from .timegrid import GridError
 
 
 def _profile_str(profile):
@@ -284,8 +287,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ReplayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ReplayError, SolverCapError, GridError, InstanceError,
+            NumericsError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -36,11 +36,14 @@ from .timegrid import GridError
 
 
 class SolverCapError(RuntimeError):
-    """Raised when the state count exceeds the configured cap."""
+    """Raised when an instance has more jobs than ``max_jobs`` or the state
+    count exceeds the configured cap."""
 
-    def __init__(self, states):
-        super().__init__(f"state cap exceeded ({states} states)")
-        self.states = states
+
+def _check_job_cap(inst: Instance, max_jobs: int):
+    if inst.total_jobs > max_jobs:
+        raise SolverCapError(f"job cap exceeded ({inst.total_jobs} jobs "
+                             f"> max_jobs {max_jobs})")
 
 
 def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int,
@@ -55,8 +58,7 @@ def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int,
     advance), ``startable(t, nu)``, ``after_long(profile, j)`` and
     ``after_idle(profile, nu)``, all on integer times.
     """
-    if inst.total_jobs > max_jobs:
-        raise SolverCapError(inst.total_jobs)
+    _check_job_cap(inst, max_jobs)
     qs = [[Fraction(q) for q in t.qs] for t in inst.types]
     den = lcm(*(q.denominator for row in qs for q in row))
     power = [den ** r for r in range(inst.total_jobs + 1)]
@@ -107,7 +109,7 @@ def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int,
             continue
 
         if len(value) > state_cap:
-            raise SolverCapError(len(value))
+            raise SolverCapError(f"state cap exceeded ({len(value)} states)")
         if isinstance(moves, list):
             below = power[r - 1]
             best = None
@@ -174,8 +176,7 @@ def idling_oracle(inst: Instance, max_jobs: int = 4) -> float:
 
 
 def _expectimax(inst: Instance, max_jobs: int, allow_idle: bool) -> float:
-    if inst.total_jobs > max_jobs:
-        raise SolverCapError(inst.total_jobs)
+    _check_job_cap(inst, max_jobs)
     jobs = inst.job_ids()
     size = {job: inst.job_size(job) for job in jobs}
     prob = {job: inst.job_q(job) for job in jobs}

@@ -1,11 +1,12 @@
 """Near-optimal policy over grid-restricted start times.
 
 Same state space shape as the exact solver, but machine available-times
-live on the allowed-start-time sets of the time grid: a long job of group
-h pushes its machine to the next Q_h point at or beyond
-max(p_circ[h], completion), and when nothing can start at the earliest
-available time all lagging machines are advanced together to the next
-allowed point of the smallest remaining type.  The optimum over this
+live on the allowed-start-time sets of the time grid: a long job frees
+its machine at the grid's release time, and when nothing can start at
+the earliest available time all lagging machines are advanced together
+to the next allowed point of the grid's idle group.  Both transitions
+are ``TimeGrid.release_time`` and ``TimeGrid.idle_group``, which the
+policies' replay uses as well.  The optimum over this
 restricted class sandwiches the true optimum to within a factor that
 shrinks with eps.
 """
@@ -66,42 +67,43 @@ def _in_units(x: Fraction, unit: int) -> int:
 
 class GridRule:
     """A type is startable at t when its group's Q-set holds t.  A long job
-    of group h frees its machine at the first Q_h point at or beyond
-    max(p_circ[h], completion); with no type startable, every machine below
-    the next Q point of the smallest remaining type's group is raised to it.
-    Times are integers in units of 1/unit, the lcm of the denominators of
-    the sizes and of the grid's O(gamma) generators.  Each grid query is
-    answered once per (group, time); an answer that is not an integer in
-    this unit raises GridError."""
+    of group h frees its machine at ``grid.release_time(h, completion)``;
+    with no type startable, every machine below the next Q point of
+    ``grid.idle_group(nu)`` is raised to it.  Times are integers in units
+    of 1/unit, the lcm of the denominators of the sizes and of the grid's
+    O(gamma) generators.  Each grid query is answered once per (group,
+    time); an answer that is not an integer in this unit raises
+    GridError."""
 
     def __init__(self, inst: Instance, grid: TimeGrid):
         unit = self.unit = lcm(*(x.denominator for x in
                                  [t.size for t in inst.types] + grid.generators()))
         self.sizes = tuple(_in_units(t.size, unit) for t in inst.types)
         self.group = tuple(grid.group_of_type(j) for j in range(inst.n_types))
-        self.p_circ = tuple(_in_units(p, unit) for p in grid.thresholds.p_circ)
+        self.idle_group = grid.idle_group
         self.labels = tuple(("start", j) for j in range(inst.n_types)) \
             + (("idle",),)
         self._allowed = lru_cache(maxsize=None)(
             lambda t: grid.allowed_types(Fraction(t, unit)))
-        self._successor = lru_cache(maxsize=None)(
+        self._release = lru_cache(maxsize=None)(
+            lambda h, t: _in_units(grid.release_time(h, Fraction(t, unit)), unit))
+        self._advance = lru_cache(maxsize=None)(
             lambda h, t: _in_units(grid.q_successor(h, Fraction(t, unit)), unit))
 
     def startable(self, t, nu):
         return [j for j in self._allowed(t) if nu[j]]
 
     def after_long(self, profile, j):
-        h = self.group[j]
-        s = self._successor(h, max(self.p_circ[h], profile[0] + self.sizes[j]))
+        s = self._release(self.group[j], profile[0] + self.sizes[j])
         return tuple(sorted(profile[1:] + (s,)))
 
     def after_idle(self, profile, nu):
-        j_star = max(j for j, c in enumerate(nu) if c)
+        h = self.idle_group(nu)
         t = profile[0]
-        target = self._successor(self.group[j_star], t)
+        target = self._advance(h, t)
         if target <= t:
             raise GridError(f"idle advance stalled at {Fraction(t, self.unit)}"
-                            f": type {j_star} already startable")
+                            f": group {h} already startable")
         return tuple(target if x < target else x for x in profile)
 
 

@@ -91,11 +91,6 @@ class GroupStructure:
         return [out[j] for j in sorted(out)]
 
 
-@dataclass(frozen=True)
-class InstanceStats:
-    delta: float  # largest squared coefficient of variation
-
-
 def validate_and_canonicalize(machines, epsilon, raw_types) -> Instance:
     """Build a canonical instance from raw (size, [q...]) pairs.
 
@@ -181,7 +176,7 @@ def round_for_divisibility(inst: Instance, groups: GroupStructure):
     for h in range(gamma - 2, -1, -1):
         new_reps[h] = ceil_to_multiple_of(groups.reps[h], new_reps[h + 1])
 
-    rounded = []  # (new_size, qs, old_size)
+    rounded = []  # (new_size, qs)
     for h, g in enumerate(groups.groups):
         grid = eps * new_reps[h]
         for j in g:
@@ -191,19 +186,12 @@ def round_for_divisibility(inst: Instance, groups: GroupStructure):
                 raise InstanceError(
                     f"divisibility rounding grew {old} to {new}, beyond (1+eps)"
                 )
-            rounded.append((new, inst.types[j].qs, old))
+            rounded.append((new, inst.types[j].qs))
 
-    by_size = {}
-    for new, qs, _old in rounded:
-        by_size.setdefault(new, []).extend(qs)
-    merges = sorted(
-        p for p, _qs in by_size.items()
-        if sum(1 for s, _q, _o in rounded if s == p) > 1
-    )
+    sizes = [new for new, _qs in rounded]
+    merges = sorted(p for p in set(sizes) if sizes.count(p) > 1)
 
-    out = validate_and_canonicalize(
-        inst.machines, eps, [(p, qs) for p, qs in by_size.items()]
-    )
+    out = validate_and_canonicalize(inst.machines, eps, rounded)
     new_groups = build_groups(out)
     if not partition_unchanged(inst, groups, out, new_groups):
         raise InstanceError("divisibility rounding changed the group partition")
@@ -243,7 +231,7 @@ def round_to_powers_of_c(inst: Instance, c: int):
         while pmin * scale < c:
             scale *= c
 
-    by_size = {}
+    rounded = []  # (power, qs); equal powers merge on canonicalization
     for t in inst.types:
         target = t.size * scale
         power = Fraction(c)
@@ -251,11 +239,9 @@ def round_to_powers_of_c(inst: Instance, c: int):
             power *= c
         if power >= c * target:
             raise InstanceError("power-of-c rounding exceeded factor c")
-        by_size.setdefault(power, []).extend(t.qs)
+        rounded.append((power, t.qs))
 
-    out = validate_and_canonicalize(
-        inst.machines, inst.epsilon, [(p, qs) for p, qs in by_size.items()]
-    )
+    out = validate_and_canonicalize(inst.machines, inst.epsilon, rounded)
     return out, scale
 
 
@@ -282,12 +268,6 @@ def partition_sml(inst: Instance, scale):
         else:
             medium.append(job)
     return small, medium, large
-
-
-def compute_stats(inst: Instance) -> InstanceStats:
-    # Var[X]/E[X]^2 = (1-q)/q for a Bernoulli job
-    delta = max((1.0 - q) / q for t in inst.types for q in t.qs)
-    return InstanceStats(delta=delta)
 
 
 # ---------------------------------------------------------------------------

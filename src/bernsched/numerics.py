@@ -51,12 +51,6 @@ def format_rat(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def checked_sub(a: Fraction, b: Fraction) -> Fraction:
-    if b > a:
-        raise NumericsError(f"negative result: {a} - {b}")
-    return a - b
-
-
 def floor_div(a: Fraction, g: Fraction) -> int:
     """Largest integer k with k*g <= a."""
     if g <= 0:

@@ -6,10 +6,15 @@ to an instance and yields a controller with the same two-method surface:
   decide(view)   -> ("start", job_id) | ("advance", time) | ("retire",)
   release(job, start, completion, is_long) -> next available time
 
-so the simulator below is single-sourced.  A realization fixes each job's
-outcome bit up front; the replay itself is deterministic, and
-non-anticipativity is structural because controllers only ever see
-outcomes of jobs already started.
+so the simulator below is single-sourced.  ``bind`` returns the policy
+itself unless the policy keeps state over one replay, as the composite
+policy does: it binds to a fresh controller.  SEPT binds to the list
+policy of its order, and the fixed assignment derives its per-machine
+queues from the instance in ``bind``.  The base ``release`` frees the
+machine at the completion time.  A realization fixes each job's outcome
+bit up front; the replay itself is deterministic, and non-anticipativity
+is structural because controllers only ever see outcomes of jobs already
+started.
 """
 
 from __future__ import annotations
@@ -199,23 +204,17 @@ class Policy:
     name = "policy"
 
     def bind(self, inst: Instance):
-        raise NotImplementedError
-
-
-class _ListController:
-    """Starts jobs in a fixed order, never idles, plain completions."""
-
-    def __init__(self, inst, order):
-        self.order = list(order)
-
-    def decide(self, view):
-        for job in self.order:
-            if job in view.remaining:
-                return ("start", job)
-        raise ReplayError("list exhausted with jobs remaining")
+        return self
 
     def release(self, job, start, completion, is_long):
         return completion
+
+
+def _lookup(table, view):
+    key = (view.sorted_profile(), view.counts())
+    if key not in table:
+        raise ReplayError(f"state {key} missing from policy table")
+    return table[key]
 
 
 class ListPolicy(Policy):
@@ -226,8 +225,11 @@ class ListPolicy(Policy):
     def __init__(self, order):
         self.order = list(order)
 
-    def bind(self, inst):
-        return _ListController(inst, self.order)
+    def decide(self, view):
+        for job in self.order:
+            if job in view.remaining:
+                return ("start", job)
+        raise ReplayError("list exhausted with jobs remaining")
 
 
 def sept_order(inst: Instance):
@@ -244,33 +246,11 @@ def sept_order(inst: Instance):
     )
 
 
-class SeptPolicy(ListPolicy):
+class SeptPolicy(Policy):
     name = "sept"
 
-    def __init__(self):
-        pass
-
     def bind(self, inst):
-        return _ListController(inst, sept_order(inst))
-
-
-class _FixedAssignmentController:
-    def __init__(self, inst):
-        order = sept_order(inst)
-        self.queues = [[] for _ in range(inst.machines)]
-        for k, job in enumerate(order):
-            self.queues[k % inst.machines].append(job)
-
-    def decide(self, view):
-        queue = self.queues[view.i_star]
-        while queue and queue[0] not in view.remaining:
-            queue.pop(0)
-        if not queue:
-            return ("retire",)
-        return ("start", queue[0])
-
-    def release(self, job, start, completion, is_long):
-        return completion
+        return ListPolicy(sept_order(inst))
 
 
 class FixedAssignmentPolicy(Policy):
@@ -280,22 +260,16 @@ class FixedAssignmentPolicy(Policy):
     name = "fixed"
 
     def bind(self, inst):
-        return _FixedAssignmentController(inst)
-
-
-class _ExactTableController:
-    def __init__(self, inst, table):
-        self.table = table
+        order = sept_order(inst)
+        self.queues = tuple(order[i::inst.machines]
+                            for i in range(inst.machines))
+        return self
 
     def decide(self, view):
-        key = (view.sorted_profile(), view.counts())
-        if key not in self.table:
-            raise ReplayError(f"state {key} missing from policy table")
-        j = self.table[key]
-        return ("start", view.next_of_type(j))
-
-    def release(self, job, start, completion, is_long):
-        return completion
+        for job in self.queues[view.i_star]:
+            if job in view.remaining:
+                return ("start", job)
+        return ("retire",)
 
 
 class ExactTablePolicy(Policy):
@@ -306,41 +280,13 @@ class ExactTablePolicy(Policy):
     def __init__(self, solution):
         self.table = solution.policy
 
-    def bind(self, inst):
-        return _ExactTableController(inst, self.table)
-
-
-class _StratifiedTableController:
-    def __init__(self, inst, table, grid):
-        self.inst = inst
-        self.table = table
-        self.grid = grid
-
     def decide(self, view):
-        key = (view.sorted_profile(), view.counts())
-        if key not in self.table:
-            raise ReplayError(f"state {key} missing from policy table")
-        decision = self.table[key]
-        if decision[0] == "idle":
-            nu = view.counts()
-            j_star = max(j for j in range(len(nu)) if nu[j] > 0)
-            target = self.grid.q_successor(
-                self.grid.group_of_type(j_star), view.t_star
-            )
-            return ("advance", target)
-        return ("start", view.next_of_type(decision[1]))
-
-    def release(self, job, start, completion, is_long):
-        if not is_long:
-            return completion
-        h = self.grid.group_of_type(job[0])
-        target = max(self.grid.thresholds.p_circ[h], completion)
-        return self.grid.q_successor(h, target)
+        return ("start", view.next_of_type(_lookup(self.table, view)))
 
 
 class StratifiedTablePolicy(Policy):
     """Replays the grid-restricted solver's decisions, including the
-    post-long-job rounding of the machine's next available time."""
+    grid's release time after a long job."""
 
     name = "stratified"
 
@@ -348,53 +294,18 @@ class StratifiedTablePolicy(Policy):
         self.table = solution.policy
         self.grid = grid
 
-    def bind(self, inst):
-        return _StratifiedTableController(inst, self.table, self.grid)
+    def decide(self, view):
+        decision = _lookup(self.table, view)
+        if decision[0] == "idle":
+            h = self.grid.idle_group(view.counts())
+            return ("advance", self.grid.q_successor(h, view.t_star))
+        return ("start", view.next_of_type(decision[1]))
 
-
-# -- space filling ----------------------------------------------------------
-
-def fill_spaces(spaces, jobs, sizes, realization, add_dummy_long=False):
-    """Greedy placement of one type's jobs into reserved idle slots.
-
-    ``spaces`` is a list of (machine, left_endpoint, type_j) slots, each of
-    length sizes[type_j], ordered by left endpoint.  At each slot the
-    remaining job with the smallest probability starts at the left
-    endpoint; short jobs stack there and the slot stays open, a long job
-    closes it.  With ``add_dummy_long`` an extra always-long job per type
-    is appended (it closes one slot but is not reported).
-
-    Returns job -> (machine, start, completion).  Raises if the slots run
-    out before the jobs do.
-    """
-    by_type = {}
-    for job in jobs:
-        by_type.setdefault(job[0], []).append(job)
-    for lst in by_type.values():
-        lst.sort(key=lambda job: job[1])
-
-    out = {}
-    for j, queue in by_type.items():
-        queue = list(queue)
-        if add_dummy_long:
-            queue.append(("dummy", j))
-        slots = [s for s in spaces if s[2] == j]
-        slots.sort(key=lambda s: s[1])
-        slot_iter = iter(slots)
-        current = next(slot_iter, None)
-        for job in queue:
-            if current is None:
-                raise ReplayError(
-                    f"type-{j} slots exhausted with jobs remaining"
-                )
-            machine, left, _j = current
-            is_long = True if job[0] == "dummy" else bool(realization[job])
-            completion = left + (sizes[j] if is_long else Fraction(0))
-            if job[0] != "dummy":
-                out[job] = (machine, left, completion)
-            if is_long:
-                current = next(slot_iter, None)
-    return out
+    def release(self, job, start, completion, is_long):
+        if not is_long:
+            return completion
+        return self.grid.release_time(self.grid.group_of_type(job[0]),
+                                      completion)
 
 
 # -- composite pipeline -----------------------------------------------------
@@ -413,18 +324,16 @@ class _CompositeController:
     increment.
     """
 
-    def __init__(self, inst, small, medium, large, inner, t0):
-        self.inst = inst
-        self.small = [job for job in small]
-        self.large = [job for job in large]
-        self.medium = sorted(medium)
+    def __init__(self, machines, small, large, inner, t0):
+        self.small = list(small)
+        self.large = list(large)
         self.fallback = False
         self.phase = "large"
         self.t0 = t0
         # inner is None when there are no medium jobs
         self.inner = inner
         if inner is not None:
-            self.v_profile = (Fraction(0),) * inst.machines
+            self.v_profile = (Fraction(0),) * machines
             self.v_nu = inner["counts"]
             self.m_started = False
 
@@ -447,11 +356,10 @@ class _CompositeController:
             self.phase = "medium"
         if self.inner is None:
             return self._greedy(view)
-        if not self.m_started and view.t_star < self.t0:
+        if not self.m_started:
             self.m_started = True
-            if self.t0 > view.t_star:
+            if view.t_star < self.t0:
                 return ("advance", self.t0)
-        self.m_started = True
         key = (self.v_profile, self.v_nu)
         table = self.inner["table"]
         if key not in table:
@@ -459,10 +367,8 @@ class _CompositeController:
         decision = table[key]
         grid = self.inner["grid"]
         if decision[0] == "idle":
-            nu = self.v_nu
-            j_star = max(j for j in range(len(nu)) if nu[j] > 0)
             old = self.v_profile[0]
-            target = grid.q_successor(grid.group_of_type(j_star), old)
+            target = grid.q_successor(grid.idle_group(self.v_nu), old)
             self.v_profile = tuple(
                 target if x < target else x for x in self.v_profile
             )
@@ -486,11 +392,9 @@ class _CompositeController:
             if is_long:
                 h = grid.group_of_type(inner_j)
                 v_completion = self.v_profile[0] + rinst.types[inner_j].size
-                target = max(grid.thresholds.p_circ[h], v_completion)
                 self.v_profile = tuple(sorted(
-                    self.v_profile[1:] + (grid.q_successor(h, target),)
+                    self.v_profile[1:] + (grid.release_time(h, v_completion),)
                 ))
-            return completion
         return completion
 
 
@@ -556,7 +460,7 @@ class CompositePolicy(Policy):
             }
         n_jobs = inst.total_jobs
         t0 = self.scale / n_jobs if small else Fraction(0)
-        return _CompositeController(inst, small, medium, large, inner, t0)
+        return _CompositeController(inst.machines, small, large, inner, t0)
 
 
 def quasipoly_pipeline(inst: Instance, c: int, inner_solver,

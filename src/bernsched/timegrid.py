@@ -233,6 +233,16 @@ class TimeGrid:
             return self.q_successor(h, lk1)
         return self.q_successor(h, t + self.eps * self.reps[h])
 
+    def release_time(self, h: int, t: Fraction) -> Fraction:
+        """When a machine that completes a long group-h job at t is free
+        again: the first Q_h point at or beyond max(p_circ[h], t)."""
+        return self.q_successor(h, max(self.thresholds.p_circ[h], t))
+
+    def idle_group(self, nu) -> int:
+        """Group whose Q-set an idle advance moves to: that of the
+        largest-index (smallest-size) type with jobs left in counts ``nu``."""
+        return self._group_of_type[max(j for j, c in enumerate(nu) if c)]
+
     def allowed_types(self, t: Fraction):
         """Type indices j whose group's Q-set contains t (one query per
         group)."""

@@ -129,3 +129,19 @@ def test_round_powers(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["types"][0]["size"] == "28561"
+
+
+def test_typed_errors_exit_1(capsys, tmp_path):
+    big = validate_and_canonicalize(1, "1/13", [(169, [0.5] * 6),
+                                                (1, [0.5] * 7)])
+    path = str(tmp_path / "big.json")
+    save_instance(big, path)
+    assert main(["solve-exact", "--instance", path]) == 1
+    assert capsys.readouterr().err == "error: SolverCapError: job cap " \
+        "exceeded (13 jobs > max_jobs 12)\n"
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"machines": 1, "epsilon": "1/1",
+                               "types": [{"size": "3", "jobs": [0.5]}]}))
+    assert main(["solve-stratified", "--instance", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: InstanceError: ")

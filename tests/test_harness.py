@@ -68,7 +68,12 @@ class TestCompare:
             1, "1/13", [(169, [0.5] * 6), (1, [0.5] * 7)]
         )
         rows = compare([inst], max_jobs=4)
-        assert rows[0].skipped.startswith("SolverCapError: ")
+        assert rows[0].skipped == \
+            "SolverCapError: job cap exceeded (13 jobs > max_jobs 4)"
+        rows = compare([inst], max_jobs=13, state_cap=10)
+        assert rows[0].skipped.startswith(
+            "SolverCapError: state cap exceeded (")
+        assert rows[0].skipped.endswith(" states)")
 
     def test_grid_error_marks_skipped(self, monkeypatch):
         def no_grid(inst, groups):

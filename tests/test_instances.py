@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from bernsched.instances import (
     InstanceError,
     build_groups,
-    compute_stats,
     instance_from_dict,
     instance_to_dict,
     partition_sml,
@@ -196,12 +195,6 @@ class TestPartitionSML:
         all_jobs = set(inst.job_ids())
         assert set(s) | set(m) | set(l) == all_jobs
         assert not (set(s) & set(m)) and not (set(m) & set(l))
-
-
-def test_stats():
-    assert compute_stats(make(1, "1/13", [(5, [1.0, 1.0])])).delta == 0
-    assert compute_stats(make(1, "1/13", [(5, [0.5])])).delta == 1
-    assert compute_stats(make(1, "1/13", [(5, [0.1])])).delta == pytest.approx(9)
 
 
 def test_json_roundtrip(tmp_path):

@@ -7,7 +7,6 @@ from bernsched.numerics import (
     NumericsError,
     SeedStream,
     ceil_to_multiple_of,
-    checked_sub,
     divides,
     floor_div,
     format_rat,
@@ -33,12 +32,6 @@ def test_parse_and_format_roundtrip():
     assert format_rat(Fraction(5)) == "5"
     with pytest.raises(NumericsError):
         parse_rat("-1/2")
-
-
-def test_checked_sub():
-    assert checked_sub(Fraction(5), Fraction(3)) == 2
-    with pytest.raises(NumericsError):
-        checked_sub(Fraction(1), Fraction(2))
 
 
 def test_ceil_to_multiple_examples():

@@ -18,7 +18,6 @@ from bernsched.policies import (
     enumerate_realizations,
     expected_cost_exact,
     expected_cost_mc,
-    fill_spaces,
     quasipoly_pipeline,
     replay,
     sept_order,
@@ -177,44 +176,6 @@ class TestFixedAssignment:
         assert fixed > opt + 1e-9
 
 
-class TestFillSpaces:
-    def test_short_jobs_stack(self):
-        spaces = [(0, Fraction(0), 0), (0, Fraction(5), 0)]
-        jobs = [(0, 0), (0, 1)]
-        sizes = {0: Fraction(1)}
-        real = {(0, 0): False, (0, 1): True}
-        out = fill_spaces(spaces, jobs, sizes, real)
-        assert out[(0, 0)] == (0, 0, 0)      # short at left endpoint
-        assert out[(0, 1)] == (0, 0, 1)      # long closes the first space
-
-    def test_all_long_one_per_space(self):
-        spaces = [(0, Fraction(i * 10), 0) for i in range(4)]
-        jobs = [(0, i) for i in range(3)]
-        sizes = {0: Fraction(2)}
-        real = {j: True for j in jobs}
-        out = fill_spaces(spaces, jobs, sizes, real)
-        assert [out[j][1] for j in jobs] == [0, 10, 20]
-
-    def test_no_jobs(self):
-        assert fill_spaces([(0, Fraction(0), 0)], [], {0: Fraction(1)}, {}) == {}
-
-    def test_exhaustion_raises(self):
-        spaces = [(0, Fraction(0), 0)]
-        jobs = [(0, 0), (0, 1)]
-        real = {j: True for j in jobs}
-        with pytest.raises(ReplayError):
-            fill_spaces(spaces, jobs, {0: Fraction(1)}, real)
-
-    def test_dummy_long_closes_space(self):
-        spaces = [(0, Fraction(0), 0), (0, Fraction(5), 0)]
-        jobs = [(0, 0)]
-        real = {(0, 0): False}
-        out = fill_spaces(spaces, jobs, {0: Fraction(1)}, real,
-                          add_dummy_long=True)
-        assert out[(0, 0)] == (0, 0, 0)
-        assert ("dummy", 0) not in out
-
-
 class TestComposite:
     def test_all_medium_reduces_to_inner(self):
         inst = make(1, [(169, [1.0, 1.0])])
@@ -264,3 +225,61 @@ class TestListPolicy:
         cost_good = expected_cost_exact(ListPolicy(good), inst)
         cost_bad = expected_cost_exact(ListPolicy(bad), inst)
         assert cost_bad >= cost_good - 1e-9
+
+
+def _reuse_case(name):
+    """(policy factory, first instance, second instance) for one policy.
+    A table policy's second instance has the first's sizes and counts, so
+    its table covers it, but other probabilities."""
+    if name == "sept":
+        return SeptPolicy, make(2, [(3, [0.25, 0.75]), (1, [0.5, 1.0])]), \
+            make(1, [(4, [0.5]), (2, [0.25, 0.75])])
+    if name == "fixed":
+        return FixedAssignmentPolicy, make(2, [(3, [0.5] * 3), (1, [0.25])]), \
+            make(3, [(5, [0.75, 1.0]), (2, [0.5, 0.5])])
+    first = make(2, [(3, [0.25, 0.75]), (1, [0.5, 1.0])])
+    second = make(2, [(3, [0.5, 0.5]), (1, [0.25, 0.75])])
+    if name == "list":
+        order = [(1, 0), (0, 1), (0, 0), (1, 1)]
+        return lambda: ListPolicy(order), first, second
+    if name == "exact":
+        sol = solve_exact(first)
+        return lambda: ExactTablePolicy(sol), first, second
+    if name == "stratified":
+        rounded, groups, grid, _ = prepare(
+            make(1, [(169, [0.25, 0.5]), (1, [0.25, 0.25])]))
+        sol = solve_stratified(rounded, groups, grid)
+        other = make(1, [(t.size, [0.75] * t.count) for t in rounded.types])
+        return lambda: StratifiedTablePolicy(sol, grid), rounded, other
+    # large, medium and small jobs under scale 1
+    first = make(1, [(10**10, [0.5]), (1, [0.5, 1.0]),
+                     (Fraction(1, 10**4), [1.0])])
+    second = make(1, [(10**10, [0.25]), (1, [0.75, 0.75]),
+                      (Fraction(1, 10**4), [0.5])])
+    return lambda: CompositePolicy(169, Fraction(1), solve_pipeline), \
+        first, second
+
+
+def _fresh_cost(factory, inst):
+    """expected_cost_exact with a new policy object for every replay."""
+    total = 0.0
+    for prob, real in enumerate_realizations(inst):
+        total += prob * float(replay(factory(), inst, real).total_cost)
+    return total
+
+
+class TestReuse:
+    """One policy object evaluated twice on one instance and once on
+    another costs what fresh objects cost each time: no state from one
+    replay leaks into the next."""
+
+    @pytest.mark.parametrize(
+        "name", ["sept", "fixed", "list", "exact", "stratified", "composite"])
+    def test_reused_equals_fresh(self, name):
+        factory, first, second = _reuse_case(name)
+        policy = factory()
+        assert policy.name == name
+        runs = (first, first, second)
+        reused = [expected_cost_exact(policy, inst) for inst in runs]
+        assert reused == [_fresh_cost(factory, inst) for inst in runs]
+        assert reused[0] != reused[2]

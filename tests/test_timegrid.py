@@ -169,6 +169,57 @@ class TestSuccessor:
                 t = nxt
 
 
+class TestTransitions:
+    def test_release_one_type(self, one_type):
+        _, _, grid = one_type
+        # p° = 234: a long job ending before it frees its machine at p°
+        assert grid.release_time(0, Fraction(0)) == 234
+        assert grid.release_time(0, Fraction(169)) == 234
+        assert grid.release_time(0, Fraction(234)) == 234
+        # past p° the completion rounds up to the stretched tail
+        assert grid.release_time(0, Fraction(403)) == 414
+
+    def test_release_two_groups(self, two_type):
+        _, _, grid = two_type
+        assert grid.thresholds.p_circ == (130, Fraction(13, 8))
+        # Q_0 has a stretched endpoint below p°_0 that the release skips
+        assert grid.q_successor(0, Fraction(80)) == Fraction(2561, 32)
+        assert grid.release_time(0, Fraction(80)) == 130
+        assert grid.release_time(0, Fraction(131)) == Fraction(585, 4)
+        assert grid.release_time(1, Fraction(0)) == Fraction(13, 8)
+        assert grid.release_time(1, Fraction(2)) == Fraction(65, 32)
+        assert grid.release_time(1, Fraction(2081, 16)) == Fraction(1041, 8)
+
+    @pytest.mark.parametrize("fixture", ["one_type", "two_type"])
+    def test_release_is_first_member_past_threshold(self, fixture, request):
+        _, groups, grid = request.getfixturevalue(fixture)
+        for h in range(groups.gamma):
+            p_circ = grid.thresholds.p_circ[h]
+            for k in range(60):
+                t = Fraction(k * k, 7)
+                s = grid.release_time(h, t)
+                assert s >= max(p_circ, t) and grid.q_contains(h, s)
+                assert s == grid.q_successor(h, max(p_circ, t))
+
+    def test_idle_group_one_type(self, one_type):
+        _, _, grid = one_type
+        assert grid.idle_group((2,)) == 0
+        assert grid.idle_group((1,)) == 0
+
+    def test_idle_group_two_groups(self, two_type):
+        _, _, grid = two_type
+        # the smallest remaining type decides
+        assert grid.idle_group((1, 1)) == 1
+        assert grid.idle_group((0, 1)) == 1
+        assert grid.idle_group((1, 0)) == 0
+
+    def test_idle_group_three_groups(self, three_group):
+        _, _, grid = three_group
+        assert grid.idle_group((1, 1, 0)) == 1
+        assert grid.idle_group((1, 0, 1)) == 2
+        assert grid.idle_group((3, 0, 0)) == 0
+
+
 class TestAllowedTypes:
     def test_zero_all_types(self, three_group):
         inst, _, grid = three_group
