@@ -15,6 +15,19 @@ machine at the completion time.  A realization fixes each job's outcome
 bit up front; the replay itself is deterministic, and non-anticipativity
 is structural because controllers only ever see outcomes of jobs already
 started.
+
+``expected_cost_exact`` and ``expected_cost_mc`` evaluate the three
+fixed-order policies (``ListPolicy``, ``SeptPolicy`` and
+``FixedAssignmentPolicy``) without ``replay``: one numpy kernel takes a
+block of outcome vectors at once, with times as integers in units of
+1/L, L the lcm of the size denominators.  Its results are the replay's
+to the bit: the probabilities are multiplied in the same order, each
+cost is the correctly rounded K/L of its integer total K, and the sums
+run in sequence in the same order.  Monte-Carlo trial i still draws its
+outcomes from its own stream ``SeedStream(seed, i)``.  Every other
+policy, and a fixed-order one whose totals in units of 1/L could exceed
+2**53, is replayed one realization at a time; ``replay`` stays the
+reference.
 """
 
 from __future__ import annotations
@@ -23,6 +36,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .instances import (
     Instance,
@@ -146,15 +161,21 @@ def replay(policy, inst: Instance, realization) -> Schedule:
 
 # -- realizations -----------------------------------------------------------
 
+def _free_jobs(inst: Instance, cap: int):
+    """The jobs with q < 1, which branch; at most ``cap`` of them."""
+    free = [job for job in inst.job_ids() if inst.job_q(job) < 1.0]
+    if len(free) > cap:
+        raise ReplayError(f"too many stochastic jobs to enumerate ({len(free)})")
+    return free
+
+
 def enumerate_realizations(inst: Instance, cap: int = 20):
     """Yield (probability, realization) over all outcome vectors.
 
     Jobs with q = 1 are forced long and do not contribute branches.
     """
     jobs = inst.job_ids()
-    free = [job for job in jobs if inst.job_q(job) < 1.0]
-    if len(free) > cap:
-        raise ReplayError(f"too many stochastic jobs to enumerate ({len(free)})")
+    free = _free_jobs(inst, cap)
     forced = {job: True for job in jobs if inst.job_q(job) >= 1.0}
     for bits in itertools.product((True, False), repeat=len(free)):
         prob = 1.0
@@ -173,10 +194,99 @@ def sample_realization(inst: Instance, rng):
     return out
 
 
+#: Outcome vectors per block of the fixed-order kernel.
+_BLOCK = 1 << 14
+
+
+def _outcome_blocks(inst: Instance, cap: int):
+    """(probabilities, outcomes) of every outcome vector, in blocks of at
+    most ``_BLOCK`` rows: ``enumerate_realizations``' rows in its order,
+    each probability multiplied up in its order, and the outcomes as a
+    boolean matrix with columns in ``job_ids`` order."""
+    jobs = inst.job_ids()
+    free = [(jobs.index(job), inst.job_q(job)) for job in _free_jobs(inst, cap)]
+    n_rows = 1 << len(free)
+    for start in range(0, n_rows, _BLOCK):
+        rows = np.arange(start, min(start + _BLOCK, n_rows))
+        outcomes = np.ones((len(rows), len(jobs)), dtype=bool)
+        prob = np.ones(len(rows))
+        for c, (k, q) in enumerate(free):
+            # itertools.product((True, False)) puts True first
+            bit = (rows >> (len(free) - 1 - c)) & 1 == 0
+            outcomes[:, k] = bit
+            prob *= np.where(bit, q, 1.0 - q)
+        yield prob, outcomes
+
+
+def _trial_blocks(inst: Instance, trials: int, seed: int):
+    """Outcome matrices of trials 0..trials-1 in blocks of at most
+    ``_BLOCK`` rows; trial i draws from ``SeedStream(seed, i)`` exactly
+    what ``sample_realization`` draws."""
+    qs = np.array([inst.job_q(job) for job in inst.job_ids()])
+    for start in range(0, trials, _BLOCK):
+        draws = np.empty((min(trials - start, _BLOCK), len(qs)))
+        for r in range(len(draws)):
+            draws[r] = SeedStream(seed, start + r).generator().random(len(qs))
+        yield draws < qs
+
+
+def _fixed_order_kernel(policy, inst: Instance):
+    """For a list, SEPT or fixed-assignment policy, a function from a
+    (rows x jobs) outcome matrix, columns in ``job_ids`` order, to each
+    row's total completion time as a float; None for any other policy,
+    for a list that does not cover the instance's jobs, and where a total
+    in units of 1/L could exceed 2**53, beyond which float64 is not exact.
+    """
+    if type(policy) not in (ListPolicy, SeptPolicy, FixedAssignmentPolicy):
+        return None
+    jobs = inst.job_ids()
+    unit = math.lcm(*(t.size.denominator for t in inst.types))
+    sizes = [(inst.job_size(job) * unit).numerator for job in jobs]
+    if max(unit, len(jobs) * sum(sizes)) > 2**53:
+        return None
+    sizes = np.array(sizes, dtype=np.int64)
+    index = {job: k for k, job in enumerate(jobs)}
+    ctl = policy.bind(inst)
+    if type(ctl) is FixedAssignmentPolicy:
+        # a machine runs its queue back to back, so a job's size counts
+        # once for itself and once for each job queued after it
+        weights = np.zeros(len(jobs), dtype=np.int64)
+        for queue in ctl.queues:
+            for pos, job in enumerate(queue):
+                weights[index[job]] = len(queue) - pos
+        return lambda outcomes: (outcomes * sizes) @ weights / unit
+    order = [index[job] for job in dict.fromkeys(ctl.order) if job in index]
+    if len(order) != len(jobs):
+        return None  # replay raises on the exhausted list
+
+    def totals(outcomes):
+        rows = np.arange(len(outcomes))
+        avail = np.zeros((len(outcomes), inst.machines), dtype=np.int64)
+        total = np.zeros(len(outcomes), dtype=np.int64)
+        for k in order:
+            # argmin picks the lowest machine index on ties, as replay does
+            i = avail.argmin(axis=1)
+            done = avail[rows, i] + outcomes[:, k] * sizes[k]
+            avail[rows, i] = done
+            total += done
+        return total / unit
+    return totals
+
+
+def _running_sum(start: float, terms) -> float:
+    """start + terms[0] + terms[1] + ..., added strictly left to right."""
+    return float(np.cumsum(np.concatenate(([start], terms)))[-1])
+
+
 def expected_cost_exact(policy, inst: Instance, cap: int = 20) -> float:
     total = 0.0
-    for prob, real in enumerate_realizations(inst, cap=cap):
-        total += prob * float(replay(policy, inst, real).total_cost)
+    kernel = _fixed_order_kernel(policy, inst)
+    if kernel is None:
+        for prob, real in enumerate_realizations(inst, cap=cap):
+            total += prob * float(replay(policy, inst, real).total_cost)
+        return total
+    for prob, outcomes in _outcome_blocks(inst, cap):
+        total = _running_sum(total, prob * kernel(outcomes))
     return total
 
 
@@ -186,11 +296,19 @@ def expected_cost_mc(policy, inst: Instance, trials: int, seed: int):
         raise ReplayError("need at least one trial")
     total = 0.0
     total_sq = 0.0
-    for i in range(trials):
-        rng = SeedStream(seed, i).generator()
-        cost = float(replay(policy, inst, sample_realization(inst, rng)).total_cost)
-        total += cost
-        total_sq += cost * cost
+    kernel = _fixed_order_kernel(policy, inst)
+    if kernel is None:
+        for i in range(trials):
+            rng = SeedStream(seed, i).generator()
+            real = sample_realization(inst, rng)
+            cost = float(replay(policy, inst, real).total_cost)
+            total += cost
+            total_sq += cost * cost
+    else:
+        for outcomes in _trial_blocks(inst, trials, seed):
+            costs = kernel(outcomes)
+            total = _running_sum(total, costs)
+            total_sq = _running_sum(total_sq, costs * costs)
     mean = total / trials
     if trials == 1:
         return mean, 0.0
@@ -409,8 +527,16 @@ class CompositePolicy(Policy):
         self.c = c
         self.scale = Fraction(scale)
         self.inner_solver = inner_solver
+        self._prepared = None  # (instance, controller arguments)
 
     def bind(self, inst):
+        """A fresh controller; the size split and the inner solve are made
+        once per instance and shared by its replays."""
+        if self._prepared is None or self._prepared[0] != inst:
+            self._prepared = (inst, self._prepare(inst))
+        return _CompositeController(*self._prepared[1])
+
+    def _prepare(self, inst):
         small, medium, large = partition_sml(inst, self.scale)
         inner = None
         if medium:
@@ -460,7 +586,7 @@ class CompositePolicy(Policy):
             }
         n_jobs = inst.total_jobs
         t0 = self.scale / n_jobs if small else Fraction(0)
-        return _CompositeController(inst.machines, small, large, inner, t0)
+        return inst.machines, small, large, inner, t0
 
 
 def quasipoly_pipeline(inst: Instance, c: int, inner_solver,

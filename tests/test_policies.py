@@ -1,7 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bernsched import policies
 from bernsched.dp_exact import solve_exact
 from bernsched.dp_stratified import solve_stratified
 from bernsched.harness import prepare, solve_pipeline
@@ -20,6 +24,7 @@ from bernsched.policies import (
     expected_cost_mc,
     quasipoly_pipeline,
     replay,
+    sample_realization,
     sept_order,
     validate_schedule,
 )
@@ -283,3 +288,128 @@ class TestReuse:
         reused = [expected_cost_exact(policy, inst) for inst in runs]
         assert reused == [_fresh_cost(factory, inst) for inst in runs]
         assert reused[0] != reused[2]
+
+
+class TestCompositePreparation:
+    def test_one_inner_solve_per_instance(self):
+        solves = []
+
+        def counting_solver(inst):
+            solves.append(inst)
+            return solve_pipeline(inst)
+
+        first = make(1, [(10**10, [0.5]), (1, [0.25, 0.5, 1.0]),
+                         (Fraction(1, 10**4), [1.0])])
+        second = make(1, [(10**10, [0.25]), (1, [0.75, 0.75]),
+                          (Fraction(1, 10**4), [0.5])])
+        policy = CompositePolicy(169, Fraction(1), counting_solver)
+        assert first.total_jobs == 5
+        expected_cost_exact(policy, first)
+        assert len(solves) == 1
+        expected_cost_mc(policy, first, trials=20, seed=0)
+        assert len(solves) == 1
+        expected_cost_exact(policy, second)
+        assert len(solves) == 2
+
+
+# -- the fixed-order kernel against scalar replay ---------------------------
+
+def _scalar_exact(policy, inst):
+    return _fresh_cost(lambda: policy, inst)
+
+
+def _scalar_mc(policy, inst, trials, seed):
+    total = total_sq = 0.0
+    for i in range(trials):
+        real = sample_realization(inst, SeedStream(seed, i).generator())
+        cost = float(replay(policy, inst, real).total_cost)
+        total += cost
+        total_sq += cost * cost
+    mean = total / trials
+    if trials == 1:
+        return mean, 0.0
+    var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
+    return mean, math.sqrt(var / trials)
+
+
+# equal and non-integer sizes, non-dyadic q, and m below and above N
+fixed_order_instances = st.builds(
+    lambda m, jobs: make(m, [(p, [q for p2, q in jobs if p2 == p])
+                             for p in {p for p, _q in jobs}]),
+    st.integers(1, 5),
+    st.lists(st.tuples(st.sampled_from([Fraction(5, 13), 1, Fraction(3, 2), 4]),
+                       st.sampled_from([0.1, 0.25, 0.5, 0.93, 1.0])),
+             min_size=1, max_size=6),
+)
+
+
+def _fixed_order_policies(inst, permutation):
+    jobs = inst.job_ids()
+    return (SeptPolicy(), FixedAssignmentPolicy(),
+            ListPolicy([jobs[k] for k in permutation]))
+
+
+class TestFixedOrderKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_scalar_replay(self, data):
+        inst = data.draw(fixed_order_instances)
+        permutation = data.draw(st.permutations(range(inst.total_jobs)))
+        seed = data.draw(st.integers(0, 2**32))
+        trials = data.draw(st.integers(1, 40))
+        for policy in _fixed_order_policies(inst, permutation):
+            assert expected_cost_exact(policy, inst) == \
+                _scalar_exact(policy, inst)
+            assert expected_cost_mc(policy, inst, trials, seed) == \
+                _scalar_mc(policy, inst, trials, seed)
+
+    def test_sums_carry_across_blocks(self, monkeypatch):
+        inst = make(2, [(Fraction(7, 3), [0.1, 0.93]), (1, [0.25, 0.5]),
+                        (Fraction(1, 2), [0.93, 1.0, 0.1])])
+        monkeypatch.setattr(policies, "_BLOCK", 5)
+        for policy in _fixed_order_policies(inst, range(6, -1, -1)):
+            assert expected_cost_exact(policy, inst) == \
+                _scalar_exact(policy, inst)
+            assert expected_cost_mc(policy, inst, 23, 4) == \
+                _scalar_mc(policy, inst, 23, 4)
+
+    def test_fast_path_does_not_replay(self, monkeypatch):
+        inst = make(2, [(3, [0.25, 0.75]), (1, [0.5, 1.0]),
+                        (Fraction(1, 3), [0.93])])
+        want = {}
+        for policy in (SeptPolicy(), FixedAssignmentPolicy()):
+            want[policy.name] = (_scalar_exact(policy, inst),
+                                 _scalar_mc(policy, inst, 50, 9))
+
+        def no_replay(*args):
+            raise AssertionError("replay called")
+
+        monkeypatch.setattr(policies, "replay", no_replay)
+        for policy in (SeptPolicy(), FixedAssignmentPolicy()):
+            got = (expected_cost_exact(policy, inst),
+                   expected_cost_mc(policy, inst, 50, 9))
+            assert got == want[policy.name]
+
+    def test_totals_beyond_2_53_replay(self, monkeypatch):
+        inst = make(2, [(2**60, [0.5, 0.25]), (3 * 2**58, [0.75]),
+                        (Fraction(2**60, 3), [0.5])])
+        calls = []
+
+        def counting_replay(*args):
+            calls.append(args)
+            return replay(*args)
+
+        monkeypatch.setattr(policies, "replay", counting_replay)
+        for policy in (SeptPolicy(), FixedAssignmentPolicy()):
+            calls.clear()
+            assert expected_cost_exact(policy, inst) == \
+                _scalar_exact(policy, inst)
+            assert len(calls) == 16
+            assert expected_cost_mc(policy, inst, 30, 2) == \
+                _scalar_mc(policy, inst, 30, 2)
+            assert len(calls) == 16 + 30
+
+    def test_incomplete_list_still_raises(self):
+        inst = make(1, [(3, [0.5]), (1, [0.5])])
+        with pytest.raises(ReplayError):
+            expected_cost_exact(ListPolicy([(0, 0)]), inst)
