@@ -81,14 +81,17 @@ def dump_policy(table, kind: str, path: str):
 def load_policy_file(path: str):
     with open(path) as fh:
         data = json.load(fh)
-    table = {}
-    for s, value in data["decisions"].items():
-        key = str_to_state(s)
-        if data["kind"] == "stratified":
-            table[key] = ("idle",) if value == "idle" else ("start", int(value))
-        else:
-            table[key] = int(value)
-    return data["kind"], table
+    try:
+        kind, table = data["kind"], {}
+        for s, value in data["decisions"].items():
+            key = str_to_state(s)
+            if kind == "stratified":
+                table[key] = ("idle",) if value == "idle" else ("start", int(value))
+            else:
+                table[key] = int(value)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ReplayError(f"malformed policy file {path}: {exc!r}") from exc
+    return kind, table
 
 
 def _build_policy(name: str, inst: Instance):
@@ -194,10 +197,10 @@ def cmd_grid_dump(args):
     for h in range(groups.gamma):
         print(f"  group {h + 1}: p*={format_rat(grid.thresholds.p_star[h])}"
               f" p°={format_rat(grid.thresholds.p_circ[h])}")
-    print(f"endpoint prefix ({len(grid.prefix)} points, then tail step "
+    print(f"endpoints (runs from {_profile_str(grid.prefix)}, then step "
           f"{format_rat(grid.tail_step)} from {format_rat(grid.tail_start)}):")
-    shown = grid.prefix[:args.members]
-    print("  " + " ".join(format_rat(x) for x in shown))
+    print("  " + " ".join(format_rat(grid.endpoint(k))
+                          for k in range(args.members)))
     for h in range(groups.gamma):
         members = grid.iter_members(h, args.members)
         print(f"Q group {h + 1}: "

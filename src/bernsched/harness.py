@@ -65,8 +65,6 @@ def generate(spec: ExperimentSpec):
                 base = base * (1 + Fraction(int(rng.integers(1, 4)), 5))
             sizes = sorted(set(sizes), reverse=True)
         elif spec.scheme == "powers-of-c":
-            # consecutive exponents keep the size ratio at c, so the grid's
-            # fine prefix stays desk-scale (its length grows with the ratio)
             start = int(rng.integers(1, 3))
             exps = range(start, start + spec.n_types)
             sizes = [Fraction(spec.c) ** e for e in reversed(exps)]

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import ceil_to_multiple_of, divides, format_rat, parse_rat
+from .numerics import NumericsError, ceil_to_multiple_of, divides, format_rat, parse_rat
 
 
 class InstanceError(ValueError):
@@ -290,7 +290,9 @@ def instance_from_dict(d: dict) -> Instance:
     try:
         raw = [(t["size"], t["jobs"]) for t in d["types"]]
         return validate_and_canonicalize(int(d["machines"]), d["epsilon"], raw)
-    except (KeyError, TypeError) as exc:
+    except (InstanceError, NumericsError):
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed instance JSON: {exc}") from exc
 
 

@@ -32,13 +32,12 @@ def rat(num, den=1) -> Fraction:
 
 
 def parse_rat(s) -> Fraction:
-    """Parse "num/den" or "num" (also accepts ints) into a nonnegative Fraction."""
-    if isinstance(s, Fraction):
-        f = s
-    elif isinstance(s, int):
-        f = Fraction(s)
-    else:
-        f = Fraction(str(s))
+    """Parse "num/den" or "num" (also accepts ints) into a nonnegative
+    Fraction; a malformed or negative value raises NumericsError."""
+    try:
+        f = Fraction(s if isinstance(s, (int, Fraction)) else str(s))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise NumericsError(f"not a rational: {s!r}") from exc
     if f < 0:
         raise NumericsError(f"negative rational {s!r}")
     return f

@@ -4,9 +4,9 @@ The stratified scheduler may only start a job of group h at times drawn
 from a restricted set Q_h.  Those sets are built from a geometric-ish
 partition of the time axis into intervals: group-h intervals have length
 between eps*p_h/2 and eps*p_h, where p_h is the group's representative
-(smallest) size.  Everything is exact rational arithmetic; the sets are
-infinite, so membership and successor queries past the largest threshold
-use closed forms instead of enumeration.
+(smallest) size.  The interval endpoints form O(gamma) arithmetic runs,
+so every query is closed-form exact rational arithmetic, whatever the
+size ratios between groups.
 
 Group indices here are 0-based with group 0 holding the *largest* sizes.
 """
@@ -16,6 +16,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 from .instances import GroupStructure, Instance
 from .numerics import ceil_to_multiple_of, divides, floor_div
@@ -64,9 +66,12 @@ def compute_thresholds(inst: Instance, groups: GroupStructure) -> Thresholds:
 class TimeGrid:
     """Endpoints l_k, their stretched images l'_k, and the sets Q_h.
 
-    The finite endpoint prefix (everything below p_star[0]) is stored
-    explicitly; from p_star[0] on, endpoints continue forever with spacing
-    eps * rep_0 and are handled in closed form.
+    The endpoints are O(gamma) arithmetic runs ``(start, step, count,
+    group)`` in integer units: the point 0; per group h from the smallest
+    up, its fine points from p_star[h] spaced eps*rep_h, then the midpoint
+    below p_star[h-1]; and the endless tail from p_star[0] (count None).
+    A one-point run's step is its interval's length.  ``prefix`` holds the
+    2*gamma - 1 run starts below p_star[0].
 
     Q_h consists of
       * the base grid: multiples of eps*rep_{gamma-1} below the first
@@ -79,22 +84,20 @@ class TimeGrid:
     """
 
     def __init__(self, inst: Instance, groups: GroupStructure):
-        self.inst = inst
-        self.groups = groups
         self.eps = inst.epsilon
         self.gamma = groups.gamma
         self.reps = groups.reps
         self.pmaxs = groups.pmaxs
         self.stretch = 1 + 5 * self.eps
         self.thresholds = compute_thresholds(inst, groups)
-        self._build_prefix()
+        # p_circ of the next-larger group; None (infinity) for h=0
+        self._p_circ_prev = (None, *self.thresholds.p_circ[:-1])
+        self._build_runs()
         self._group_of_type = tuple(groups.group_of_map())
 
         smallest = self.gamma - 1
         self.base_step = self.eps * self.reps[smallest]
-        # first endpoint after 0 and its stretched image
-        self.l1 = self.prefix[1] if len(self.prefix) > 1 else self.tail_start
-        self.l1_stretched = self.stretch * self.l1
+        self.l1_stretched = self.stretch * self.endpoint(1)
         self.base_cap = self.l1_stretched - self.pmaxs[smallest]
 
         for pc in self.thresholds.p_circ:
@@ -103,81 +106,75 @@ class TimeGrid:
 
     # -- construction -----------------------------------------------------
 
-    def _build_prefix(self):
+    def _build_runs(self):
         ps = self.thresholds.p_star
-        prefix = [Fraction(0)]
-        labels = [None]  # group of the interval starting at each endpoint
-        mids = []
+        runs, point, label = [], Fraction(0), None  # pending one-point run
         for h in range(self.gamma - 1, 0, -1):
             step = self.eps * self.reps[h]
-            t = ps[h]
-            if not (prefix[-1] < t < ps[h - 1] - step):
-                raise GridError(
-                    f"no room for group-{h} endpoints between thresholds"
-                )
-            while t < ps[h - 1] - step:
-                prefix.append(t)
-                labels.append(h)
-                t += step
-            mid = prefix[-1] + (ps[h - 1] - prefix[-1]) / 2
-            prefix.append(mid)
-            labels.append(h)
-            mids.append(mid)
-        self.prefix = tuple(prefix)
-        self.mids = tuple(mids)
-        self.labels = tuple(labels)
-        self.tail_start = ps[0]
-        self.tail_step = self.eps * self.reps[0]
-        self.prefix_stretched = tuple(self.stretch * l for l in prefix)
-        self.tail_start_stretched = self.stretch * self.tail_start
-        self.tail_step_stretched = self.stretch * self.tail_step
+            if not (point < ps[h] < ps[h - 1] - step):
+                raise GridError(f"no room for group-{h} endpoints between thresholds")
+            # fine points ps[h] + i*step strictly below ps[h-1] - step
+            count = -floor_div(ps[h] + step - ps[h - 1], step)
+            runs += [(point, ps[h] - point, 1, label), (ps[h], step, count, h)]
+            last = ps[h] + (count - 1) * step
+            point, label = last + (ps[h - 1] - last) / 2, h
+        self.tail_start, self.tail_step = ps[0], self.eps * self.reps[0]
+        runs += [(point, ps[0] - point, 1, label), (ps[0], self.tail_step, None, 0)]
+        # run values x are integers: time x / unit, stretched x * scale[0] / scale[1]
+        unit = self._unit = lcm(*(x.denominator for run in runs for x in run[:2]))
+        self._scale = (self.stretch.numerator, self.stretch.denominator * unit)
+        self.runs = tuple((int(s * unit), int(d * unit), c, g) for s, d, c, g in runs)
+        self._starts = tuple(run[0] for run in self.runs)
+        self.prefix = tuple(Fraction(s, unit) for s in self._starts[:-1])
+        # index of each run's first endpoint
+        self._firsts = tuple(accumulate((run[2] for run in self.runs[:-1]),
+                                        initial=0))
 
     def generators(self):
         """O(gamma) rationals of which every endpoint, stretched endpoint and
-        Q-set member is an integer combination: the steps eps*rep_h, the
-        thresholds p_star, the prefix midpoints, their stretched images, and
-        the group maxima."""
-        plain = [self.eps * r for r in self.reps]
-        plain += [*self.thresholds.p_star, *self.mids]
+        Q-set member is an integer combination: the steps eps*rep_h, the run
+        starts, their stretched images, and the group maxima."""
+        plain = [*(self.eps * r for r in self.reps), *self.prefix, self.tail_start]
         return plain + [self.stretch * x for x in plain] + list(self.pmaxs)
 
     # -- endpoint queries -------------------------------------------------
 
+    def _point(self, k: int) -> int:
+        """l_k in units of 1/unit."""
+        r = bisect_right(self._firsts, k) - 1
+        start, step, _count, _group = self.runs[r]
+        return start + (k - self._firsts[r]) * step
+
     def endpoint(self, k: int) -> Fraction:
         """k-th left endpoint l_k (l_0 = 0)."""
-        if k < len(self.prefix):
-            return self.prefix[k]
-        return self.tail_start + (k - len(self.prefix)) * self.tail_step
+        return Fraction(self._point(k), self._unit)
 
     def interval_group(self, k: int):
         """Group label of interval [l_k, l_{k+1}); None for the initial one."""
-        if k < len(self.labels):
-            return self.labels[k]
-        return 0
+        return self.runs[bisect_right(self._firsts, k) - 1][3]
+
+    def _index(self, t: Fraction):
+        """(k, t == l'_k) for the stretched interval [l'_k, l'_{k+1}) that
+        holds t >= 0: one bisect over the run starts, one floor division
+        inside the run."""
+        num, den = t.numerator * self._scale[1], t.denominator * self._scale[0]
+        r = bisect_right(self._starts, num // den) - 1
+        start, step, _count, _group = self.runs[r]
+        i, rem = divmod(num - start * den, step * den)
+        return self._firsts[r] + i, rem == 0
 
     def _stretched_interval(self, t: Fraction):
-        """(l'_k, l'_{k+1}) for the stretched interval containing t >= l'_1."""
-        if t >= self.tail_start_stretched:
-            i = floor_div(t - self.tail_start_stretched, self.tail_step_stretched)
-            lk = self.tail_start_stretched + i * self.tail_step_stretched
-            return lk, lk + self.tail_step_stretched
-        k = bisect_right(self.prefix_stretched, t) - 1
-        lk = self.prefix_stretched[k]
-        if k + 1 < len(self.prefix_stretched):
-            return lk, self.prefix_stretched[k + 1]
-        return lk, self.tail_start_stretched
+        """(l'_k, l'_{k+1}) for the stretched interval containing t >= 0."""
+        k, _ = self._index(t)
+        mul, div = self._scale
+        return (Fraction(self._point(k) * mul, div),
+                Fraction(self._point(k + 1) * mul, div))
 
     def _is_stretched_endpoint(self, t: Fraction) -> bool:
-        if t >= self.tail_start_stretched:
-            return divides(self.tail_step_stretched, t - self.tail_start_stretched)
-        k = bisect_right(self.prefix_stretched, t) - 1
-        return k >= 0 and self.prefix_stretched[k] == t
+        """Whether t >= 0 is a stretched endpoint l'_k."""
+        return self._index(t)[1]
 
     # -- Q-set queries ----------------------------------------------------
-
-    def _p_circ_prev(self, h: int):
-        """p_circ of the next-larger group; None (infinity) for h=0."""
-        return None if h == 0 else self.thresholds.p_circ[h - 1]
 
     def q_contains(self, h: int, t: Fraction) -> bool:
         if t < 0:
@@ -187,7 +184,7 @@ class TimeGrid:
         if t < self.l1_stretched:
             return t < self.base_cap and divides(self.base_step, t)
         lk, lk1 = self._stretched_interval(t)
-        pc_prev = self._p_circ_prev(h)
+        pc_prev = self._p_circ_prev[h]
         if pc_prev is None or lk < pc_prev:
             return t == lk
         step = self.eps * self.reps[h]
@@ -204,7 +201,7 @@ class TimeGrid:
             cur = self.l1_stretched
         else:
             cur = t
-        pc_prev = self._p_circ_prev(h)
+        pc_prev = self._p_circ_prev[h]
         step = self.eps * self.reps[h]
         for _ in range(1_000_000):
             lk, lk1 = self._stretched_interval(cur)
@@ -228,7 +225,7 @@ class TimeGrid:
         if t < self.l1_stretched:
             return self.q_successor(h, t + self.base_step)
         lk, lk1 = self._stretched_interval(t)
-        pc_prev = self._p_circ_prev(h)
+        pc_prev = self._p_circ_prev[h]
         if pc_prev is None or lk < pc_prev:
             return self.q_successor(h, lk1)
         return self.q_successor(h, t + self.eps * self.reps[h])

@@ -100,12 +100,21 @@ def test_compare(capsys, tmp_path):
     assert open(csv_path).readline().startswith("instance_id")
 
 
-def test_grid_dump(instance_file, capsys):
+def test_grid_dump(instance_file, capsys, tmp_path):
     code, out = run(capsys, "grid-dump", "--instance", instance_file,
                     "--members", "6")
     assert code == 0
     assert "p*=169" in out and "p°=234" in out
     assert "0 13 26 39 52 234" in out
+
+    # two groups: the first endpoints are consecutive fine points of the
+    # small group, listed past the stored run starts 0, 1 and 639/8
+    inst = validate_and_canonicalize(1, "1/8", [(80, [0.5]), (1, [1.0])])
+    path = str(tmp_path / "two.json")
+    save_instance(inst, path)
+    code, out = run(capsys, "grid-dump", "--instance", path, "--members", "4")
+    assert code == 0
+    assert "  0 1 9/8 5/4\n" in out
 
 
 def test_round_divisibility(capsys, tmp_path):
@@ -145,3 +154,21 @@ def test_typed_errors_exit_1(capsys, tmp_path):
                                "types": [{"size": "3", "jobs": [0.5]}]}))
     assert main(["solve-stratified", "--instance", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error: InstanceError: ")
+
+    for fields, kind in (({"epsilon": "abc"}, "NumericsError"),
+                         ({"epsilon": "3/0"}, "NumericsError"),
+                         ({"machines": "x"}, "InstanceError")):
+        bad.write_text(json.dumps({"machines": 1, "epsilon": "1/13",
+                                   "types": [{"size": "3", "jobs": [0.5]}],
+                                   **fields}))
+        assert main(["solve-exact", "--instance", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {kind}: ")
+
+    ok = validate_and_canonicalize(1, "1/13", [(3, [0.5])])
+    save_instance(ok, path)
+    policy = tmp_path / "policy.json"
+    for content in ({"kind": "exact"}, {"kind": "exact", "decisions": {"x": 0}}):
+        policy.write_text(json.dumps(content))
+        assert main(["simulate", "--instance", path, "--policy",
+                     f"file:{policy}", "--enumerate"]) == 1
+        assert capsys.readouterr().err.startswith("error: ReplayError: ")

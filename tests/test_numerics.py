@@ -30,8 +30,9 @@ def test_parse_and_format_roundtrip():
     assert parse_rat(7) == 7
     assert format_rat(Fraction(3, 4)) == "3/4"
     assert format_rat(Fraction(5)) == "5"
-    with pytest.raises(NumericsError):
-        parse_rat("-1/2")
+    for bad in ("-1/2", "abc", "3/0"):
+        with pytest.raises(NumericsError):
+            parse_rat(bad)
 
 
 def test_ceil_to_multiple_examples():

@@ -1,11 +1,14 @@
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bernsched.harness import compare
 from bernsched.instances import build_groups, validate_and_canonicalize
-from bernsched.numerics import SeedStream
-from bernsched.timegrid import GridError, build_grid
+from bernsched.numerics import SeedStream, divides, floor_div
+from bernsched.timegrid import GridError, TimeGrid, build_grid, \
+    compute_thresholds
 
 
 def grid_for(machines, epsilon, raw):
@@ -75,34 +78,43 @@ class TestEndpoints:
     def test_two_type_tail_values(self, two_type):
         _, _, grid = two_type
         # 80 and 90 are consecutive endpoints at the top threshold, with
-        # stretched images 130 and 146.25
+        # stretched images 130 and 146.25; below them lie 0, 631 fine
+        # points and a midpoint, so 80 is l_633
         assert grid.tail_start == 80
         assert grid.tail_step == 10
-        k = len(grid.prefix)
-        assert grid.endpoint(k) == 80 and grid.endpoint(k + 1) == 90
+        assert grid.endpoint(633) == 80 and grid.endpoint(634) == 90
+        assert grid.interval_group(633) == grid.interval_group(634) == 0
         assert grid.stretch * 80 == 130
         assert grid.stretch * 90 == Fraction(585, 4)
 
     def test_two_type_prefix_shape(self, two_type):
         _, _, grid = two_type
         # fine endpoints from p*_2 = 1 spaced 1/8, then a midpoint below 80
-        assert grid.prefix[0] == 0
-        assert grid.prefix[1] == 1
-        assert grid.prefix[2] == Fraction(9, 8)
-        assert grid.prefix[-1] == Fraction(639, 8)  # midpoint 79.875
+        assert grid.endpoint(0) == 0 and grid.interval_group(0) is None
+        assert grid.endpoint(1) == 1
+        assert grid.endpoint(2) == Fraction(9, 8)
+        assert grid.endpoint(631) == Fraction(639, 8) - Fraction(1, 8)
+        assert grid.endpoint(632) == Fraction(639, 8)  # midpoint 79.875
+        assert all(grid.interval_group(k) == 1 for k in (1, 2, 631, 632))
+        # the stored points are the run starts below p*_1: 0, 1 and 79.875
+        assert grid.prefix == (0, 1, Fraction(639, 8))
 
     def test_interval_lengths(self, three_group):
         _, groups, grid = three_group
         eps = grid.eps
-        pts = list(grid.prefix) + [grid.tail_start, grid.tail_start + grid.tail_step]
-        for k in range(1, len(pts) - 1):
+        k = 1
+        while grid.endpoint(k) <= grid.tail_start:
             h = grid.interval_group(k)
-            length = pts[k + 1] - pts[k]
+            length = grid.endpoint(k + 1) - grid.endpoint(k)
             assert eps * grid.reps[h] / 2 <= length <= eps * grid.reps[h]
+            k += 1
+        assert k > 4000  # every fine point of both smaller groups
 
     def test_monotone(self, three_group):
         _, _, grid = three_group
-        pts = [grid.endpoint(k) for k in range(len(grid.prefix) + 5)]
+        pts = []
+        while not pts or pts[-1] <= grid.tail_start + 5 * grid.tail_step:
+            pts.append(grid.endpoint(len(pts)))
         assert all(a < b for a, b in zip(pts, pts[1:]))
 
 
@@ -294,3 +306,115 @@ def test_gamma_one_grid_has_only_tail_and_base(one_type):
     assert grid.prefix == (0,)
     members = grid.iter_members(0, 8)
     assert members == [0, 13, 26, 39, 52, 234, 252, 270]
+
+
+class EnumeratedGrid(TimeGrid):
+    """Oracle for the endpoint runs: every endpoint below p_star[0] is
+    enumerated and stored with its stretched image and interval label, and
+    the four endpoint queries are answered from those lists, with the tail
+    from p_star[0] on in closed form.  The Q-set queries are inherited, so
+    they run on the enumerated intervals."""
+
+    def __init__(self, inst, groups):
+        ps = compute_thresholds(inst, groups).p_star
+        eps, stretch = inst.epsilon, 1 + 5 * inst.epsilon
+        points, labels = [Fraction(0)], [None]
+        for h in range(groups.gamma - 1, 0, -1):
+            step = eps * groups.reps[h]
+            t = ps[h]
+            while t < ps[h - 1] - step:
+                points.append(t)
+                labels.append(h)
+                t += step
+            points.append(points[-1] + (ps[h - 1] - points[-1]) / 2)
+            labels.append(h)
+        self.points, self.labels = tuple(points), tuple(labels)
+        self.points_stretched = tuple(stretch * x for x in points)
+        self.tail_start_stretched = stretch * ps[0]
+        self.tail_step_stretched = stretch * eps * groups.reps[0]
+        super().__init__(inst, groups)
+
+    def endpoint(self, k):
+        if k < len(self.points):
+            return self.points[k]
+        return self.tail_start + (k - len(self.points)) * self.tail_step
+
+    def interval_group(self, k):
+        return self.labels[k] if k < len(self.labels) else 0
+
+    def _stretched_interval(self, t):
+        if t >= self.tail_start_stretched:
+            i = floor_div(t - self.tail_start_stretched, self.tail_step_stretched)
+            lk = self.tail_start_stretched + i * self.tail_step_stretched
+            return lk, lk + self.tail_step_stretched
+        k = bisect_right(self.points_stretched, t) - 1
+        if k + 1 < len(self.points_stretched):
+            return self.points_stretched[k], self.points_stretched[k + 1]
+        return self.points_stretched[k], self.tail_start_stretched
+
+    def _is_stretched_endpoint(self, t):
+        if t >= self.tail_start_stretched:
+            return divides(self.tail_step_stretched,
+                           t - self.tail_start_stretched)
+        k = bisect_right(self.points_stretched, t) - 1
+        return self.points_stretched[k] == t
+
+
+@st.composite
+def grid_instances(draw):
+    """1-3 groups, eps 1/8 or 1/13; each group is its representative and
+    at most one larger size on the group's eps * rep lattice, and each
+    representative is 2 or 3 times eps^-2 the next smaller one."""
+    e = draw(st.sampled_from([8, 13]))
+    rep = Fraction(draw(st.integers(1, 5)))
+    raw = []
+    for _ in range(draw(st.integers(1, 3))):
+        raw.append((rep, [0.5]))
+        extra = draw(st.integers(0, e))
+        if extra:
+            raw.append((rep * (1 + Fraction(extra, e)), [0.5]))
+        rep *= e * e * draw(st.integers(2, 3))
+    inst = validate_and_canonicalize(1, Fraction(1, e), raw)
+    return inst, build_groups(inst)
+
+
+@given(grid_instances(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_runs_match_enumeration(instance, data):
+    inst, groups = instance
+    grid, oracle = build_grid(inst, groups), EnumeratedGrid(inst, groups)
+    assert len(grid.prefix) == 2 * groups.gamma - 1
+    for k in range(len(oracle.points) + 20):
+        assert grid.endpoint(k) == oracle.endpoint(k)
+        assert grid.interval_group(k) == oracle.interval_group(k)
+
+    e = inst.epsilon.denominator
+    hi = 3 * grid.thresholds.p_circ[0]
+    dens = st.sampled_from([1, 2, e, e * e, 4 * e ** 3, 5 * e + 25])
+    stretched = st.integers(0, len(oracle.points) + 20).map(
+        lambda k: grid.stretch * oracle.endpoint(k))
+    times = st.one_of(
+        st.builds(lambda x, d: Fraction(int(x * hi * d), d),
+                  st.floats(0, 1), dens),
+        stretched,
+    )
+    for t in data.draw(st.lists(times, min_size=40, max_size=40)):
+        assert grid._stretched_interval(t) == oracle._stretched_interval(t)
+        assert grid._is_stretched_endpoint(t) == oracle._is_stretched_endpoint(t)
+        for h in range(groups.gamma):
+            assert grid.q_contains(h, t) == oracle.q_contains(h, t)
+            assert grid.q_successor(h, t) == oracle.q_successor(h, t)
+            assert grid.q_next(h, t) == oracle.q_next(h, t)
+
+
+def test_wide_gap_prepares_in_closed_form():
+    # size ratio 169,000 with eps = 1/13: about 2.2 million endpoints lie
+    # below p_star[0], none of which the grid stores
+    inst = validate_and_canonicalize(
+        1, "1/13", [(169_000, [0.5, 0.5]), (1, [0.5, 0.5])])
+    groups = build_groups(inst)
+    grid = build_grid(inst, groups)
+    assert len(grid.prefix) == 2 * groups.gamma - 1 == 3
+    [row] = compare([inst])
+    assert not row.skipped
+    assert 1.0 - 1e-9 <= row.ratio <= row.bound + 1e-9
