@@ -17,12 +17,14 @@ from types import SimpleNamespace
 from .dp_exact import SolverCapError, solve_exact
 from .dp_stratified import solve_stratified
 from .harness import (
+    SCHEMES,
     BoundViolation,
     ExperimentSpec,
     compare,
     generate,
     prepare,
     report,
+    solve_pipeline,
 )
 from .instances import (
     Instance,
@@ -103,8 +105,7 @@ def _build_policy(name: str, inst: Instance):
     if name == "exact":
         return ExactTablePolicy(solve_exact(inst)), inst
     if name == "stratified":
-        rounded, groups, grid, _ = prepare(inst)
-        sol = solve_stratified(rounded, groups, grid)
+        sol, grid, rounded = solve_pipeline(inst)
         return StratifiedTablePolicy(sol, grid), rounded
     if name.startswith("file:"):
         kind, table = load_policy_file(name[5:])
@@ -233,8 +234,7 @@ def main(argv=None):
     p.add_argument("--jobs", type=int, default=2)
     p.add_argument("--machines", type=int, default=1)
     p.add_argument("--epsilon", default="1/13")
-    p.add_argument("--scheme", default="separated",
-                   choices=["separated", "grouped", "powers-of-c"])
+    p.add_argument("--scheme", default="separated", choices=SCHEMES)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--c", type=int, default=169)
@@ -267,7 +267,7 @@ def main(argv=None):
     p.add_argument("--jobs", type=int, default=2)
     p.add_argument("--machines", type=int, default=1)
     p.add_argument("--epsilon", default="1/13")
-    p.add_argument("--scheme", default="separated")
+    p.add_argument("--scheme", default="separated", choices=SCHEMES)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv")

@@ -22,6 +22,9 @@ from .policies import FixedAssignmentPolicy, SeptPolicy, expected_cost_exact
 from .timegrid import GridError, build_grid
 
 
+SCHEMES = ("separated", "grouped", "powers-of-c")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Reproducible generator settings: same spec and seed, same instances."""
@@ -30,7 +33,7 @@ class ExperimentSpec:
     jobs_per_type: int = 2
     machines: int = 1
     epsilon: str = "1/13"
-    scheme: str = "separated"  # separated | grouped | powers-of-c
+    scheme: str = "separated"  # one of SCHEMES
     q_choices: tuple = (0.25, 0.5, 0.75, 1.0)
     count: int = 10
     seed: int = 0
@@ -69,7 +72,7 @@ def generate(spec: ExperimentSpec):
             exps = range(start, start + spec.n_types)
             sizes = [Fraction(spec.c) ** e for e in reversed(exps)]
         else:
-            raise ValueError(f"unknown scheme {spec.scheme!r}")
+            raise InstanceError(f"unknown scheme {spec.scheme!r}")
         raw = []
         for p in sizes:
             qs = [
@@ -92,10 +95,7 @@ def prepare(inst: Instance):
 
 
 def solve_pipeline(inst: Instance, **caps):
-    """Round, grid, solve: (solution, grid, rounded_instance).
-
-    This is the inner-solver shape the composite policy expects.
-    """
+    """Round, grid, solve: (solution, grid, rounded_instance)."""
     rounded, groups, grid, _merges = prepare(inst)
     solution = solve_stratified(rounded, groups, grid, **caps)
     return solution, grid, rounded

@@ -79,10 +79,6 @@ class GroupStructure:
     def gamma(self) -> int:
         return len(self.groups)
 
-    @property
-    def z(self) -> int:
-        return max(len(g) for g in self.groups)
-
     def group_of_map(self) -> list:
         out = {}
         for h, g in enumerate(self.groups):

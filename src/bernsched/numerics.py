@@ -18,19 +18,6 @@ class NumericsError(ValueError):
     pass
 
 
-def rat(num, den=1) -> Fraction:
-    """Build a nonnegative rational in lowest terms.
-
-    Raises NumericsError on a zero denominator or a negative value.
-    """
-    if den == 0:
-        raise NumericsError("zero denominator")
-    f = Fraction(num, den)
-    if f < 0:
-        raise NumericsError(f"negative rational {num}/{den}")
-    return f
-
-
 def parse_rat(s) -> Fraction:
     """Parse "num/den" or "num" (also accepts ints) into a nonnegative
     Fraction; a malformed or negative value raises NumericsError."""
@@ -75,7 +62,7 @@ def divides(g: Fraction, a: Fraction) -> bool:
 
 
 class SeedStream:
-    """Deterministic, splittable pseudo-random substream.
+    """Deterministic pseudo-random substream.
 
     A (master_seed, stream_index) pair identifies an independent Philox
     counter-based stream; Monte Carlo trial i uses stream_index i, so
@@ -91,9 +78,6 @@ class SeedStream:
     def generator(self) -> np.random.Generator:
         bg = np.random.Philox(key=[self.master_seed, self.stream_index])
         return np.random.Generator(bg)
-
-    def substream(self, index: int) -> "SeedStream":
-        return SeedStream(self.master_seed, index)
 
     def __repr__(self):
         return f"SeedStream({self.master_seed}, {self.stream_index})"

@@ -6,15 +6,13 @@ to an instance and yields a controller with the same two-method surface:
   decide(view)   -> ("start", job_id) | ("advance", time) | ("retire",)
   release(job, start, completion, is_long) -> next available time
 
-so the simulator below is single-sourced.  ``bind`` returns the policy
-itself unless the policy keeps state over one replay, as the composite
-policy does: it binds to a fresh controller.  SEPT binds to the list
-policy of its order, and the fixed assignment derives its per-machine
-queues from the instance in ``bind``.  The base ``release`` frees the
-machine at the completion time.  A realization fixes each job's outcome
-bit up front; the replay itself is deterministic, and non-anticipativity
-is structural because controllers only ever see outcomes of jobs already
-started.
+so the simulator below is single-sourced.  Every policy binds to itself,
+except SEPT, which binds to the list policy of its order; the fixed
+assignment derives its per-machine queues from the instance in ``bind``.
+The base ``release`` frees the machine at the completion time.  A
+realization fixes each job's outcome bit up front; the replay itself is
+deterministic, and non-anticipativity is structural because controllers
+only ever see outcomes of jobs already started.
 
 ``expected_cost_exact`` and ``expected_cost_mc`` evaluate the three
 fixed-order policies (``ListPolicy``, ``SeptPolicy`` and
@@ -39,12 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .instances import (
-    Instance,
-    partition_sml,
-    round_to_powers_of_c,
-    validate_and_canonicalize,
-)
+from .instances import Instance
 from .numerics import SeedStream
 from .timegrid import TimeGrid
 
@@ -425,175 +418,3 @@ class StratifiedTablePolicy(Policy):
         return self.grid.release_time(self.grid.group_of_type(job[0]),
                                       completion)
 
-
-# -- composite pipeline -----------------------------------------------------
-
-class _CompositeController:
-    """Three-phase adaptive policy.
-
-    Jobs are split by size (normalized by a supplied cost proxy) into
-    small, medium and large.  Large jobs go first, greedily; if any of
-    them realizes long, everything left is scheduled greedily.  Otherwise
-    small jobs go next, and the medium jobs are played from the frontier
-    using a grid-restricted policy solved on the power-of-c-rounded medium
-    subinstance.  The inner policy's decisions are driven by a virtual
-    profile that follows the rounded dynamics, while actual machines run
-    at real completions; idle advances shift real time by the virtual
-    increment.
-    """
-
-    def __init__(self, machines, small, large, inner, t0):
-        self.small = list(small)
-        self.large = list(large)
-        self.fallback = False
-        self.phase = "large"
-        self.t0 = t0
-        # inner is None when there are no medium jobs
-        self.inner = inner
-        if inner is not None:
-            self.v_profile = (Fraction(0),) * machines
-            self.v_nu = inner["counts"]
-            self.m_started = False
-
-    def _greedy(self, view):
-        job = min(view.remaining)
-        return ("start", job)
-
-    def decide(self, view):
-        if self.fallback:
-            return self._greedy(view)
-        if self.phase == "large":
-            left = [job for job in self.large if job in view.remaining]
-            if left:
-                return ("start", min(left))
-            self.phase = "small"
-        if self.phase == "small":
-            left = [job for job in self.small if job in view.remaining]
-            if left:
-                return ("start", min(left))
-            self.phase = "medium"
-        if self.inner is None:
-            return self._greedy(view)
-        if not self.m_started:
-            self.m_started = True
-            if view.t_star < self.t0:
-                return ("advance", self.t0)
-        key = (self.v_profile, self.v_nu)
-        table = self.inner["table"]
-        if key not in table:
-            raise ReplayError(f"inner state {key} missing")
-        decision = table[key]
-        grid = self.inner["grid"]
-        if decision[0] == "idle":
-            old = self.v_profile[0]
-            target = grid.q_successor(grid.idle_group(self.v_nu), old)
-            self.v_profile = tuple(
-                target if x < target else x for x in self.v_profile
-            )
-            return ("advance", view.t_star + (target - old))
-        inner_j = decision[1]
-        job = self.inner["job_of_inner_type"](inner_j, view)
-        self._pending_inner_j = inner_j
-        return ("start", job)
-
-    def release(self, job, start, completion, is_long):
-        if job in self.large and is_long:
-            self.fallback = True
-        if (not self.fallback and self.inner is not None
-                and self.phase == "medium" and job in self.inner["medium_set"]):
-            inner_j = self._pending_inner_j
-            grid = self.inner["grid"]
-            rinst = self.inner["instance"]
-            nu = list(self.v_nu)
-            nu[inner_j] -= 1
-            self.v_nu = tuple(nu)
-            if is_long:
-                h = grid.group_of_type(inner_j)
-                v_completion = self.v_profile[0] + rinst.types[inner_j].size
-                self.v_profile = tuple(sorted(
-                    self.v_profile[1:] + (grid.release_time(h, v_completion),)
-                ))
-        return completion
-
-
-class CompositePolicy(Policy):
-    """Size-split adaptive policy with a grid-restricted core for the
-    medium class.  ``scale`` is the cost proxy used to normalize sizes
-    (callers typically pass the SEPT policy's expected cost)."""
-
-    name = "composite"
-
-    def __init__(self, c: int, scale, inner_solver):
-        self.c = c
-        self.scale = Fraction(scale)
-        self.inner_solver = inner_solver
-        self._prepared = None  # (instance, controller arguments)
-
-    def bind(self, inst):
-        """A fresh controller; the size split and the inner solve are made
-        once per instance and shared by its replays."""
-        if self._prepared is None or self._prepared[0] != inst:
-            self._prepared = (inst, self._prepare(inst))
-        return _CompositeController(*self._prepared[1])
-
-    def _prepare(self, inst):
-        small, medium, large = partition_sml(inst, self.scale)
-        inner = None
-        if medium:
-            by_size = {}
-            for job in medium:
-                by_size.setdefault(inst.job_size(job), []).append(
-                    inst.job_q(job)
-                )
-            sub = validate_and_canonicalize(
-                inst.machines, inst.epsilon,
-                [(p, qs) for p, qs in by_size.items()],
-            )
-            rounded, _scale = round_to_powers_of_c(sub, self.c)
-            solution, grid, rinst = self.inner_solver(rounded)
-            # map each medium job's rounded size to an inner type
-            size_of_inner = {t.size: j for j, t in enumerate(rinst.types)}
-            orig_to_inner = {}
-            for p in by_size:
-                target = p * _scale
-                power = Fraction(self.c)
-                while power < target:
-                    power *= self.c
-                orig_to_inner[p] = size_of_inner[power]
-            medium_set = set(medium)
-
-            def job_of_inner_type(inner_j, view):
-                candidates = [
-                    job for job in view.remaining
-                    if job in medium_set
-                    and orig_to_inner[view.inst.job_size(job)] == inner_j
-                ]
-                if not candidates:
-                    raise ReplayError(
-                        f"no medium job left for inner type {inner_j}"
-                    )
-                return min(
-                    candidates, key=lambda job: (view.inst.job_q(job), job)
-                )
-
-            inner = {
-                "table": solution.policy,
-                "grid": grid,
-                "instance": rinst,
-                "counts": rinst.counts,
-                "medium_set": medium_set,
-                "job_of_inner_type": job_of_inner_type,
-            }
-        n_jobs = inst.total_jobs
-        t0 = self.scale / n_jobs if small else Fraction(0)
-        return inst.machines, small, large, inner, t0
-
-
-def quasipoly_pipeline(inst: Instance, c: int, inner_solver,
-                       scale=None) -> CompositePolicy:
-    """Assemble the composite policy; by default the normalization scale is
-    the expected cost of the plain expected-size order."""
-    if scale is None:
-        scale = expected_cost_exact(SeptPolicy(), inst)
-        scale = Fraction(scale).limit_denominator(10**9)
-    return CompositePolicy(c, scale, inner_solver)

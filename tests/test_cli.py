@@ -80,14 +80,25 @@ def test_simulate_mc_reproducible(instance_file, capsys):
     assert json.loads(out1)["method"] == "mc"
 
 
-def test_simulate_policy_file(instance_file, capsys, tmp_path):
+def test_simulate_policy_file(capsys, tmp_path):
+    # the second table starts the q = 1/256 large job, then the small one;
+    # when both are long the machine is free at 235, where the other large
+    # job may not start, so the replay takes the file's "idle" entry to 252
+    path = str(tmp_path / "inst.json")
     policy_path = str(tmp_path / "pol.json")
-    run(capsys, "solve-stratified", "--instance", instance_file,
-        "--dump-policy", policy_path)
-    code, out = run(capsys, "simulate", "--instance", instance_file,
-                    "--policy", f"file:{policy_path}", "--enumerate")
-    assert code == 0
-    assert json.loads(out)["mean"] == pytest.approx(572.0)
+    for raw, idles in (([(169, [1.0, 1.0])], False),
+                       ([(169, [1 / 256, 0.5]), (1, [1.0])], True)):
+        save_instance(validate_and_canonicalize(1, "1/13", raw), path)
+        run(capsys, "solve-stratified", "--instance", path,
+            "--dump-policy", policy_path)
+        decisions = json.loads(open(policy_path).read())["decisions"]
+        assert ("idle" in decisions.values()) == idles
+        code, out = run(capsys, "simulate", "--instance", path,
+                        "--policy", f"file:{policy_path}", "--enumerate")
+        assert code == 0
+        _, want = run(capsys, "simulate", "--instance", path,
+                      "--policy", "stratified", "--enumerate")
+        assert json.loads(out) == json.loads(want)
 
 
 def test_compare(capsys, tmp_path):
@@ -98,6 +109,13 @@ def test_compare(capsys, tmp_path):
     summary = json.loads(out)
     assert summary["rows"] == 3
     assert open(csv_path).readline().startswith("instance_id")
+
+
+def test_compare_unknown_scheme(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--scheme", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_grid_dump(instance_file, capsys, tmp_path):

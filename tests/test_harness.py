@@ -12,7 +12,7 @@ from bernsched.harness import (
     generate,
     report,
 )
-from bernsched.instances import validate_and_canonicalize
+from bernsched.instances import InstanceError, validate_and_canonicalize
 from bernsched.timegrid import GridError
 
 
@@ -41,7 +41,7 @@ class TestGenerate:
         assert generate(spec) == generate(spec)
 
     def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InstanceError, match="unknown scheme 'bogus'"):
             generate(ExperimentSpec(scheme="bogus", count=1))
 
 

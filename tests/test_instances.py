@@ -57,7 +57,6 @@ class TestGroups:
         inst = make(1, "1/13", [(28561, [1.0]), (169, [1.0]), (1, [1.0])])
         groups = build_groups(inst)
         assert groups.gamma == 3
-        assert groups.z == 1
 
     def test_one_group(self):
         inst = make(1, "1/13", [(100, [1.0]), (90, [1.0])])
@@ -69,7 +68,7 @@ class TestGroups:
     def test_single_type(self):
         inst = make(1, "1/13", [(7, [0.5])])
         groups = build_groups(inst)
-        assert groups.gamma == 1 and groups.z == 1
+        assert groups.gamma == 1
 
     def test_cross_group_separation(self):
         inst = make(1, "1/13", [(28561, [1.0]), (169, [1.0]), (1, [1.0])])

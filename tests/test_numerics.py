@@ -11,17 +11,7 @@ from bernsched.numerics import (
     floor_div,
     format_rat,
     parse_rat,
-    rat,
 )
-
-
-def test_rat_basics():
-    assert rat(3, 4) == Fraction(3, 4)
-    assert rat(6, 4) == Fraction(3, 2)
-    with pytest.raises(NumericsError):
-        rat(1, 0)
-    with pytest.raises(NumericsError):
-        rat(-1, 2)
 
 
 def test_parse_and_format_roundtrip():
@@ -77,9 +67,3 @@ def test_seed_stream_independent():
     a = SeedStream(42, 0).generator().random(5)
     b = SeedStream(42, 1).generator().random(5)
     assert list(a) != list(b)
-
-
-def test_substream_matches_direct_construction():
-    a = SeedStream(7, 0).substream(9).generator().random(3)
-    b = SeedStream(7, 9).generator().random(3)
-    assert list(a) == list(b)

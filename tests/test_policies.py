@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from bernsched import policies
 from bernsched.dp_exact import solve_exact
 from bernsched.dp_stratified import solve_stratified
-from bernsched.harness import prepare, solve_pipeline
+from bernsched.harness import prepare
 from bernsched.instances import validate_and_canonicalize
 from bernsched.numerics import SeedStream
 from bernsched.policies import (
-    CompositePolicy,
     ExactTablePolicy,
     FixedAssignmentPolicy,
     ListPolicy,
@@ -22,7 +21,6 @@ from bernsched.policies import (
     enumerate_realizations,
     expected_cost_exact,
     expected_cost_mc,
-    quasipoly_pipeline,
     replay,
     sample_realization,
     sept_order,
@@ -181,46 +179,6 @@ class TestFixedAssignment:
         assert fixed > opt + 1e-9
 
 
-class TestComposite:
-    def test_all_medium_reduces_to_inner(self):
-        inst = make(1, [(169, [1.0, 1.0])])
-        policy = quasipoly_pipeline(inst, 169, solve_pipeline)
-        real = {j: True for j in inst.job_ids()}
-        sched = replay(policy, inst, real)
-        validate_schedule(inst, sched, real)
-        assert len(sched.entries) == 2
-
-    def test_long_large_job_triggers_greedy(self):
-        # large job long -> everything else greedy in index order
-        inst = make(1, [(10**10, [0.5]), (1, [1.0, 1.0])])
-        policy = CompositePolicy(169, Fraction(4), solve_pipeline)
-        real = {(0, 0): True, (1, 0): True, (1, 1): True}
-        sched = replay(policy, inst, real)
-        validate_schedule(inst, sched, real)
-        big_completion = sched.entries[(0, 0)][2]
-        assert all(
-            sched.entries[j][1] >= big_completion
-            for j in [(1, 0), (1, 1)]
-        )
-
-    def test_three_phase_order(self):
-        inst = make(1, [(10**10, [0.5]), (1, [1.0]),
-                        (Fraction(1, 10**4), [1.0])])
-        policy = CompositePolicy(169, Fraction(1), solve_pipeline)
-        real = {(0, 0): False, (1, 0): True, (2, 0): True}
-        sched = replay(policy, inst, real)
-        validate_schedule(inst, sched, real)
-        # large first (short), then small, then medium
-        assert sched.entries[(0, 0)][1] == 0
-        assert sched.entries[(2, 0)][1] <= sched.entries[(1, 0)][1]
-
-    def test_expected_cost_finite(self):
-        inst = make(2, [(169, [0.5, 1.0]), (1, [1.0])])
-        policy = quasipoly_pipeline(inst, 169, solve_pipeline)
-        val = expected_cost_exact(policy, inst)
-        assert val > 0
-
-
 class TestListPolicy:
     def test_order_violation_never_cheaper(self):
         # swapping two same-type jobs out of q-order cannot reduce the cost
@@ -250,19 +208,12 @@ def _reuse_case(name):
     if name == "exact":
         sol = solve_exact(first)
         return lambda: ExactTablePolicy(sol), first, second
-    if name == "stratified":
-        rounded, groups, grid, _ = prepare(
-            make(1, [(169, [0.25, 0.5]), (1, [0.25, 0.25])]))
-        sol = solve_stratified(rounded, groups, grid)
-        other = make(1, [(t.size, [0.75] * t.count) for t in rounded.types])
-        return lambda: StratifiedTablePolicy(sol, grid), rounded, other
-    # large, medium and small jobs under scale 1
-    first = make(1, [(10**10, [0.5]), (1, [0.5, 1.0]),
-                     (Fraction(1, 10**4), [1.0])])
-    second = make(1, [(10**10, [0.25]), (1, [0.75, 0.75]),
-                      (Fraction(1, 10**4), [0.5])])
-    return lambda: CompositePolicy(169, Fraction(1), solve_pipeline), \
-        first, second
+    assert name == "stratified"
+    rounded, groups, grid, _ = prepare(
+        make(1, [(169, [0.25, 0.5]), (1, [0.25, 0.25])]))
+    sol = solve_stratified(rounded, groups, grid)
+    other = make(1, [(t.size, [0.75] * t.count) for t in rounded.types])
+    return lambda: StratifiedTablePolicy(sol, grid), rounded, other
 
 
 def _fresh_cost(factory, inst):
@@ -279,7 +230,7 @@ class TestReuse:
     replay leaks into the next."""
 
     @pytest.mark.parametrize(
-        "name", ["sept", "fixed", "list", "exact", "stratified", "composite"])
+        "name", ["sept", "fixed", "list", "exact", "stratified"])
     def test_reused_equals_fresh(self, name):
         factory, first, second = _reuse_case(name)
         policy = factory()
@@ -288,28 +239,6 @@ class TestReuse:
         reused = [expected_cost_exact(policy, inst) for inst in runs]
         assert reused == [_fresh_cost(factory, inst) for inst in runs]
         assert reused[0] != reused[2]
-
-
-class TestCompositePreparation:
-    def test_one_inner_solve_per_instance(self):
-        solves = []
-
-        def counting_solver(inst):
-            solves.append(inst)
-            return solve_pipeline(inst)
-
-        first = make(1, [(10**10, [0.5]), (1, [0.25, 0.5, 1.0]),
-                         (Fraction(1, 10**4), [1.0])])
-        second = make(1, [(10**10, [0.25]), (1, [0.75, 0.75]),
-                          (Fraction(1, 10**4), [0.5])])
-        policy = CompositePolicy(169, Fraction(1), counting_solver)
-        assert first.total_jobs == 5
-        expected_cost_exact(policy, first)
-        assert len(solves) == 1
-        expected_cost_mc(policy, first, trials=20, seed=0)
-        assert len(solves) == 1
-        expected_cost_exact(policy, second)
-        assert len(solves) == 2
 
 
 # -- the fixed-order kernel against scalar replay ---------------------------
