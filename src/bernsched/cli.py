@@ -15,7 +15,6 @@ import sys
 from types import SimpleNamespace
 
 from .dp_exact import SolverCapError, solve_exact
-from .dp_stratified import solve_stratified
 from .harness import (
     SCHEMES,
     BoundViolation,
@@ -105,7 +104,7 @@ def _build_policy(name: str, inst: Instance):
     if name == "exact":
         return ExactTablePolicy(solve_exact(inst)), inst
     if name == "stratified":
-        sol, grid, rounded = solve_pipeline(inst)
+        sol, grid, rounded, _ = solve_pipeline(inst)
         return StratifiedTablePolicy(sol, grid), rounded
     if name.startswith("file:"):
         kind, table = load_policy_file(name[5:])
@@ -140,8 +139,7 @@ def cmd_solve_exact(args):
 
 def cmd_solve_stratified(args):
     inst = load_instance(args.instance)
-    rounded, groups, grid, merges = prepare(inst)
-    sol = solve_stratified(rounded, groups, grid)
+    sol, _grid, _rounded, merges = solve_pipeline(inst)
     if args.dump_policy:
         dump_policy(sol.policy, "stratified", args.dump_policy)
     if args.diagnostics:

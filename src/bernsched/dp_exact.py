@@ -56,7 +56,9 @@ def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int,
     A rule provides ``unit``, ``sizes`` (in units of 1/unit), ``labels``
     (the decision recorded for starting type j, ``labels[-1]`` for an idle
     advance), ``startable(t, nu)``, ``after_long(profile, j)`` and
-    ``after_idle(profile, nu)``, all on integer times.
+    ``after_idle(profile, nu)``, all on integer times.  The grid rule's
+    unit is ``grid.unit`` and it asks the grid's integer queries directly;
+    ``Fraction`` enters only here, in the table's keys.
     """
     _check_job_cap(inst, max_jobs)
     qs = [[Fraction(q) for q in t.qs] for t in inst.types]

@@ -5,10 +5,11 @@ live on the allowed-start-time sets of the time grid: a long job frees
 its machine at the grid's release time, and when nothing can start at
 the earliest available time all lagging machines are advanced together
 to the next allowed point of the grid's idle group.  Both transitions
-are ``TimeGrid.release_time`` and ``TimeGrid.idle_group``, which the
-policies' replay uses as well.  The optimum over this
-restricted class sandwiches the true optimum to within a factor that
-shrinks with eps.
+are the grid's own: ``TimeGrid.release`` and ``TimeGrid.successor`` on
+integer times in units of 1/``grid.unit``, which the policies' replay
+reaches through their ``Fraction`` wrappers ``release_time`` and
+``q_successor``.  The optimum over this restricted class sandwiches the
+true optimum to within a factor that shrinks with eps.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 
 from .dp_exact import solve_core
 from .instances import GroupStructure, Instance
@@ -58,37 +59,23 @@ class StratSolution:
     diagnostics: Diagnostics
 
 
-def _in_units(x: Fraction, unit: int) -> int:
-    n = x * unit
-    if n.denominator != 1:
-        raise GridError(f"{x} is not a multiple of 1/{unit}")
-    return n.numerator
-
-
 class GridRule:
     """A type is startable at t when its group's Q-set holds t.  A long job
-    of group h frees its machine at ``grid.release_time(h, completion)``;
-    with no type startable, every machine below the next Q point of
+    of group h frees its machine at ``grid.release(h, completion)``; with
+    no type startable, every machine below the next Q point of
     ``grid.idle_group(nu)`` is raised to it.  Times are integers in units
-    of 1/unit, the lcm of the denominators of the sizes and of the grid's
-    O(gamma) generators.  Each grid query is answered once per (group,
-    time); an answer that is not an integer in this unit raises
-    GridError."""
+    of 1/``grid.unit``, and each grid query is answered once per (group,
+    time)."""
 
-    def __init__(self, inst: Instance, grid: TimeGrid):
-        unit = self.unit = lcm(*(x.denominator for x in
-                                 [t.size for t in inst.types] + grid.generators()))
-        self.sizes = tuple(_in_units(t.size, unit) for t in inst.types)
-        self.group = tuple(grid.group_of_type(j) for j in range(inst.n_types))
+    def __init__(self, grid: TimeGrid):
+        self.unit, self.sizes = grid.unit, grid.sizes
+        self.group = tuple(map(grid.group_of_type, range(len(self.sizes))))
         self.idle_group = grid.idle_group
-        self.labels = tuple(("start", j) for j in range(inst.n_types)) \
+        self.labels = tuple(("start", j) for j in range(len(self.sizes))) \
             + (("idle",),)
-        self._allowed = lru_cache(maxsize=None)(
-            lambda t: grid.allowed_types(Fraction(t, unit)))
-        self._release = lru_cache(maxsize=None)(
-            lambda h, t: _in_units(grid.release_time(h, Fraction(t, unit)), unit))
-        self._advance = lru_cache(maxsize=None)(
-            lambda h, t: _in_units(grid.q_successor(h, Fraction(t, unit)), unit))
+        self._allowed = lru_cache(maxsize=None)(grid.allowed)
+        self._release = lru_cache(maxsize=None)(grid.release)
+        self._advance = lru_cache(maxsize=None)(grid.successor)
 
     def startable(self, t, nu):
         return [j for j in self._allowed(t) if nu[j]]
@@ -102,7 +89,7 @@ class GridRule:
         t = profile[0]
         target = self._advance(h, t)
         if target <= t:
-            raise GridError(f"idle advance stalled at {Fraction(t, self.unit)}"
+            raise GridError(f"idle advance stalled at {t}/{self.unit}"
                             f": group {h} already startable")
         return tuple(target if x < target else x for x in profile)
 
@@ -112,11 +99,11 @@ def solve_stratified(inst: Instance, groups: GroupStructure, grid: TimeGrid,
                      idle_chain_cap: int = 1000) -> StratSolution:
     """Optimal policy within the grid-restricted class, with decisions and
     state-count diagnostics recorded.  The core runs on integer times (in
-    ``GridRule``'s unit) and integer cost numerators; ``Fraction`` is only
-    at the boundary, in the policy's keys.  More than ``idle_chain_cap``
+    units of 1/``grid.unit``) and integer cost numerators; ``Fraction`` is
+    only at the boundary, in the policy's keys.  More than ``idle_chain_cap``
     successive idle advances raise GridError."""
-    value, table = solve_core(inst, GridRule(inst, grid), max_jobs,
-                              state_cap, idle_chain_cap)
+    value, table = solve_core(inst, GridRule(grid), max_jobs, state_cap,
+                              idle_chain_cap)
     by_time = {}
     for profile, _nu in table:
         by_time.setdefault(profile[0], set()).add(profile)

@@ -95,10 +95,10 @@ def prepare(inst: Instance):
 
 
 def solve_pipeline(inst: Instance, **caps):
-    """Round, grid, solve: (solution, grid, rounded_instance)."""
-    rounded, groups, grid, _merges = prepare(inst)
+    """Round, grid, solve: (solution, grid, rounded_instance, merges)."""
+    rounded, groups, grid, merges = prepare(inst)
     solution = solve_stratified(rounded, groups, grid, **caps)
-    return solution, grid, rounded
+    return solution, grid, rounded, merges
 
 
 @dataclass
@@ -162,7 +162,7 @@ def compare(instances, heuristics: bool = True, **caps):
             row.exact_states = exact.states
 
             t0 = time.perf_counter()
-            solution, grid, rounded = solve_pipeline(inst, **caps)
+            solution = solve_pipeline(inst, **caps)[0]
             row.stratified_seconds = time.perf_counter() - t0
             row.stratified_value = solution.value
             row.stratified_states = solution.diagnostics.states

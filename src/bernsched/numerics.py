@@ -2,9 +2,11 @@
 
 Times, sizes and grid points are nonnegative ``fractions.Fraction`` values
 at every public interface, so that grid membership and load-profile
-equality are bit-exact; the solvers' shared core works on integer
-multiples of a common unit instead.  Probabilities and reported expected
-costs are ordinary floats.
+equality are bit-exact.  Inside, the solvers' shared core and the time
+grid's queries work on integer multiples of a common unit instead (the
+grid's is ``TimeGrid.unit``); the Fraction helpers here serve input
+parsing, instance rounding and the grid's construction.  Probabilities
+and reported expected costs are ordinary floats.
 """
 
 from __future__ import annotations

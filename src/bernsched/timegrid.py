@@ -5,8 +5,10 @@ from a restricted set Q_h.  Those sets are built from a geometric-ish
 partition of the time axis into intervals: group-h intervals have length
 between eps*p_h/2 and eps*p_h, where p_h is the group's representative
 (smallest) size.  The interval endpoints form O(gamma) arithmetic runs,
-so every query is closed-form exact rational arithmetic, whatever the
-size ratios between groups.
+so every query is closed-form, whatever the size ratios between groups.
+Queries are answered on integer times in units of 1/``TimeGrid.unit``,
+in which the whole grid is exact; ``Fraction`` appears only in the
+construction and in thin wrappers for replay, the CLI and tests.
 
 Group indices here are 0-based with group 0 holding the *largest* sizes.
 """
@@ -17,10 +19,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import ceil, floor, inf, lcm
 
 from .instances import GroupStructure, Instance
-from .numerics import ceil_to_multiple_of, divides, floor_div
+from .numerics import floor_div
 
 
 class GridError(ValueError):
@@ -66,11 +68,20 @@ def compute_thresholds(inst: Instance, groups: GroupStructure) -> Thresholds:
 class TimeGrid:
     """Endpoints l_k, their stretched images l'_k, and the sets Q_h.
 
+    Every endpoint, stretched endpoint and Q-set member is an integer
+    multiple of 1/``unit``, the lcm of the denominators of the sizes, of
+    the endpoint runs' starts and steps (the steps include every eps*rep_h)
+    and of their stretched images.  The Q-set queries (``contains``,
+    ``successor``, ``release``, ``allowed``) take and return integer times
+    in that unit; ``q_contains``, ``q_successor``, ``q_next``,
+    ``release_time`` and ``allowed_types`` wrap them on ``Fraction`` times
+    for replay, the CLI and tests.
+
     The endpoints are O(gamma) arithmetic runs ``(start, step, count,
-    group)`` in integer units: the point 0; per group h from the smallest
-    up, its fine points from p_star[h] spaced eps*rep_h, then the midpoint
-    below p_star[h-1]; and the endless tail from p_star[0] (count None).
-    A one-point run's step is its interval's length.  ``prefix`` holds the
+    group)`` in units: the point 0; per group h from the smallest up, its
+    fine points from p_star[h] spaced eps*rep_h, then the midpoint below
+    p_star[h-1]; and the endless tail from p_star[0] (count None).  A
+    one-point run's step is its interval's length.  ``prefix`` holds the
     2*gamma - 1 run starts below p_star[0].
 
     Q_h consists of
@@ -90,23 +101,45 @@ class TimeGrid:
         self.pmaxs = groups.pmaxs
         self.stretch = 1 + 5 * self.eps
         self.thresholds = compute_thresholds(inst, groups)
-        # p_circ of the next-larger group; None (infinity) for h=0
-        self._p_circ_prev = (None, *self.thresholds.p_circ[:-1])
-        self._build_runs()
         self._group_of_type = tuple(groups.group_of_map())
 
-        smallest = self.gamma - 1
-        self.base_step = self.eps * self.reps[smallest]
-        self.l1_stretched = self.stretch * self.endpoint(1)
-        self.base_cap = self.l1_stretched - self.pmaxs[smallest]
+        runs = self._build_runs()
+        self.prefix = tuple(run[0] for run in runs[:-1])
+        plain = [x for run in runs for x in run[:2]]
+        unit = self.unit = lcm(*(x.denominator for x in [
+            *plain, *(self.stretch * x for x in plain),
+            *(t.size for t in inst.types)]))
 
-        for pc in self.thresholds.p_circ:
-            if not self._is_stretched_endpoint(pc):
-                raise GridError(f"threshold {pc} is not a stretched endpoint")
+        def units(x):
+            return int(x * unit)
+
+        self.sizes = tuple(units(t.size) for t in inst.types)
+        self.runs = tuple((units(s), units(d), c, g) for s, d, c, g in runs)
+        # index of each run's first endpoint
+        self._firsts = tuple(accumulate((run[2] for run in runs[:-1]), initial=0))
+        # stretched runs (start, step, start of the next run)
+        starts = self._stretched_starts = tuple(
+            units(self.stretch * run[0]) for run in runs)
+        self._stretched = tuple(
+            (s, units(self.stretch * run[1]), end)
+            for s, run, end in zip(starts, runs, (*starts[1:], inf)))
+        self._steps = tuple(units(self.eps * r) for r in self.reps)
+        self._pmaxs = tuple(units(p) for p in self.pmaxs)
+        self._p_circ = tuple(units(p) for p in self.thresholds.p_circ)
+        # where group h's fine points begin: p_circ of the next-larger group
+        self._fine_from = (inf, *self._p_circ[:-1])
+        # the base grid lies below l'_1 = starts[1]
+        self._base_cap = starts[1] - self._pmaxs[-1]
+
+        for pc in self._p_circ:
+            if self._interval(pc)[0] != pc:
+                raise GridError(f"threshold {Fraction(pc, unit)} is not a "
+                                "stretched endpoint")
 
     # -- construction -----------------------------------------------------
 
     def _build_runs(self):
+        """The endpoint runs as Fractions; sets ``tail_start``, ``tail_step``."""
         ps = self.thresholds.p_star
         runs, point, label = [], Fraction(0), None  # pending one-point run
         for h in range(self.gamma - 1, 0, -1):
@@ -119,144 +152,117 @@ class TimeGrid:
             last = ps[h] + (count - 1) * step
             point, label = last + (ps[h - 1] - last) / 2, h
         self.tail_start, self.tail_step = ps[0], self.eps * self.reps[0]
-        runs += [(point, ps[0] - point, 1, label), (ps[0], self.tail_step, None, 0)]
-        # run values x are integers: time x / unit, stretched x * scale[0] / scale[1]
-        unit = self._unit = lcm(*(x.denominator for run in runs for x in run[:2]))
-        self._scale = (self.stretch.numerator, self.stretch.denominator * unit)
-        self.runs = tuple((int(s * unit), int(d * unit), c, g) for s, d, c, g in runs)
-        self._starts = tuple(run[0] for run in self.runs)
-        self.prefix = tuple(Fraction(s, unit) for s in self._starts[:-1])
-        # index of each run's first endpoint
-        self._firsts = tuple(accumulate((run[2] for run in self.runs[:-1]),
-                                        initial=0))
-
-    def generators(self):
-        """O(gamma) rationals of which every endpoint, stretched endpoint and
-        Q-set member is an integer combination: the steps eps*rep_h, the run
-        starts, their stretched images, and the group maxima."""
-        plain = [*(self.eps * r for r in self.reps), *self.prefix, self.tail_start]
-        return plain + [self.stretch * x for x in plain] + list(self.pmaxs)
+        return runs + [(point, ps[0] - point, 1, label),
+                       (ps[0], self.tail_step, None, 0)]
 
     # -- endpoint queries -------------------------------------------------
 
     def _point(self, k: int) -> int:
-        """l_k in units of 1/unit."""
+        """l_k in units."""
         r = bisect_right(self._firsts, k) - 1
         start, step, _count, _group = self.runs[r]
         return start + (k - self._firsts[r]) * step
 
     def endpoint(self, k: int) -> Fraction:
         """k-th left endpoint l_k (l_0 = 0)."""
-        return Fraction(self._point(k), self._unit)
+        return Fraction(self._point(k), self.unit)
 
     def interval_group(self, k: int):
         """Group label of interval [l_k, l_{k+1}); None for the initial one."""
         return self.runs[bisect_right(self._firsts, k) - 1][3]
 
-    def _index(self, t: Fraction):
-        """(k, t == l'_k) for the stretched interval [l'_k, l'_{k+1}) that
-        holds t >= 0: one bisect over the run starts, one floor division
-        inside the run."""
-        num, den = t.numerator * self._scale[1], t.denominator * self._scale[0]
-        r = bisect_right(self._starts, num // den) - 1
-        start, step, _count, _group = self.runs[r]
-        i, rem = divmod(num - start * den, step * den)
-        return self._firsts[r] + i, rem == 0
+    def _interval(self, x: int):
+        """(l'_k, l'_{k+1}) in units for the stretched interval [l'_k,
+        l'_{k+1}) that holds x >= 0: one bisect over the run starts, one
+        remainder inside the run.  A run's last point ends at the next
+        run's start, which is at most one step on."""
+        start, step, end = self._stretched[
+            bisect_right(self._stretched_starts, x) - 1]
+        lk = x - (x - start) % step
+        return lk, min(lk + step, end)
 
-    def _stretched_interval(self, t: Fraction):
-        """(l'_k, l'_{k+1}) for the stretched interval containing t >= 0."""
-        k, _ = self._index(t)
-        mul, div = self._scale
-        return (Fraction(self._point(k) * mul, div),
-                Fraction(self._point(k + 1) * mul, div))
+    # -- Q-set queries on integer times -----------------------------------
 
-    def _is_stretched_endpoint(self, t: Fraction) -> bool:
-        """Whether t >= 0 is a stretched endpoint l'_k."""
-        return self._index(t)[1]
-
-    # -- Q-set queries ----------------------------------------------------
-
-    def q_contains(self, h: int, t: Fraction) -> bool:
-        if t < 0:
+    def contains(self, h: int, x: int) -> bool:
+        """Whether Q_h holds the time x (in units)."""
+        if x < 0:
             raise GridError("negative time")
-        if t == 0:
-            return True
-        if t < self.l1_stretched:
-            return t < self.base_cap and divides(self.base_step, t)
-        lk, lk1 = self._stretched_interval(t)
-        pc_prev = self._p_circ_prev[h]
-        if pc_prev is None or lk < pc_prev:
-            return t == lk
-        step = self.eps * self.reps[h]
-        return divides(step, t - lk) and t < lk1 - self.pmaxs[h]
+        if x < self._stretched_starts[1]:
+            return x == 0 or (x < self._base_cap and x % self._steps[-1] == 0)
+        lk, lk1 = self._interval(x)
+        if lk < self._fine_from[h]:
+            return x == lk
+        return (x - lk) % self._steps[h] == 0 and x < lk1 - self._pmaxs[h]
 
-    def q_successor(self, h: int, t: Fraction) -> Fraction:
-        """Smallest member of Q_h that is >= t (total: the sets are unbounded)."""
-        if t <= 0:
-            return Fraction(0)
-        if t < self.l1_stretched:
-            s = ceil_to_multiple_of(t, self.base_step)
-            if s < self.base_cap:
+    def successor(self, h: int, x: int) -> int:
+        """Smallest member of Q_h that is >= x (total: the sets are
+        unbounded)."""
+        if x <= 0:
+            return 0
+        if x < self._stretched_starts[1]:
+            s = x + -x % self._steps[-1]
+            if s < self._base_cap:
                 return s
-            cur = self.l1_stretched
-        else:
-            cur = t
-        pc_prev = self._p_circ_prev[h]
-        step = self.eps * self.reps[h]
+            x = self._stretched_starts[1]
+        fine_from, step, pmax = self._fine_from[h], self._steps[h], self._pmaxs[h]
         for _ in range(1_000_000):
-            lk, lk1 = self._stretched_interval(cur)
-            if pc_prev is None or lk < pc_prev:
-                if cur <= lk:
-                    return lk
-                cur = lk1
-                continue
-            s = lk + ceil_to_multiple_of(max(cur, lk) - lk, step)
-            if s < lk1 - self.pmaxs[h]:
-                return s
-            cur = lk1
-        raise GridError("q_successor did not terminate")  # pragma: no cover
+            lk, lk1 = self._interval(x)
+            if lk < fine_from:
+                if x == lk:
+                    return x
+            else:
+                s = x + (lk - x) % step
+                if s < lk1 - pmax:
+                    return s
+            x = lk1
+        raise GridError("successor did not terminate")  # pragma: no cover
 
-    def q_next(self, h: int, t: Fraction) -> Fraction:
-        """Smallest member of Q_h strictly greater than t."""
-        if t < 0:
-            return Fraction(0)
-        if not self.q_contains(h, t):
-            return self.q_successor(h, t)
-        if t < self.l1_stretched:
-            return self.q_successor(h, t + self.base_step)
-        lk, lk1 = self._stretched_interval(t)
-        pc_prev = self._p_circ_prev[h]
-        if pc_prev is None or lk < pc_prev:
-            return self.q_successor(h, lk1)
-        return self.q_successor(h, t + self.eps * self.reps[h])
+    def release(self, h: int, x: int) -> int:
+        """When a machine that completes a long group-h job at x is free
+        again: the first Q_h point at or beyond max(p_circ[h], x)."""
+        return self.successor(h, max(self._p_circ[h], x))
 
-    def release_time(self, h: int, t: Fraction) -> Fraction:
-        """When a machine that completes a long group-h job at t is free
-        again: the first Q_h point at or beyond max(p_circ[h], t)."""
-        return self.q_successor(h, max(self.thresholds.p_circ[h], t))
+    def allowed(self, x: int):
+        """Type indices j whose group's Q-set holds x (one query per group)."""
+        holds = [self.contains(h, x) for h in range(self.gamma)]
+        return tuple(j for j, h in enumerate(self._group_of_type) if holds[h])
 
     def idle_group(self, nu) -> int:
         """Group whose Q-set an idle advance moves to: that of the
         largest-index (smallest-size) type with jobs left in counts ``nu``."""
         return self._group_of_type[max(j for j, c in enumerate(nu) if c)]
 
-    def allowed_types(self, t: Fraction):
-        """Type indices j whose group's Q-set contains t (one query per
-        group)."""
-        holds = [self.q_contains(h, t) for h in range(self.gamma)]
-        return tuple(j for j, h in enumerate(self._group_of_type) if holds[h])
-
     def group_of_type(self, j: int) -> int:
         return self._group_of_type[j]
 
+    # -- Fraction wrappers, for replay, the CLI and tests ------------------
+
+    def q_contains(self, h: int, t: Fraction) -> bool:
+        x = floor(t * self.unit)
+        return self.contains(h, x) and x == t * self.unit
+
+    def q_successor(self, h: int, t: Fraction) -> Fraction:
+        """Smallest member of Q_h that is >= t."""
+        return Fraction(self.successor(h, ceil(t * self.unit)), self.unit)
+
+    def q_next(self, h: int, t: Fraction) -> Fraction:
+        """Smallest member of Q_h strictly greater than t."""
+        return Fraction(self.successor(h, floor(t * self.unit) + 1), self.unit)
+
+    def release_time(self, h: int, t: Fraction) -> Fraction:
+        """``release`` on a Fraction completion time."""
+        return Fraction(self.release(h, ceil(t * self.unit)), self.unit)
+
+    def allowed_types(self, t: Fraction):
+        x = floor(t * self.unit)
+        return self.allowed(x) if x == t * self.unit else ()
+
     def iter_members(self, h: int, count: int):
         """First `count` members of Q_h in increasing order."""
-        out = []
-        t = Fraction(0)
+        out = [0]
         while len(out) < count:
-            out.append(t)
-            t = self.q_next(h, t)
-        return out
+            out.append(self.successor(h, out[-1] + 1))
+        return [Fraction(x, self.unit) for x in out[:count]]
 
 
 def build_grid(inst: Instance, groups: GroupStructure) -> TimeGrid:

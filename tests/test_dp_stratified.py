@@ -20,16 +20,16 @@ def make(machines, raw, epsilon="1/13"):
     return validate_and_canonicalize(machines, epsilon, raw)
 
 
-def after_long(profile, j, inst, grid):
+def after_long(profile, j, grid):
     """GridRule.after_long on Fraction times."""
-    rule = GridRule(inst, grid)
+    rule = GridRule(grid)
     out = rule.after_long(tuple(int(x * rule.unit) for x in profile), j)
     return tuple(Fraction(x, rule.unit) for x in out)
 
 
-def after_idle(profile, nu, inst, grid):
+def after_idle(profile, nu, grid):
     """GridRule.after_idle on Fraction times."""
-    rule = GridRule(inst, grid)
+    rule = GridRule(grid)
     out = rule.after_idle(tuple(int(x * rule.unit) for x in profile), nu)
     return tuple(Fraction(x, rule.unit) for x in out)
 
@@ -92,28 +92,42 @@ class TestHandWorked:
 
 class TestProfileUpdates:
     def test_long_rounds_to_circ(self, one_type):
-        _, rounded, _, grid = one_type
-        out = after_long((Fraction(0),), 0, rounded, grid)
+        grid = one_type[-1]
+        out = after_long((Fraction(0),), 0, grid)
         assert out == (Fraction(234),)
 
     def test_long_in_tail(self, one_type):
-        _, rounded, _, grid = one_type
-        out = after_long((Fraction(234),), 0, rounded, grid)
+        grid = one_type[-1]
+        out = after_long((Fraction(234),), 0, grid)
         # completion 403 is not on the stretched tail; next point is 414
         assert out == (Fraction(414),)
 
     def test_multi_machine_sorts(self, one_type):
-        _, rounded, _, grid = one_type
-        out = after_long((Fraction(0), Fraction(0)), 0, rounded, grid)
+        grid = one_type[-1]
+        out = after_long((Fraction(0), Fraction(0)), 0, grid)
         assert out == (Fraction(0), Fraction(234))
 
-    def test_answer_off_the_unit_raises(self, one_type, monkeypatch):
+    def test_answers_agree_with_the_grid(self, one_type):
+        # integer answers in grid.unit, equal to the grid's Fraction wrappers
         _, rounded, _, grid = one_type
-        rule = GridRule(rounded, grid)
-        monkeypatch.setattr(grid, "q_successor",
-                            lambda h, t: t + Fraction(1, 7 * rule.unit))
-        with pytest.raises(GridError, match="not a multiple"):
-            rule.after_long((0,), 0)
+        two_rounded, _, two_grid, _ = prepare(make(1, TestIdleChain.RAW))
+        for rounded, grid in ((rounded, grid), (two_rounded, two_grid)):
+            rule, unit = GridRule(grid), grid.unit
+            sizes = [t.size for t in rounded.types]
+            nu = (0,) * (len(sizes) - 1) + (1,)
+            h = grid.idle_group(nu)
+            top = 3 * int(grid.thresholds.p_circ[0] * unit)
+            for x in range(0, top, 1 + top // 499):
+                t = Fraction(x, unit)
+                for j, p in enumerate(sizes):
+                    [s] = rule.after_long((x,), j)
+                    assert type(s) is int
+                    assert Fraction(s, unit) == grid.release_time(
+                        grid.group_of_type(j), t + p)
+                if not grid.q_contains(h, t):
+                    [s] = rule.after_idle((x,), nu)
+                    assert type(s) is int
+                    assert Fraction(s, unit) == grid.q_successor(h, t)
 
     def test_idle_raises_lagging_machines(self):
         inst = make(2, [(169, [1.0]), (1, [1.0, 1.0])])
@@ -121,7 +135,7 @@ class TestProfileUpdates:
         # at t*=5/13 (not in Q_2), both machines below the next point move up
         profile = (Fraction(5, 13), Fraction(9))
         nu = (0, 1)
-        out = after_idle(profile, nu, rounded, grid)
+        out = after_idle(profile, nu, grid)
         target = grid.q_successor(1, Fraction(5, 13))
         assert out[0] == target
         assert out[1] == Fraction(9)

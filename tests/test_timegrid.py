@@ -1,14 +1,22 @@
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bernsched.harness import compare
 from bernsched.instances import build_groups, validate_and_canonicalize
-from bernsched.numerics import SeedStream, divides, floor_div
+from bernsched.numerics import SeedStream, floor_div
 from bernsched.timegrid import GridError, TimeGrid, build_grid, \
     compute_thresholds
+
+
+def is_stretched_endpoint(grid, t):
+    """Whether t is a stretched endpoint l'_k, by the integer interval
+    lookup."""
+    x = t * grid.unit
+    return x.denominator == 1 and grid._interval(x.numerator)[0] == x
 
 
 def grid_for(machines, epsilon, raw):
@@ -61,7 +69,7 @@ class TestThresholds:
     def test_circ_is_stretched_endpoint(self, three_group):
         _, groups, grid = three_group
         for h in range(groups.gamma):
-            assert grid._is_stretched_endpoint(grid.thresholds.p_circ[h])
+            assert is_stretched_endpoint(grid, grid.thresholds.p_circ[h])
             assert grid.q_contains(h, grid.thresholds.p_circ[h])
 
 
@@ -311,9 +319,10 @@ def test_gamma_one_grid_has_only_tail_and_base(one_type):
 class EnumeratedGrid(TimeGrid):
     """Oracle for the endpoint runs: every endpoint below p_star[0] is
     enumerated and stored with its stretched image and interval label, and
-    the four endpoint queries are answered from those lists, with the tail
-    from p_star[0] on in closed form.  The Q-set queries are inherited, so
-    they run on the enumerated intervals."""
+    the endpoint queries are answered from those lists, with the tail from
+    p_star[0] on in closed form.  The integer interval lookup converts to
+    and from those ``Fraction`` lists, so the inherited Q-set queries run
+    on the enumerated intervals."""
 
     def __init__(self, inst, groups):
         ps = compute_thresholds(inst, groups).p_star
@@ -352,12 +361,22 @@ class EnumeratedGrid(TimeGrid):
             return self.points_stretched[k], self.points_stretched[k + 1]
         return self.points_stretched[k], self.tail_start_stretched
 
-    def _is_stretched_endpoint(self, t):
-        if t >= self.tail_start_stretched:
-            return divides(self.tail_step_stretched,
-                           t - self.tail_start_stretched)
-        k = bisect_right(self.points_stretched, t) - 1
-        return self.points_stretched[k] == t
+    def _interval(self, x):
+        out = []
+        for end in self._stretched_interval(Fraction(x, self.unit)):
+            n = end * self.unit
+            assert n.denominator == 1, f"endpoint {end} is off the unit"
+            out.append(n.numerator)
+        return tuple(out)
+
+    def run_edges(self):
+        """Endpoint indices within two of a change of interval label or of
+        the tail's start: where one run of endpoints ends and the next
+        begins."""
+        changes = [k for k in range(1, len(self.labels))
+                   if self.labels[k] != self.labels[k - 1]]
+        return sorted({k for c in [*changes, len(self.points)]
+                       for k in range(max(0, c - 2), c + 3)})
 
 
 @st.composite
@@ -391,7 +410,8 @@ def test_runs_match_enumeration(instance, data):
     e = inst.epsilon.denominator
     hi = 3 * grid.thresholds.p_circ[0]
     dens = st.sampled_from([1, 2, e, e * e, 4 * e ** 3, 5 * e + 25])
-    stretched = st.integers(0, len(oracle.points) + 20).map(
+    stretched = st.one_of(st.integers(0, len(oracle.points) + 20),
+                          st.sampled_from(oracle.run_edges())).map(
         lambda k: grid.stretch * oracle.endpoint(k))
     times = st.one_of(
         st.builds(lambda x, d: Fraction(int(x * hi * d), d),
@@ -399,12 +419,73 @@ def test_runs_match_enumeration(instance, data):
         stretched,
     )
     for t in data.draw(st.lists(times, min_size=40, max_size=40)):
-        assert grid._stretched_interval(t) == oracle._stretched_interval(t)
-        assert grid._is_stretched_endpoint(t) == oracle._is_stretched_endpoint(t)
+        x = floor(t * grid.unit)
+        assert grid._interval(x) == oracle._interval(x)
+        assert is_stretched_endpoint(grid, t) == is_stretched_endpoint(oracle, t)
+        assert grid.allowed_types(t) == oracle.allowed_types(t)
         for h in range(groups.gamma):
             assert grid.q_contains(h, t) == oracle.q_contains(h, t)
             assert grid.q_successor(h, t) == oracle.q_successor(h, t)
             assert grid.q_next(h, t) == oracle.q_next(h, t)
+            assert grid.release_time(h, t) == oracle.release_time(h, t)
+
+
+def definitional_members(oracle, h):
+    """Q_h up to past 3 * p_circ[0], straight from the three rules of
+    TimeGrid's docstring on the oracle's enumerated endpoints: disjoint
+    progressions (first, step, last) in increasing order."""
+    hi = 3 * oracle.thresholds.p_circ[0]
+    stretched = [Fraction(0)]
+    while stretched[-1] < hi:
+        stretched.append(oracle.stretch * oracle.endpoint(len(stretched)))
+    eps, smallest = oracle.eps, oracle.gamma - 1
+    # base grid: multiples of eps * rep below l'_1 - pmax, and 0
+    base = eps * oracle.reps[smallest]
+    cap = stretched[1] - oracle.pmaxs[smallest]
+    progs = [(Fraction(0), base, max(0, ceil(cap / base) - 1) * base)]
+    step, pmax = eps * oracle.reps[h], oracle.pmaxs[h]
+    for lk, lk1 in zip(stretched[1:], stretched[2:]):
+        if h == 0 or lk < oracle.thresholds.p_circ[h - 1]:
+            progs.append((lk, step, lk))  # a stretched endpoint
+        elif lk < lk1 - pmax:  # fine points strictly below l'_{k+1} - pmax
+            progs.append((lk, step, lk + (ceil((lk1 - pmax - lk) / step) - 1) * step))
+    return progs
+
+
+@given(grid_instances(), st.data())
+@settings(max_examples=20, deadline=None)
+def test_q_sets_match_definition(instance, data):
+    inst, groups = instance
+    grid, oracle = build_grid(inst, groups), EnumeratedGrid(inst, groups)
+    e, unit = inst.epsilon.denominator, grid.unit
+    dens = st.sampled_from([1, e, unit, 2 * unit, 3 * unit + 1, 7 * e * unit])
+    marks = [*grid.thresholds.p_circ,
+             *(grid.stretch * oracle.endpoint(k) for k in oracle.run_edges())]
+    for h in range(groups.gamma):
+        progs = definitional_members(oracle, h)
+        lasts = [last for _first, _step, last in progs]
+        top = lasts[-1]
+        # every time on and just off the unit at the first two members of
+        # each progression near a threshold or a change of run, at its last
+        # member and at the point past it; and random times
+        near = {i for m in marks for i in range(bisect_left(lasts, m) - 2,
+                                                bisect_left(lasts, m) + 3)}
+        edges = [x + d for i in sorted(near & set(range(len(progs))))
+                 for first, step, last in [progs[i]]
+                 for x in (first, first + step, last, last + step)
+                 for d in (0, Fraction(1, 2 * unit), Fraction(-1, 3 * unit))]
+        times = st.builds(lambda x, d: Fraction(int(x * top * d), d),
+                          st.floats(0, 1), dens)
+        for t in [*edges, *data.draw(st.lists(times, min_size=30, max_size=30))]:
+            if not 0 <= t < top:
+                continue
+            first, step, _last = progs[bisect_left(lasts, t)]
+            succ = max(first, first + ceil((t - first) / step) * step)
+            first, step, _last = progs[bisect_right(lasts, t)]
+            nxt = max(first, first + (floor((t - first) / step) + 1) * step)
+            assert grid.q_contains(h, t) == (succ == t)
+            assert grid.q_successor(h, t) == succ
+            assert grid.q_next(h, t) == nxt
 
 
 def test_wide_gap_prepares_in_closed_form():
