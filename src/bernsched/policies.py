@@ -14,18 +14,24 @@ realization fixes each job's outcome bit up front; the replay itself is
 deterministic, and non-anticipativity is structural because controllers
 only ever see outcomes of jobs already started.
 
-``expected_cost_exact`` and ``expected_cost_mc`` evaluate the three
-fixed-order policies (``ListPolicy``, ``SeptPolicy`` and
-``FixedAssignmentPolicy``) without ``replay``: one numpy kernel takes a
-block of outcome vectors at once, with times as integers in units of
-1/L, L the lcm of the size denominators.  Its results are the replay's
-to the bit: the probabilities are multiplied in the same order, each
-cost is the correctly rounded K/L of its integer total K, and the sums
-run in sequence in the same order.  Monte-Carlo trial i still draws its
-outcomes from its own stream ``SeedStream(seed, i)``.  Every other
-policy, and a fixed-order one whose totals in units of 1/L could exceed
-2**53, is replayed one realization at a time; ``replay`` stays the
-reference.
+``expected_cost_exact`` and ``expected_cost_mc`` run one loop over
+blocks of outcome vectors (rows of a boolean matrix, one column per job
+in ``job_ids`` order): every realization in enumeration order, or the
+Monte-Carlo trials in order, where trial i draws its outcomes from its
+own stream ``SeedStream(seed, i)`` and ``numerics.uniform_block`` draws
+a whole block of streams at once.  A block's costs come from one of two
+places.  The three fixed-order policies (``ListPolicy``, ``SeptPolicy``
+and ``FixedAssignmentPolicy``) have a numpy kernel that takes the whole
+block, with times as integers in units of 1/L, L the lcm of the size
+denominators.  Every other policy, and a fixed-order one whose totals in
+units of 1/L could exceed 2**53, is replayed once per distinct row, in
+order of first occurrence, and each cost is scattered back to its rows.
+Either way the results are per-realization replay's to the bit: the
+probabilities are multiplied in the same order, each cost is the
+correctly rounded float of its exact total, and the sums run in
+sequence in the same order.  ``replay`` with ``enumerate_realizations``
+or ``sample_realization`` on ``SeedStream(seed, i).generator()`` stays
+the per-realization reference.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .instances import Instance
-from .numerics import SeedStream
+from .numerics import uniform_block
 from .timegrid import TimeGrid
 
 
@@ -163,7 +169,9 @@ def _free_jobs(inst: Instance, cap: int):
 
 
 def enumerate_realizations(inst: Instance, cap: int = 20):
-    """Yield (probability, realization) over all outcome vectors.
+    """Yield (probability, realization) over all outcome vectors, the
+    per-realization reference that ``_outcome_blocks`` reproduces a block
+    at a time.
 
     Jobs with q = 1 are forced long and do not contribute branches.
     """
@@ -181,13 +189,16 @@ def enumerate_realizations(inst: Instance, cap: int = 20):
 
 
 def sample_realization(inst: Instance, rng):
+    """One trial's realization, one ``rng.random()`` draw per job in
+    ``job_ids`` order: the per-trial reference that ``_trial_blocks``
+    reproduces a block of trials at a time."""
     out = {}
     for job in inst.job_ids():
         out[job] = bool(rng.random() < inst.job_q(job))
     return out
 
 
-#: Outcome vectors per block of the fixed-order kernel.
+#: Outcome vectors per block.
 _BLOCK = 1 << 14
 
 
@@ -217,10 +228,22 @@ def _trial_blocks(inst: Instance, trials: int, seed: int):
     what ``sample_realization`` draws."""
     qs = np.array([inst.job_q(job) for job in inst.job_ids()])
     for start in range(0, trials, _BLOCK):
-        draws = np.empty((min(trials - start, _BLOCK), len(qs)))
-        for r in range(len(draws)):
-            draws[r] = SeedStream(seed, start + r).generator().random(len(qs))
-        yield draws < qs
+        rows = min(trials - start, _BLOCK)
+        yield uniform_block(seed, start, rows, len(qs)) < qs
+
+
+def _replay_costs(policy, inst: Instance, outcomes):
+    """Each row's total completion time as a float, by ``replay``: one
+    replay per distinct row, in order of first occurrence, so a failing
+    row raises what replaying the rows in order raises first."""
+    jobs = inst.job_ids()
+    distinct, first, inverse = np.unique(
+        outcomes, axis=0, return_index=True, return_inverse=True)
+    costs = np.empty(len(distinct))
+    for u in np.argsort(first):
+        real = dict(zip(jobs, distinct[u].tolist()))
+        costs[u] = float(replay(policy, inst, real).total_cost)
+    return costs[inverse.reshape(-1)]
 
 
 def _fixed_order_kernel(policy, inst: Instance):
@@ -271,15 +294,20 @@ def _running_sum(start: float, terms) -> float:
     return float(np.cumsum(np.concatenate(([start], terms)))[-1])
 
 
-def expected_cost_exact(policy, inst: Instance, cap: int = 20) -> float:
-    total = 0.0
+def _cost_function(policy, inst: Instance):
+    """A function from an outcome matrix to each row's total completion
+    time: the fixed-order kernel where there is one, replay otherwise."""
     kernel = _fixed_order_kernel(policy, inst)
-    if kernel is None:
-        for prob, real in enumerate_realizations(inst, cap=cap):
-            total += prob * float(replay(policy, inst, real).total_cost)
-        return total
+    if kernel is not None:
+        return kernel
+    return lambda outcomes: _replay_costs(policy, inst, outcomes)
+
+
+def expected_cost_exact(policy, inst: Instance, cap: int = 20) -> float:
+    costs = _cost_function(policy, inst)
+    total = 0.0
     for prob, outcomes in _outcome_blocks(inst, cap):
-        total = _running_sum(total, prob * kernel(outcomes))
+        total = _running_sum(total, prob * costs(outcomes))
     return total
 
 
@@ -287,21 +315,13 @@ def expected_cost_mc(policy, inst: Instance, trials: int, seed: int):
     """(mean, stderr) over independent seeded substreams, one per trial."""
     if trials < 1:
         raise ReplayError("need at least one trial")
+    costs = _cost_function(policy, inst)
     total = 0.0
     total_sq = 0.0
-    kernel = _fixed_order_kernel(policy, inst)
-    if kernel is None:
-        for i in range(trials):
-            rng = SeedStream(seed, i).generator()
-            real = sample_realization(inst, rng)
-            cost = float(replay(policy, inst, real).total_cost)
-            total += cost
-            total_sq += cost * cost
-    else:
-        for outcomes in _trial_blocks(inst, trials, seed):
-            costs = kernel(outcomes)
-            total = _running_sum(total, costs)
-            total_sq = _running_sum(total_sq, costs * costs)
+    for outcomes in _trial_blocks(inst, trials, seed):
+        block = costs(outcomes)
+        total = _running_sum(total, block)
+        total_sq = _running_sum(total_sq, block * block)
     mean = total / trials
     if trials == 1:
         return mean, 0.0

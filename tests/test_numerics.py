@@ -1,8 +1,10 @@
+import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from bernsched import numerics
 from bernsched.numerics import (
     NumericsError,
     SeedStream,
@@ -11,6 +13,7 @@ from bernsched.numerics import (
     floor_div,
     format_rat,
     parse_rat,
+    uniform_block,
 )
 
 
@@ -67,3 +70,41 @@ def test_seed_stream_independent():
     a = SeedStream(42, 0).generator().random(5)
     b = SeedStream(42, 1).generator().random(5)
     assert list(a) != list(b)
+
+
+def test_seed_stream_key_is_uint64():
+    # a list key sends seeds at and above 2**63 (so every negative seed)
+    # through float64, where 2**63 and 2**63+1 collide and -1 casts to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        streams = {tuple(SeedStream(s, 5).generator().random(4))
+                   for s in (0, -1, 2**63, 2**63 + 1)}
+    assert len(streams) == 4
+    assert SeedStream(-1).master_seed == 2**64 - 1
+
+
+def test_stream_index_range():
+    for bad in (-1, 2**64):
+        with pytest.raises(NumericsError):
+            SeedStream(0, bad)
+    assert uniform_block(0, 2**64 - 3, 3, 1).shape == (3, 1)
+    with pytest.raises(NumericsError):
+        uniform_block(0, 2**64 - 2, 3, 1)
+
+
+stream_indices = st.one_of(st.integers(0, 2**16),
+                           st.integers(2**32, 2**64 - 8))
+
+
+@given(st.integers(-(2**63), 2**64 - 1), stream_indices,
+       st.integers(1, 4), st.integers(0, 9), st.integers(1, 3))
+def test_uniform_block_is_numpy_philox(seed, first, rows, draws, per_pass):
+    # pins numpy's Philox4x64-10 and its random(): 1-9 draws cross the
+    # four-word output blocks, and small passes split the rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_PHILOX_PASS", per_pass)
+        block = uniform_block(seed, first, rows, draws)
+    assert block.shape == (rows, draws)
+    for r in range(rows):
+        want = SeedStream(seed, first + r).generator().random(draws)
+        assert block[r].tolist() == want.tolist()

@@ -328,6 +328,11 @@ class TestFixedOrderKernel:
             calls.append(args)
             return replay(*args)
 
+        # one replay per distinct outcome vector among the 30 trials
+        distinct = len({
+            tuple(sample_realization(inst, SeedStream(2, i).generator())
+                  .values())
+            for i in range(30)})
         monkeypatch.setattr(policies, "replay", counting_replay)
         for policy in (SeptPolicy(), FixedAssignmentPolicy()):
             calls.clear()
@@ -336,9 +341,106 @@ class TestFixedOrderKernel:
             assert len(calls) == 16
             assert expected_cost_mc(policy, inst, 30, 2) == \
                 _scalar_mc(policy, inst, 30, 2)
-            assert len(calls) == 16 + 30
+            assert len(calls) == 16 + distinct
 
     def test_incomplete_list_still_raises(self):
         inst = make(1, [(3, [0.5]), (1, [0.5])])
         with pytest.raises(ReplayError):
             expected_cost_exact(ListPolicy([(0, 0)]), inst)
+
+
+# -- Monte-Carlo by replay against per-trial replay -------------------------
+
+table_instances = st.builds(
+    lambda m, jobs: make(m, [(p, [q for p2, q in jobs if p2 == p])
+                             for p in {p for p, _q in jobs}]),
+    st.integers(1, 3),
+    st.lists(st.tuples(st.sampled_from([1, Fraction(3, 2), 13]),
+                       st.sampled_from([0.25, 0.5, 0.93, 1.0])),
+             min_size=1, max_size=4),
+)
+
+
+def _table_cases(inst):
+    """(exact table policy, inst) and (stratified table policy, rounded)."""
+    rounded, groups, grid, _ = prepare(inst)
+    return [(ExactTablePolicy(solve_exact(inst)), inst),
+            (StratifiedTablePolicy(solve_stratified(rounded, groups, grid),
+                                   grid), rounded)]
+
+
+def _mc_outcome(policy, inst, trials, seed, mc):
+    """mc's (mean, stderr), or the message of the ReplayError it raised."""
+    try:
+        return mc(policy, inst, trials, seed)
+    except ReplayError as exc:
+        return str(exc)
+
+
+def _assert_mc_equals_per_trial(policy, inst, trials, seed):
+    want = _mc_outcome(policy, inst, trials, seed, _scalar_mc)
+    assert _mc_outcome(policy, inst, trials, seed, expected_cost_mc) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(policies, "_BLOCK", 5)  # blocks split mid-run
+        assert _mc_outcome(policy, inst, trials, seed,
+                           expected_cost_mc) == want
+
+
+class TestReplayMonteCarlo:
+    """Replayed Monte-Carlo, one replay per distinct outcome vector, gives
+    per-trial replay's results and errors to the bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_tables_equal_per_trial_replay(self, data):
+        inst = data.draw(table_instances)
+        seed = data.draw(st.integers(0, 2**32))
+        trials = data.draw(st.integers(1, 40))
+        for policy, case_inst in _table_cases(inst):
+            _assert_mc_equals_per_trial(policy, case_inst, trials, seed)
+            # one or two states gone: whichever failing trial comes first
+            # names the missing state
+            keys = sorted(policy.table, key=repr)
+            removed = data.draw(st.sets(st.sampled_from(keys),
+                                        min_size=1, max_size=2))
+            policy.table = {k: v for k, v in policy.table.items()
+                            if k not in removed}
+            _assert_mc_equals_per_trial(policy, case_inst, trials, seed)
+
+    def test_missing_state_raises_first_trials_error(self):
+        # only the root state is left, so each trial fails at its second
+        # decision, in a state that its first job's outcome decides
+        inst = make(1, [(3, [0.25, 0.75]), (1, [0.5])])
+        policy, _ = _table_cases(inst)[0]
+        root = ((Fraction(0),), inst.counts)
+        policy.table = {root: policy.table[root]}
+        seed, trials = 1, 40
+        rows, errors = [], []
+        for i in range(trials):
+            real = sample_realization(inst, SeedStream(seed, i).generator())
+            rows.append(tuple(real.values()))
+            with pytest.raises(ReplayError) as exc:
+                replay(policy, inst, real)
+            errors.append(str(exc.value))
+        # the lexicographically first outcome vector fails otherwise
+        assert errors[rows.index(min(rows))] != errors[0]
+        assert _mc_outcome(policy, inst, trials, seed, _scalar_mc) == errors[0]
+        assert _mc_outcome(policy, inst, trials, seed,
+                           expected_cost_mc) == errors[0]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_fixed_order_beyond_2_53_equals_per_trial_replay(self, data):
+        inst = data.draw(fixed_order_instances)
+        big = make(inst.machines,
+                   [(t.size * 2**60, list(t.qs)) for t in inst.types])
+        assert policies._fixed_order_kernel(SeptPolicy(), big) is None
+        permutation = data.draw(st.permutations(range(big.total_jobs)))
+        seed = data.draw(st.integers(0, 2**32))
+        trials = data.draw(st.integers(1, 40))
+        for policy in _fixed_order_policies(big, permutation):
+            _assert_mc_equals_per_trial(policy, big, trials, seed)
+        jobs = big.job_ids()
+        _assert_mc_equals_per_trial(ListPolicy([jobs[k] for k in
+                                                permutation[1:]]),
+                                    big, trials, seed)
