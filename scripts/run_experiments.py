@@ -15,10 +15,15 @@ import json
 import os
 import sys
 
-from bernsched.harness import BoundViolation, ExperimentSpec, compare, generate, report
+from bernsched.harness import (
+    SCHEMES,
+    BoundViolation,
+    ExperimentSpec,
+    compare,
+    generate,
+    report,
+)
 from bernsched.instances import save_instance
-
-SCHEMES = ("separated", "grouped", "powers-of-c")
 
 
 def main(argv=None):

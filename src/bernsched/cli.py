@@ -67,13 +67,8 @@ def str_to_state(s: str):
 
 
 def dump_policy(table, kind: str, path: str):
-    decisions = {}
-    for key, decision in table.items():
-        if isinstance(decision, tuple):
-            value = "idle" if decision[0] == "idle" else decision[1]
-        else:
-            value = decision
-        decisions[state_to_str(key)] = value
+    decisions = {state_to_str(key): "idle" if d[0] == "idle" else d[1]
+                 for key, d in table.items()}
     with open(path, "w") as fh:
         json.dump({"kind": kind, "decisions": decisions}, fh, indent=2)
         fh.write("\n")
@@ -83,13 +78,12 @@ def load_policy_file(path: str):
     with open(path) as fh:
         data = json.load(fh)
     try:
-        kind, table = data["kind"], {}
-        for s, value in data["decisions"].items():
-            key = str_to_state(s)
-            if kind == "stratified":
-                table[key] = ("idle",) if value == "idle" else ("start", int(value))
-            else:
-                table[key] = int(value)
+        kind = data["kind"]
+        if kind not in ("exact", "stratified"):
+            raise ReplayError(f"unknown policy kind {kind!r} in {path}")
+        table = {str_to_state(s): ("idle",) if value == "idle"
+                 else ("start", int(value))
+                 for s, value in data["decisions"].items()}
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ReplayError(f"malformed policy file {path}: {exc!r}") from exc
     return kind, table
@@ -116,13 +110,27 @@ def _build_policy(name: str, inst: Instance):
     raise SystemExit(f"unknown policy {name!r}")
 
 
-def cmd_gen(args):
-    spec = ExperimentSpec(
+def _add_spec_options(p):
+    """The generator options that ``gen`` and ``compare`` share."""
+    p.add_argument("--types", type=int, default=2)
+    p.add_argument("--jobs", type=int, default=2)
+    p.add_argument("--machines", type=int, default=1)
+    p.add_argument("--epsilon", default="1/13")
+    p.add_argument("--scheme", default="separated", choices=SCHEMES)
+    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _spec(args, **extra) -> ExperimentSpec:
+    return ExperimentSpec(
         n_types=args.types, jobs_per_type=args.jobs, machines=args.machines,
         epsilon=args.epsilon, scheme=args.scheme, count=args.count,
-        seed=args.seed, c=args.c,
+        seed=args.seed, **extra,
     )
-    instances = generate(spec)
+
+
+def cmd_gen(args):
+    instances = generate(_spec(args, c=args.c))
     for k, inst in enumerate(instances):
         path = f"{args.out_prefix}{k:04d}.json"
         save_instance(inst, path)
@@ -171,12 +179,7 @@ def cmd_compare(args):
     if args.instances:
         instances = [load_instance(p) for p in args.instances]
     else:
-        spec = ExperimentSpec(
-            n_types=args.types, jobs_per_type=args.jobs,
-            machines=args.machines, epsilon=args.epsilon,
-            scheme=args.scheme, count=args.count, seed=args.seed,
-        )
-        instances = generate(spec)
+        instances = generate(_spec(args))
     try:
         rows = compare(instances)
     except BoundViolation as exc:
@@ -228,13 +231,7 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate instance files")
-    p.add_argument("--types", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=2)
-    p.add_argument("--machines", type=int, default=1)
-    p.add_argument("--epsilon", default="1/13")
-    p.add_argument("--scheme", default="separated", choices=SCHEMES)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    _add_spec_options(p)
     p.add_argument("--c", type=int, default=169)
     p.add_argument("--out-prefix", default="instance_")
     p.set_defaults(func=cmd_gen)
@@ -261,13 +258,7 @@ def main(argv=None):
 
     p = sub.add_parser("compare", help="exact vs grid-restricted table")
     p.add_argument("--instances", nargs="*")
-    p.add_argument("--types", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=2)
-    p.add_argument("--machines", type=int, default=1)
-    p.add_argument("--epsilon", default="1/13")
-    p.add_argument("--scheme", default="separated", choices=SCHEMES)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    _add_spec_options(p)
     p.add_argument("--csv")
     p.add_argument("--json-out")
     p.set_defaults(func=cmd_compare)

@@ -6,8 +6,10 @@ next (lowest-q) job of a startable type; with probability q it is long and
 a transition rule sets the machine's next available time, otherwise the
 machine is free again at t.  When no type is startable, the rule's idle
 advance moves the lagging machines forward.  ``solve_core`` runs this DP
-for any rule: ``solve_exact`` passes ``ExactRule`` and ``dp_stratified``
-its grid rule.
+for any rule and owns the decision format: every table records
+``("start", j)`` or ``("idle",)``.  ``solve_exact`` passes ``ExactRule``
+and ``dp_stratified`` its grid rule; the two solvers differ in nothing
+else.
 
 Inside the core all arithmetic is on integers.  Times are multiples of
 1/unit, and the cost of a state with r jobs left is a numerator over
@@ -32,7 +34,6 @@ from functools import lru_cache
 from math import lcm
 
 from .instances import Instance
-from .timegrid import GridError
 
 
 class SolverCapError(RuntimeError):
@@ -46,37 +47,42 @@ def _check_job_cap(inst: Instance, max_jobs: int):
                              f"> max_jobs {max_jobs})")
 
 
-def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int,
-               idle_chain_cap: int = 0):
+def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int):
     """``(value, table)``: the optimal expected total completion time under
     ``rule`` as a float, and the decision of every reachable state with
-    jobs left, keyed by Fraction profiles in the instance's units.  More
-    than ``idle_chain_cap`` successive idle advances raise GridError.
+    jobs left, keyed by Fraction profiles in the instance's units.  A
+    decision is ``("start", j)`` or ``("idle",)``, one shared tuple each.
 
-    A rule provides ``unit``, ``sizes`` (in units of 1/unit), ``labels``
-    (the decision recorded for starting type j, ``labels[-1]`` for an idle
-    advance), ``startable(t, nu)``, ``after_long(profile, j)`` and
-    ``after_idle(profile, nu)``, all on integer times.  The grid rule's
-    unit is ``grid.unit`` and it asks the grid's integer queries directly;
-    ``Fraction`` enters only here, in the table's keys.
+    A rule provides ``unit``, ``sizes`` (in units of 1/unit),
+    ``startable(t, nu)``, ``after_long(profile, j)`` and
+    ``after_idle(profile, nu)``, all on integer times; ``after_idle`` is
+    asked only when nothing is startable and must raise the earliest time.
+    The grid rule's unit is ``grid.unit`` and it asks the grid's integer
+    queries directly; ``Fraction`` enters only here, in the table's keys.
+
+    Idle advances never follow each other, so the core needs no bound on
+    them: the grid rule raises the earliest time to ``successor(h, t)``, a
+    point of Q_h, where h is the group of the largest-index type with jobs
+    left, so that type is startable at the state the advance leads to.
     """
     _check_job_cap(inst, max_jobs)
     qs = [[Fraction(q) for q in t.qs] for t in inst.types]
     den = lcm(*(q.denominator for row in qs for q in row))
     power = [den ** r for r in range(inst.total_jobs + 1)]
     sizes, startable, after_long = rule.sizes, rule.startable, rule.after_long
+    decisions = tuple(("start", j) for j in range(inst.n_types)) + (("idle",),)
     time = lru_cache(maxsize=None)(lambda t: Fraction(t, rule.unit))
     steps = {}  # nu -> per type: (nu less one job of it, its q numerator)
     value = {}  # state -> cost numerator; states without jobs cost nothing
     cost = value.get
     table = {}
     top = ((0,) * inst.machines, inst.counts)
-    # frames (state, jobs left, idle advances so far, moves): moves is None
-    # until the state is expanded, then a list of (type, q numerator, long
-    # state, short state), or the state an idle advance leads to
-    stack = [(top, inst.total_jobs, 0, None)]
+    # frames (state, jobs left, moves): moves is None until the state is
+    # expanded, then a list of (type, q numerator, long state, short
+    # state), or the state an idle advance leads to
+    stack = [(top, inst.total_jobs, None)]
     while stack:
-        key, r, chain, moves = stack.pop()
+        key, r, moves = stack.pop()
         profile, nu = key
         if moves is None:
             if key in value:
@@ -93,21 +99,18 @@ def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int,
                     nu2, a = step[j]
                     moves.append(
                         (j, a, (after_long(profile, j), nu2), (profile, nu2)))
-                stack.append((key, r, chain, moves))
+                stack.append((key, r, moves))
                 if r > 1:
                     for _j, _a, long_key, short_key in moves:
                         if long_key not in value:
-                            stack.append((long_key, r - 1, 0, None))
+                            stack.append((long_key, r - 1, None))
                         if short_key not in value:
-                            stack.append((short_key, r - 1, 0, None))
+                            stack.append((short_key, r - 1, None))
                 continue
-            if chain >= idle_chain_cap:
-                raise GridError(f"idle chain exceeded {idle_chain_cap} "
-                                f"advances at {time(profile[0])}")
             moves = (rule.after_idle(profile, nu), nu)
-            stack.append((key, r, chain, moves))
+            stack.append((key, r, moves))
             if moves not in value:
-                stack.append((moves, r, chain + 1, None))
+                stack.append((moves, r, None))
             continue
 
         if len(value) > state_cap:
@@ -123,7 +126,7 @@ def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int,
             value[key] = best + profile[0] * power[r]
         else:
             value[key], choice = value[moves], -1
-        table[tuple(map(time, profile)), nu] = rule.labels[choice]
+        table[tuple(map(time, profile)), nu] = decisions[choice]
 
     return float(Fraction(value[top], power[-1] * rule.unit)), table
 
@@ -138,7 +141,6 @@ class ExactRule:
     def __init__(self, inst: Instance):
         self.unit = lcm(*(t.size.denominator for t in inst.types))
         self.sizes = tuple((t.size * self.unit).numerator for t in inst.types)
-        self.labels = tuple(range(inst.n_types))
 
     def startable(self, t, nu):
         return [j for j, c in enumerate(nu) if c]
@@ -150,7 +152,7 @@ class ExactRule:
 @dataclass
 class ExactSolution:
     value: float
-    policy: dict  # (profile, nu) -> type index
+    policy: dict  # (profile, nu) -> ("start", j): the exact class never idles
     states: int
 
 

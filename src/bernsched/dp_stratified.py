@@ -71,8 +71,6 @@ class GridRule:
         self.unit, self.sizes = grid.unit, grid.sizes
         self.group = tuple(map(grid.group_of_type, range(len(self.sizes))))
         self.idle_group = grid.idle_group
-        self.labels = tuple(("start", j) for j in range(len(self.sizes))) \
-            + (("idle",),)
         self._allowed = lru_cache(maxsize=None)(grid.allowed)
         self._release = lru_cache(maxsize=None)(grid.release)
         self._advance = lru_cache(maxsize=None)(grid.successor)
@@ -95,15 +93,13 @@ class GridRule:
 
 
 def solve_stratified(inst: Instance, groups: GroupStructure, grid: TimeGrid,
-                     max_jobs: int = 12, state_cap: int = 2_000_000,
-                     idle_chain_cap: int = 1000) -> StratSolution:
+                     max_jobs: int = 12,
+                     state_cap: int = 2_000_000) -> StratSolution:
     """Optimal policy within the grid-restricted class, with decisions and
     state-count diagnostics recorded.  The core runs on integer times (in
     units of 1/``grid.unit``) and integer cost numerators; ``Fraction`` is
-    only at the boundary, in the policy's keys.  More than ``idle_chain_cap``
-    successive idle advances raise GridError."""
-    value, table = solve_core(inst, GridRule(grid), max_jobs, state_cap,
-                              idle_chain_cap)
+    only at the boundary, in the policy's keys."""
+    value, table = solve_core(inst, GridRule(grid), max_jobs, state_cap)
     by_time = {}
     for profile, _nu in table:
         by_time.setdefault(profile[0], set()).add(profile)

@@ -18,7 +18,8 @@ from .instances import (
     validate_and_canonicalize,
 )
 from .numerics import SeedStream
-from .policies import FixedAssignmentPolicy, SeptPolicy, expected_cost_exact
+from .policies import (FixedAssignmentPolicy, ReplayError, SeptPolicy,
+                       expected_cost_exact)
 from .timegrid import GridError, build_grid
 
 
@@ -139,12 +140,14 @@ class BoundViolation(RuntimeError):
         self.instance = inst
 
 
-def compare(instances, heuristics: bool = True, **caps):
+def compare(instances, **caps):
     """One row per instance: exact vs grid-restricted values, their ratio
-    against the analytic bound, and heuristic baselines.  An instance that
-    hits a solver cap or raises GridError or InstanceError becomes a skipped
-    row whose reason starts with the exception's type name.  A ratio outside
-    [1 - 1e-9, bound + 1e-9] aborts with the offending instance attached."""
+    against the analytic bound, and heuristic baselines.  A ratio outside
+    [1 - 1e-9, bound + 1e-9] aborts with the offending instance attached,
+    before the baselines run.  An instance that hits a solver cap or raises
+    GridError, InstanceError or ReplayError (too many stochastic jobs for
+    the baselines' enumeration) becomes a skipped row whose reason starts
+    with the exception's type name."""
     rows = []
     for idx, inst in enumerate(instances):
         row = ComparisonRow(
@@ -169,17 +172,12 @@ def compare(instances, heuristics: bool = True, **caps):
 
             row.ratio = row.stratified_value / row.exact_value \
                 if row.exact_value else 1.0
-            if heuristics:
-                row.sept_value = expected_cost_exact(SeptPolicy(), inst)
-                row.fixed_value = expected_cost_exact(
-                    FixedAssignmentPolicy(), inst
-                )
-        except (SolverCapError, GridError, InstanceError) as exc:
+            if not (1.0 - 1e-9 <= row.ratio <= row.bound + 1e-9):
+                raise BoundViolation(row, inst)
+            row.sept_value = expected_cost_exact(SeptPolicy(), inst)
+            row.fixed_value = expected_cost_exact(FixedAssignmentPolicy(), inst)
+        except (SolverCapError, GridError, InstanceError, ReplayError) as exc:
             row.skipped = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
-            continue
-        if not (1.0 - 1e-9 <= row.ratio <= row.bound + 1e-9):
-            raise BoundViolation(row, inst)
         rows.append(row)
     return rows
 

@@ -284,11 +284,17 @@ def instance_to_dict(inst: Instance) -> dict:
 
 def instance_from_dict(d: dict) -> Instance:
     try:
+        machines = d["machines"]
         raw = [(t["size"], t["jobs"]) for t in d["types"]]
-        return validate_and_canonicalize(int(d["machines"]), d["epsilon"], raw)
+        # bool is an int subclass, and int() would truncate 2.7 to 2
+        if type(machines) not in (int, float) or machines != int(machines):
+            raise InstanceError(f"machine count {machines!r} is not an integer")
+        if any(type(q) is bool for _p, qs in raw for q in qs):
+            raise InstanceError("a probability is a boolean, not a number")
+        return validate_and_canonicalize(int(machines), d["epsilon"], raw)
     except (InstanceError, NumericsError):
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"malformed instance JSON: {exc}") from exc
 
 

@@ -9,10 +9,12 @@ to an instance and yields a controller with the same two-method surface:
 so the simulator below is single-sourced.  Every policy binds to itself,
 except SEPT, which binds to the list policy of its order; the fixed
 assignment derives its per-machine queues from the instance in ``bind``.
-The base ``release`` frees the machine at the completion time.  A
-realization fixes each job's outcome bit up front; the replay itself is
-deterministic, and non-anticipativity is structural because controllers
-only ever see outcomes of jobs already started.
+The base ``release`` frees the machine at the completion time; the
+grid-restricted table policy adds to the exact one only an idle advance's
+target and the grid's release time.  A realization fixes each job's
+outcome bit up front; the replay itself is deterministic, and
+non-anticipativity is structural because controllers only ever see
+outcomes of jobs already started.
 
 ``expected_cost_exact`` and ``expected_cost_mc`` run one loop over
 blocks of outcome vectors (rows of a boolean matrix, one column per job
@@ -404,7 +406,8 @@ class FixedAssignmentPolicy(Policy):
 
 
 class ExactTablePolicy(Policy):
-    """Replays the decisions recorded by the exact solver."""
+    """Replays a solver's table; an ``("idle",)`` entry is a ReplayError,
+    as the exact class never idles."""
 
     name = "exact"
 
@@ -412,29 +415,32 @@ class ExactTablePolicy(Policy):
         self.table = solution.policy
 
     def decide(self, view):
-        return ("start", view.next_of_type(_lookup(self.table, view)))
+        decision = _lookup(self.table, view)
+        if decision[0] == "idle":
+            return ("advance", self.idle_target(view))
+        return ("start", view.next_of_type(decision[1]))
+
+    def idle_target(self, view):
+        raise ReplayError(f"idle decision at {view.t_star} in an exact table")
 
 
-class StratifiedTablePolicy(Policy):
-    """Replays the grid-restricted solver's decisions, including the
-    grid's release time after a long job."""
+class StratifiedTablePolicy(ExactTablePolicy):
+    """The same replay on the grid: an idle advance goes to the next point
+    of the idle group's Q-set, and a long job frees its machine at the
+    grid's release time."""
 
     name = "stratified"
 
     def __init__(self, solution, grid: TimeGrid):
-        self.table = solution.policy
+        super().__init__(solution)
         self.grid = grid
 
-    def decide(self, view):
-        decision = _lookup(self.table, view)
-        if decision[0] == "idle":
-            h = self.grid.idle_group(view.counts())
-            return ("advance", self.grid.q_successor(h, view.t_star))
-        return ("start", view.next_of_type(decision[1]))
+    def idle_target(self, view):
+        h = self.grid.idle_group(view.counts())
+        return self.grid.q_successor(h, view.t_star)
 
     def release(self, job, start, completion, is_long):
         if not is_long:
             return completion
         return self.grid.release_time(self.grid.group_of_type(job[0]),
                                       completion)
-

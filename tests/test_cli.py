@@ -175,7 +175,11 @@ def test_typed_errors_exit_1(capsys, tmp_path):
 
     for fields, kind in (({"epsilon": "abc"}, "NumericsError"),
                          ({"epsilon": "3/0"}, "NumericsError"),
-                         ({"machines": "x"}, "InstanceError")):
+                         ({"machines": "x"}, "InstanceError"),
+                         ({"machines": 2.7}, "InstanceError"),
+                         ({"machines": True}, "InstanceError"),
+                         ({"types": [{"size": "3", "jobs": [True]}]},
+                          "InstanceError")):
         bad.write_text(json.dumps({"machines": 1, "epsilon": "1/13",
                                    "types": [{"size": "3", "jobs": [0.5]}],
                                    **fields}))
@@ -185,7 +189,8 @@ def test_typed_errors_exit_1(capsys, tmp_path):
     ok = validate_and_canonicalize(1, "1/13", [(3, [0.5])])
     save_instance(ok, path)
     policy = tmp_path / "policy.json"
-    for content in ({"kind": "exact"}, {"kind": "exact", "decisions": {"x": 0}}):
+    for content in ({"kind": "exact"}, {"kind": "exact", "decisions": {"x": 0}},
+                    {"kind": "optimal", "decisions": {"[0]|[1]": 0}}):
         policy.write_text(json.dumps(content))
         assert main(["simulate", "--instance", path, "--policy",
                      f"file:{policy}", "--enumerate"]) == 1

@@ -44,7 +44,7 @@ class TestSolveExact:
         assert sol.value == pytest.approx(3.5, abs=1e-9)
         # first decision: the deterministic unit job (type index 1)
         first = sol.policy[((Fraction(0),), (1, 1))]
-        assert first == 1
+        assert first == ("start", 1)
 
     def test_single_deterministic_job(self):
         assert solve_exact(make(1, [(5, [1.0])])).value == pytest.approx(5)

@@ -10,10 +10,9 @@ from bernsched.dp_stratified import (
     solve_stratified,
     time_point_ceiling,
 )
-from bernsched.harness import prepare
+from bernsched.harness import ExperimentSpec, generate, prepare
 from bernsched.instances import validate_and_canonicalize
 from bernsched.numerics import SeedStream
-from bernsched.timegrid import GridError
 
 
 def make(machines, raw, epsilon="1/13"):
@@ -151,10 +150,26 @@ class TestIdleChain:
         sol = solve_stratified(rounded, groups, grid)
         assert sol.policy[((Fraction(235),), (1, 0))] == ("idle",)
 
-    def test_cap_zero_raises_grid_error(self):
-        rounded, groups, grid, _ = prepare(make(1, self.RAW))
-        with pytest.raises(GridError, match="idle chain"):
-            solve_stratified(rounded, groups, grid, idle_chain_cap=0)
+    def test_idle_advance_lands_on_a_start(self):
+        # an idle advance reaches a point of the idle group's Q-set, where
+        # that group's type with jobs left may start: advances never chain
+        cases = [make(1, self.RAW)]
+        for k in range(10):
+            rng = SeedStream(1212, k).generator()
+            cases.append(separated_instance(rng, n_max=3))
+        cases += generate(ExperimentSpec(n_types=3, jobs_per_type=2,
+                                         machines=2, scheme="grouped",
+                                         count=10, seed=1313))
+        idles = 0
+        for inst in cases:
+            rounded, groups, grid, _ = prepare(inst)
+            table = solve_stratified(rounded, groups, grid).policy
+            for (profile, nu), decision in table.items():
+                if decision == ("idle",):
+                    idles += 1
+                    after = after_idle(profile, nu, grid)
+                    assert table[after, nu][0] == "start"
+        assert idles >= 10
 
 
 class TestManyJobs:

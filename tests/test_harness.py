@@ -87,6 +87,25 @@ class TestCompare:
         ] * 2
         assert rows[0].exact_value == pytest.approx(507.0)
 
+    def test_too_many_stochastic_jobs_marks_skipped(self):
+        # the solvers take 21 jobs, the baselines' enumeration does not
+        inst = validate_and_canonicalize(1, "1/13", [(3, [0.5] * 21)])
+        rows = compare([inst, inst], max_jobs=21)
+        assert [r.skipped for r in rows] == [
+            "ReplayError: too many stochastic jobs to enumerate (21)"
+        ] * 2
+        assert rows[1].ratio >= 1
+
+    def test_bound_checked_before_baselines(self, monkeypatch):
+        def enumerate_fails(policy, inst):
+            raise AssertionError("baseline evaluated")
+
+        monkeypatch.setattr(harness, "expected_cost_exact", enumerate_fails)
+        monkeypatch.setattr(harness, "sandwich_bound", lambda n, eps: 1)
+        inst = validate_and_canonicalize(1, "1/13", [(169, [1.0, 1.0])])
+        with pytest.raises(harness.BoundViolation):
+            compare([inst])
+
     def test_ratios_at_least_one(self):
         spec = ExperimentSpec(n_types=2, jobs_per_type=2, machines=2,
                               count=6, seed=17)

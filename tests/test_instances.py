@@ -204,6 +204,16 @@ def test_json_roundtrip(tmp_path):
     assert again == inst
 
 
+def test_from_dict_rejects_malformed_types():
+    good = {"machines": 2, "epsilon": "1/13",
+            "types": [{"size": "3", "jobs": [0.5, 1.0]}]}
+    assert instance_from_dict({**good, "machines": 2.0}).machines == 2
+    for fields in ({"machines": 2.7}, {"machines": True}, {"machines": "2"},
+                   {"types": [{"size": "3", "jobs": [0.5, True]}]}):
+        with pytest.raises(InstanceError):
+            instance_from_dict({**good, **fields})
+
+
 @st.composite
 def instances(draw):
     n = draw(st.integers(1, 3))

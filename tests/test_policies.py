@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,14 @@ class TestReplay:
         bogus = make(1, [(3, [0.5, 0.5]), (1, [1.0])])
         with pytest.raises(ReplayError):
             replay(policy, bogus, {j: True for j in bogus.job_ids()})
+
+    def test_idle_entry_in_exact_table_errors(self, example_35):
+        # the exact class never idles, so the exact replay has no target
+        idle = {(prof, nu): ("idle",) for prof, nu in
+                solve_exact(example_35).policy}
+        policy = ExactTablePolicy(SimpleNamespace(policy=idle))
+        with pytest.raises(ReplayError, match="idle decision at 0 "):
+            replay(policy, example_35, {j: True for j in example_35.job_ids()})
 
 
 class TestExpectedCost:
