@@ -6,10 +6,10 @@ next (lowest-q) job of a startable type; with probability q it is long and
 a transition rule sets the machine's next available time, otherwise the
 machine is free again at t.  When no type is startable, the rule's idle
 advance moves the lagging machines forward.  ``solve_core`` runs this DP
-for any rule and owns the decision format: every table records
-``("start", j)`` or ``("idle",)``.  ``solve_exact`` passes ``ExactRule``
-and ``dp_stratified`` its grid rule; the two solvers differ in nothing
-else.
+for any rule and owns the decision format: a ``DecisionTable`` records
+``("start", j)`` or ``("idle",)`` under the core's own integer state.
+``solve_exact`` passes ``ExactRule`` and ``dp_stratified`` its grid rule;
+the two solvers differ in nothing else.
 
 Inside the core all arithmetic is on integers.  Times are multiples of
 1/unit, and the cost of a state with r jobs left is a numerator over
@@ -28,12 +28,14 @@ non-idling one is itself a property under test.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from .instances import Instance
+from .timegrid import GridError
 
 
 class SolverCapError(RuntimeError):
@@ -47,18 +49,57 @@ def _check_job_cap(inst: Instance, max_jobs: int):
                              f"> max_jobs {max_jobs})")
 
 
+class DecisionTable(Mapping):
+    """A solver's decisions under the core's integer states, times in units
+    of 1/``unit``.  Lookups take the ``Fraction`` profiles of replay and
+    convert them with integer arithmetic, a time off the unit being a
+    missing key; iteration builds ``Fraction`` profiles."""
+
+    def __init__(self, states: dict, unit: int):
+        self.states, self.unit = states, unit
+
+    def get(self, key, default=None):
+        profile, nu = key
+        times = []
+        for t in profile:
+            k, r = divmod(self.unit, t.denominator)
+            if r:
+                return default
+            times.append(t.numerator * k)
+        return self.states.get((tuple(times), nu), default)
+
+    def __getitem__(self, key):
+        decision = self.get(key)
+        if decision is None:
+            raise KeyError(key)
+        return decision
+
+    def __len__(self):
+        return len(self.states)
+
+    def __iter__(self):
+        return (key for key, _decision in self.items())
+
+    def items(self):
+        for (profile, nu), decision in self.states.items():
+            yield (tuple(Fraction(t, self.unit) for t in profile), nu), decision
+
+    def values(self):
+        return self.states.values()
+
+
 def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int):
     """``(value, table)``: the optimal expected total completion time under
-    ``rule`` as a float, and the decision of every reachable state with
-    jobs left, keyed by Fraction profiles in the instance's units.  A
-    decision is ``("start", j)`` or ``("idle",)``, one shared tuple each.
+    ``rule`` as a float, and the ``DecisionTable`` of every reachable state
+    with jobs left, in the rule's unit.  A decision is ``("start", j)`` or
+    ``("idle",)``, one shared tuple each, recorded under the memo's own key.
 
     A rule provides ``unit``, ``sizes`` (in units of 1/unit),
     ``startable(t, nu)``, ``after_long(profile, j)`` and
     ``after_idle(profile, nu)``, all on integer times; ``after_idle`` is
-    asked only when nothing is startable and must raise the earliest time.
-    The grid rule's unit is ``grid.unit`` and it asks the grid's integer
-    queries directly; ``Fraction`` enters only here, in the table's keys.
+    asked only when nothing is startable and must raise the earliest time,
+    or the core raises ``GridError``.  The grid rule's unit is
+    ``grid.unit`` and it asks the grid's integer queries directly.
 
     Idle advances never follow each other, so the core needs no bound on
     them: the grid rule raises the earliest time to ``successor(h, t)``, a
@@ -71,7 +112,6 @@ def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int):
     power = [den ** r for r in range(inst.total_jobs + 1)]
     sizes, startable, after_long = rule.sizes, rule.startable, rule.after_long
     decisions = tuple(("start", j) for j in range(inst.n_types)) + (("idle",),)
-    time = lru_cache(maxsize=None)(lambda t: Fraction(t, rule.unit))
     steps = {}  # nu -> per type: (nu less one job of it, its q numerator)
     value = {}  # state -> cost numerator; states without jobs cost nothing
     cost = value.get
@@ -108,6 +148,9 @@ def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int):
                             stack.append((short_key, r - 1, None))
                 continue
             moves = (rule.after_idle(profile, nu), nu)
+            if moves[0][0] <= profile[0]:
+                raise GridError(f"idle advance stalled at {profile[0]}"
+                                f"/{rule.unit}")
             stack.append((key, r, moves))
             if moves not in value:
                 stack.append((moves, r, None))
@@ -126,8 +169,9 @@ def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int):
             value[key] = best + profile[0] * power[r]
         else:
             value[key], choice = value[moves], -1
-        table[tuple(map(time, profile)), nu] = decisions[choice]
+        table[key] = decisions[choice]
 
+    table = DecisionTable(table, rule.unit)
     return float(Fraction(value[top], power[-1] * rule.unit)), table
 
 
@@ -152,7 +196,7 @@ class ExactRule:
 @dataclass
 class ExactSolution:
     value: float
-    policy: dict  # (profile, nu) -> ("start", j): the exact class never idles
+    policy: DecisionTable  # every decision is ("start", j): no idling
     states: int
 
 
@@ -160,8 +204,8 @@ def solve_exact(inst: Instance, max_jobs: int = 12,
                 state_cap: int = 2_000_000) -> ExactSolution:
     """Optimal expected total completion time over all non-anticipatory
     policies, with the chosen type recorded per state.  The core runs on
-    integer times and integer cost numerators; ``Fraction`` is only at the
-    boundary, in the policy's keys (profiles in the instance's units)."""
+    integer times and integer cost numerators, and the policy keeps its
+    integer states; ``Fraction`` profiles appear only on lookup."""
     value, table = solve_core(inst, ExactRule(inst), max_jobs, state_cap)
     return ExactSolution(value=value, policy=table, states=len(table))
 

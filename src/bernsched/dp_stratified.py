@@ -19,9 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .dp_exact import solve_core
+from .dp_exact import DecisionTable, solve_core
 from .instances import GroupStructure, Instance
-from .timegrid import GridError, TimeGrid
+from .timegrid import TimeGrid
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def profiles_per_timepoint_ceiling(inst: Instance, groups: GroupStructure) -> in
 @dataclass
 class StratSolution:
     value: float
-    policy: dict  # (profile, nu) -> ("start", j) | ("idle",)
+    policy: DecisionTable  # each decision ("start", j) or ("idle",)
     diagnostics: Diagnostics
 
 
@@ -83,12 +83,7 @@ class GridRule:
         return tuple(sorted(profile[1:] + (s,)))
 
     def after_idle(self, profile, nu):
-        h = self.idle_group(nu)
-        t = profile[0]
-        target = self._advance(h, t)
-        if target <= t:
-            raise GridError(f"idle advance stalled at {t}/{self.unit}"
-                            f": group {h} already startable")
+        target = self._advance(self.idle_group(nu), profile[0])
         return tuple(target if x < target else x for x in profile)
 
 
@@ -97,11 +92,11 @@ def solve_stratified(inst: Instance, groups: GroupStructure, grid: TimeGrid,
                      state_cap: int = 2_000_000) -> StratSolution:
     """Optimal policy within the grid-restricted class, with decisions and
     state-count diagnostics recorded.  The core runs on integer times (in
-    units of 1/``grid.unit``) and integer cost numerators; ``Fraction`` is
-    only at the boundary, in the policy's keys."""
+    units of 1/``grid.unit``) and integer cost numerators, and the policy
+    keeps its integer states; ``Fraction`` profiles appear only on lookup."""
     value, table = solve_core(inst, GridRule(grid), max_jobs, state_cap)
     by_time = {}
-    for profile, _nu in table:
+    for profile, _nu in table.states:
         by_time.setdefault(profile[0], set()).add(profile)
     diagnostics = Diagnostics(
         relevant_time_points=len(by_time),

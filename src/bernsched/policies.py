@@ -344,10 +344,14 @@ class Policy:
 
 
 def _lookup(table, view):
+    """The decision at the view's state.  ``table`` is a solver's
+    ``DecisionTable`` or the ``Fraction``-keyed dict that
+    ``cli.load_policy_file`` returns; both answer ``get``."""
     key = (view.sorted_profile(), view.counts())
-    if key not in table:
+    decision = table.get(key)
+    if decision is None:
         raise ReplayError(f"state {key} missing from policy table")
-    return table[key]
+    return decision
 
 
 class ListPolicy(Policy):

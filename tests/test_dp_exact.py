@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from bernsched.dp_exact import (
     SolverCapError,
     brute_force_oracle,
     idling_oracle,
+    solve_core,
     solve_exact,
 )
 from bernsched.dp_stratified import solve_stratified
@@ -16,9 +18,12 @@ from bernsched.instances import validate_and_canonicalize
 from bernsched.numerics import SeedStream
 from bernsched.policies import (
     ExactTablePolicy,
+    ReplayError,
+    SimView,
     StratifiedTablePolicy,
     expected_cost_exact,
 )
+from bernsched.timegrid import GridError
 
 
 def make(machines, raw, epsilon="1/13"):
@@ -188,3 +193,67 @@ class TestExactness:
         for table in (exact.policy, strat.policy):
             for profile, _nu in table:
                 assert all(type(x) is Fraction for x in profile)
+
+
+class TestDecisionTable:
+    @settings(max_examples=30, deadline=None)
+    @given(instances)
+    def test_reads_as_the_fraction_keyed_dict(self, inst):
+        # the table keeps the core's integer states; read through its
+        # Mapping surface it is the dict keyed by Fraction profiles
+        exact = solve_exact(inst)
+        rounded, groups, grid, _ = prepare(inst)
+        strat = solve_stratified(rounded, groups, grid)
+        for table, states, evaluated in (
+                (exact.policy, exact.states, inst),
+                (strat.policy, strat.diagnostics.states, rounded)):
+            unit = table.unit
+            plain = {(tuple(Fraction(t) / unit for t in profile), nu): d
+                     for (profile, nu), d in table.states.items()}
+            assert dict(table.items()) == plain
+            assert len(table) == len(plain) == states
+            assert table == plain and plain == table
+            for key, decision in plain.items():
+                assert key in table
+                assert table[key] == table.get(key) == decision
+
+            # half a unit off the grid of the table: a missing state, and
+            # the same ReplayError as the plain dict's
+            (profile, nu), _decision = next(iter(plain.items()))
+            off = tuple(t + Fraction(1, 2 * unit) for t in profile)
+            assert (off, nu) not in table
+            with pytest.raises(KeyError):
+                table[off, nu]
+            remaining = {(j, i) for j, c in enumerate(nu) for i in range(c)}
+            view = SimView(list(off), 0, off[0], remaining, evaluated)
+            messages = []
+            for t in (table, plain):
+                policy = ExactTablePolicy(SimpleNamespace(policy=t))
+                with pytest.raises(ReplayError,
+                                   match="missing from policy table") as exc:
+                    policy.decide(view)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]
+
+
+class TestIdleProgress:
+    def test_idle_advance_in_place_is_an_error(self):
+        # a rule that never lets a job start and idles in place: without a
+        # progress check the core would ask it again (and loop forever), so
+        # a second call fails the test instead of hanging it
+        class StalledRule:
+            unit, sizes, calls = 1, (1,), 0
+
+            def startable(self, t, nu):
+                return []
+
+            def after_long(self, profile, j):
+                raise AssertionError("nothing is startable")
+
+            def after_idle(self, profile, nu):
+                self.calls += 1
+                assert self.calls == 1, "solve_core idled in place again"
+                return profile
+
+        with pytest.raises(GridError, match="idle advance stalled at 0/1"):
+            solve_core(make(1, [(1, [0.5])]), StalledRule(), 12, 100)
