@@ -2,22 +2,27 @@
 
 A state is a sorted machine-availability profile with per-type counts of
 unscheduled jobs.  At the earliest available time t the policy starts the
-next (lowest-q) job of a startable type; with probability q it is long and
-a transition rule sets the machine's next available time, otherwise the
-machine is free again at t.  When no type is startable, the rule's idle
-advance moves the lagging machines forward.  ``solve_core`` runs this DP
-for any rule and owns the decision format: a ``DecisionTable`` records
-``("start", j)`` or ``("idle",)`` under the core's own integer state.
-``solve_exact`` passes ``ExactRule`` and ``dp_stratified`` its grid rule;
-the two solvers differ in nothing else.
+next (lowest-q) job of a type that the transition rule allows at t and
+that has jobs left; with probability q it is long and the rule sets the
+machine's next available time, otherwise the machine is free again at t.
+When no allowed type has jobs left, the rule's idle advance moves the
+lagging machines forward.  ``solve_core`` runs this DP for any rule and
+owns the decision format: a ``DecisionTable`` records ``("start", j)`` or
+``("idle",)`` under the core's own int state.  ``solve_exact`` passes
+``ExactRule`` and ``dp_stratified`` its grid rule; the two solvers differ
+in nothing else.
 
 Inside the core all arithmetic is on integers.  Times are multiples of
 1/unit, and the cost of a state with r jobs left is a numerator over
 D**r * unit, D the lcm of the probability denominators (floats are dyadic
 rationals, so this is exact).  The candidates at a state share that
 denominator, so comparing numerators breaks ties exactly and
-scale-invariantly, towards the lowest type index.  The traversal uses an
-explicit stack, so the job count does not meet the recursion limit.
+scale-invariantly, towards the lowest type index.  A state is one int: an
+interned profile's index times the number of count vectors, plus the
+counts in mixed radix.  The core asks the rule about a profile once, not
+once per state, and an edge costs int additions and dict lookups on ints.
+The traversal uses an explicit stack, so the job count does not meet the
+recursion limit.
 
 ``brute_force_oracle`` deliberately shares none of this: machine loads stay
 unsorted and jobs keep their identities, so it serves as an independent
@@ -50,23 +55,50 @@ def _check_job_cap(inst: Instance, max_jobs: int):
 
 
 class DecisionTable(Mapping):
-    """A solver's decisions under the core's integer states, times in units
-    of 1/``unit``.  Lookups take the ``Fraction`` profiles of replay and
-    convert them with integer arithmetic, a time off the unit being a
-    missing key; iteration builds ``Fraction`` profiles."""
+    """A solver's decisions under the core's int states ``pid * NU + nid``:
+    ``pid`` indexes the interned profiles (integer times in units of
+    1/``unit``) and ``nid`` is the jobs-left counts in mixed radix, type j
+    with radix ``counts[j] + 1``.  Lookups take the
+    ``Fraction`` profiles of replay and convert them with integer
+    arithmetic; a time off the unit, a profile never interned or counts
+    outside ``counts`` are a missing key.  Iteration decodes the states in
+    the order the core decided them, with ``Fraction`` profiles."""
 
-    def __init__(self, states: dict, unit: int):
-        self.states, self.unit = states, unit
+    def __init__(self, states: dict, unit: int, profiles: list, index: dict,
+                 counts: tuple):
+        self.states, self.unit, self.counts = states, unit, counts
+        self._profiles, self._index, self._nids = profiles, index, {}
+        self._strides, self._radix = _mixed_radix(counts)
 
     def get(self, key, default=None):
         profile, nu = key
-        times = []
+        unit, times = self.unit, []
         for t in profile:
-            k, r = divmod(self.unit, t.denominator)
+            a, b = t.as_integer_ratio()
+            k, r = divmod(unit, b)
             if r:
                 return default
-            times.append(t.numerator * k)
-        return self.states.get((tuple(times), nu), default)
+            times.append(a * k)
+        pid = self._index.get(tuple(times))
+        nid = self._nids.get(nu)
+        if nid is None:
+            nid = self._nid(nu)
+        if pid is None or nid is None:
+            return default
+        return self.states.get(pid * self._radix + nid, default)
+
+    def _nid(self, nu):
+        """``nid`` of counts ``nu``, or None when they are not counts of
+        this table's instance; remembered when they are."""
+        if len(nu) != len(self.counts):
+            return None
+        nid = 0
+        for c, s, top in zip(nu, self._strides, self.counts):
+            if not 0 <= c <= top:
+                return None
+            nid += c * s
+        self._nids[nu] = nid
+        return nid
 
     def __getitem__(self, key):
         decision = self.get(key)
@@ -80,65 +112,127 @@ class DecisionTable(Mapping):
     def __iter__(self):
         return (key for key, _decision in self.items())
 
+    def integer_items(self):
+        """``((times, nu), decision)`` in decision order, the times integers
+        in units of 1/``unit``."""
+        nus = {}
+        for state, decision in self.states.items():
+            pid, nid = divmod(state, self._radix)
+            nu = nus.get(nid)
+            if nu is None:
+                nu = nus[nid] = _decode(nid, self._strides, self.counts)
+            yield (self._profiles[pid], nu), decision
+
     def items(self):
-        for (profile, nu), decision in self.states.items():
+        for (profile, nu), decision in self.integer_items():
             yield (tuple(Fraction(t, self.unit) for t in profile), nu), decision
 
     def values(self):
         return self.states.values()
+
+    def profiles(self):
+        """The distinct integer profiles of the states with jobs left."""
+        return [self._profiles[pid]
+                for pid in dict.fromkeys(s // self._radix for s in self.states)]
+
+
+def _mixed_radix(counts):
+    """``(strides, NU)``: type j's stride and the number of count vectors
+    when type j has radix ``counts[j] + 1``."""
+    strides, s = [], 1
+    for c in counts:
+        strides.append(s)
+        s *= c + 1
+    return tuple(strides), s
+
+
+def _decode(nid, strides, counts):
+    """The counts whose mixed-radix number is ``nid``."""
+    return tuple(nid // s % (c + 1) for s, c in zip(strides, counts))
 
 
 def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int):
     """``(value, table)``: the optimal expected total completion time under
     ``rule`` as a float, and the ``DecisionTable`` of every reachable state
     with jobs left, in the rule's unit.  A decision is ``("start", j)`` or
-    ``("idle",)``, one shared tuple each, recorded under the memo's own key.
+    ``("idle",)``, one shared tuple each.
 
     A rule provides ``unit``, ``sizes`` (in units of 1/unit),
-    ``startable(t, nu)``, ``after_long(profile, j)`` and
-    ``after_idle(profile, nu)``, all on integer times; ``after_idle`` is
-    asked only when nothing is startable and must raise the earliest time,
-    or the core raises ``GridError``.  The grid rule's unit is
-    ``grid.unit`` and it asks the grid's integer queries directly.
+    ``allowed(t)`` (the types that may start at time t, jobs left or not),
+    ``after_long(profile, j)`` and ``after_idle(profile, nu)``, all on
+    integer times.  The core starts only allowed types with jobs left;
+    ``after_idle`` is asked only when there is none and must raise the
+    earliest time, or the core raises ``GridError``.  The grid rule's unit
+    is ``grid.unit`` and it asks the grid's integer queries directly.
+
+    A state is one int, ``pid * NU + nid``.  ``pid`` indexes an interned
+    profile; ``nid`` is the jobs-left counts ``nu`` in mixed radix (stride
+    s_j, radix counts[j] + 1, NU their product), so one type-j job fewer
+    is ``nid - s_j``.  Per profile the core asks the rule once for the
+    allowed types at its earliest time and their long children, and per
+    ``nid`` it computes once, for each type with jobs left, the counts
+    without one of its jobs and that job's q numerator.  So an edge is two
+    int additions and a dict lookup per child.
 
     Idle advances never follow each other, so the core needs no bound on
     them: the grid rule raises the earliest time to ``successor(h, t)``, a
     point of Q_h, where h is the group of the largest-index type with jobs
-    left, so that type is startable at the state the advance leads to.
+    left, so that type may start at the state the advance leads to.
     """
     _check_job_cap(inst, max_jobs)
     qs = [[Fraction(q) for q in t.qs] for t in inst.types]
     den = lcm(*(q.denominator for row in qs for q in row))
     power = [den ** r for r in range(inst.total_jobs + 1)]
-    sizes, startable, after_long = rule.sizes, rule.startable, rule.after_long
+    counts = inst.counts
+    strides, radix = _mixed_radix(counts)
+    # q numerator of the next job of type j when c of its jobs are left
+    qnum = [[0] + [int(q * den) for q in reversed(row)] for row in qs]
+    sizes, allowed, after_long = rule.sizes, rule.allowed, rule.after_long
     decisions = tuple(("start", j) for j in range(inst.n_types)) + (("idle",),)
-    steps = {}  # nu -> per type: (nu less one job of it, its q numerator)
+    profiles, index = [], {}  # pid -> integer times, and back
+
+    def intern(times):
+        pid = index.get(times)
+        if pid is None:
+            pid = index[times] = len(profiles)
+            profiles.append(times)
+        return pid
+
+    edges = {}  # pid -> per allowed type: (type, long child pid * radix)
+    steps = {}  # nid -> per type: (nid less one job of it, its q numerator)
     value = {}  # state -> cost numerator; states without jobs cost nothing
     cost = value.get
     table = {}
-    top = ((0,) * inst.machines, inst.counts)
+    top = intern((0,) * inst.machines) * radix + radix - 1
     # frames (state, jobs left, moves): moves is None until the state is
     # expanded, then a list of (type, q numerator, long state, short
     # state), or the state an idle advance leads to
     stack = [(top, inst.total_jobs, None)]
     while stack:
         key, r, moves = stack.pop()
-        profile, nu = key
         if moves is None:
             if key in value:
                 continue
-            js = startable(profile[0], nu)
-            if js:
-                step = steps.get(nu)
-                if step is None:
-                    step = steps[nu] = [
-                        (nu[:j] + (c - 1,) + nu[j + 1:], int(qs[j][-c] * den))
-                        if c else None for j, c in enumerate(nu)]
-                moves = []
-                for j in js:
-                    nu2, a = step[j]
-                    moves.append(
-                        (j, a, (after_long(profile, j), nu2), (profile, nu2)))
+            pid, nid = divmod(key, radix)
+            profile = profiles[pid]
+            edge = edges.get(pid)
+            if edge is None:
+                edge = edges[pid] = [
+                    (j, intern(after_long(profile, j)) * radix)
+                    for j in allowed(profile[0])]
+            step = steps.get(nid)
+            if step is None:
+                nu = _decode(nid, strides, counts)
+                step = steps[nid] = [(nid - s, qnum[j][c]) if c else None
+                                     for j, (s, c) in enumerate(zip(strides, nu))]
+            base = key - nid
+            moves = []
+            for j, long_base in edge:
+                move = step[j]
+                if move is not None:
+                    nid2, a = move
+                    moves.append((j, a, long_base + nid2, base + nid2))
+            if moves:
                 stack.append((key, r, moves))
                 if r > 1:
                     for _j, _a, long_key, short_key in moves:
@@ -147,10 +241,12 @@ def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int):
                         if short_key not in value:
                             stack.append((short_key, r - 1, None))
                 continue
-            moves = (rule.after_idle(profile, nu), nu)
-            if moves[0][0] <= profile[0]:
+            after = intern(
+                rule.after_idle(profile, _decode(nid, strides, counts)))
+            if profiles[after][0] <= profile[0]:
                 raise GridError(f"idle advance stalled at {profile[0]}"
                                 f"/{rule.unit}")
+            moves = after * radix + nid
             stack.append((key, r, moves))
             if moves not in value:
                 stack.append((moves, r, None))
@@ -166,28 +262,29 @@ def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int):
                     + (den - a) * cost(short_key, 0)
                 if best is None or v < best:
                     best, choice = v, j
-            value[key] = best + profile[0] * power[r]
+            value[key] = best + profiles[key // radix][0] * power[r]
         else:
             value[key], choice = value[moves], -1
         table[key] = decisions[choice]
 
-    table = DecisionTable(table, rule.unit)
+    table = DecisionTable(table, rule.unit, profiles, index, counts)
     return float(Fraction(value[top], power[-1] * rule.unit)), table
 
 
 class ExactRule:
-    """Every type with jobs left is startable, and a long job's completion
-    time joins the profile.  Times are integers in units of 1/unit, the lcm
-    of the size denominators."""
+    """Every type may start at any time, and a long job's completion time
+    joins the profile.  Times are integers in units of 1/unit, the lcm of
+    the size denominators."""
 
-    after_idle = None  # never reached: some type is always startable
+    after_idle = None  # never reached: a type with jobs left may always start
 
     def __init__(self, inst: Instance):
         self.unit = lcm(*(t.size.denominator for t in inst.types))
         self.sizes = tuple((t.size * self.unit).numerator for t in inst.types)
+        self.types = tuple(range(inst.n_types))
 
-    def startable(self, t, nu):
-        return [j for j, c in enumerate(nu) if c]
+    def allowed(self, t):
+        return self.types
 
     def after_long(self, profile, j):
         return tuple(sorted(profile[1:] + (profile[0] + self.sizes[j],)))

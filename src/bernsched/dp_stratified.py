@@ -14,6 +14,7 @@ true optimum to within a factor that shrinks with eps.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -60,9 +61,9 @@ class StratSolution:
 
 
 class GridRule:
-    """A type is startable at t when its group's Q-set holds t.  A long job
-    of group h frees its machine at ``grid.release(h, completion)``; with
-    no type startable, every machine below the next Q point of
+    """A type may start at t when its group's Q-set holds t.  A long job of
+    group h frees its machine at ``grid.release(h, completion)``; when no
+    allowed type has jobs left, every machine below the next Q point of
     ``grid.idle_group(nu)`` is raised to it.  Times are integers in units
     of 1/``grid.unit``, and each grid query is answered once per (group,
     time)."""
@@ -71,12 +72,9 @@ class GridRule:
         self.unit, self.sizes = grid.unit, grid.sizes
         self.group = tuple(map(grid.group_of_type, range(len(self.sizes))))
         self.idle_group = grid.idle_group
-        self._allowed = lru_cache(maxsize=None)(grid.allowed)
+        self.allowed = lru_cache(maxsize=None)(grid.allowed)
         self._release = lru_cache(maxsize=None)(grid.release)
         self._advance = lru_cache(maxsize=None)(grid.successor)
-
-    def startable(self, t, nu):
-        return [j for j in self._allowed(t) if nu[j]]
 
     def after_long(self, profile, j):
         s = self._release(self.group[j], profile[0] + self.sizes[j])
@@ -95,12 +93,10 @@ def solve_stratified(inst: Instance, groups: GroupStructure, grid: TimeGrid,
     units of 1/``grid.unit``) and integer cost numerators, and the policy
     keeps its integer states; ``Fraction`` profiles appear only on lookup."""
     value, table = solve_core(inst, GridRule(grid), max_jobs, state_cap)
-    by_time = {}
-    for profile, _nu in table.states:
-        by_time.setdefault(profile[0], set()).add(profile)
+    by_time = Counter(profile[0] for profile in table.profiles())
     diagnostics = Diagnostics(
         relevant_time_points=len(by_time),
-        max_profiles_per_timepoint=max(len(v) for v in by_time.values()),
+        max_profiles_per_timepoint=max(by_time.values()),
         states=len(table),
     )
     return StratSolution(value=value, policy=table, diagnostics=diagnostics)

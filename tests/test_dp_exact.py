@@ -1,18 +1,20 @@
+import itertools
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernsched.dp_exact import (
+    ExactRule,
     SolverCapError,
     brute_force_oracle,
     idling_oracle,
     solve_core,
     solve_exact,
 )
-from bernsched.dp_stratified import solve_stratified
+from bernsched.dp_stratified import GridRule, solve_stratified
 from bernsched.harness import prepare
 from bernsched.instances import validate_and_canonicalize
 from bernsched.numerics import SeedStream
@@ -175,6 +177,16 @@ instances = st.builds(
              min_size=1, max_size=4),
 )
 
+# sizes eps^-2 apart, in groups of their own: the grid DP idles on these
+separated = st.builds(
+    lambda m, jobs: make(m, [(p, [q for p2, q in jobs if p2 == p])
+                             for p in {p for p, _q in jobs}]),
+    st.integers(1, 2),
+    st.lists(st.tuples(st.sampled_from([1, 169, 169 ** 2]),
+                       st.sampled_from([0.25, 0.5, 1.0])),
+             min_size=1, max_size=5),
+)
+
 
 class TestExactness:
     @settings(max_examples=40, deadline=None)
@@ -209,7 +221,7 @@ class TestDecisionTable:
                 (strat.policy, strat.diagnostics.states, rounded)):
             unit = table.unit
             plain = {(tuple(Fraction(t) / unit for t in profile), nu): d
-                     for (profile, nu), d in table.states.items()}
+                     for (profile, nu), d in table.integer_items()}
             assert dict(table.items()) == plain
             assert len(table) == len(plain) == states
             assert table == plain and plain == table
@@ -235,6 +247,88 @@ class TestDecisionTable:
                 messages.append(str(exc.value))
             assert messages[0] == messages[1]
 
+    @settings(max_examples=30, deadline=None)
+    @given(instances)
+    def test_counts_never_alias(self, inst):
+        # a state is pid * NU + nid with nid in mixed radix: counts of the
+        # wrong length, below zero or above the instance's must be missing
+        # keys, never another state's nid
+        exact = solve_exact(inst)
+        rounded, groups, grid, _ = prepare(inst)
+        strat = solve_stratified(rounded, groups, grid)
+        for table, counts in ((exact.policy, inst.counts),
+                              (strat.policy, rounded.counts)):
+            plain = dict(table.items())
+            box = itertools.product(*(range(-1, c + 3) for c in counts))
+            nus = list(box) + [counts + (0,), counts + (1,), counts[:-1],
+                               counts[1:], ()]
+            for profile in {profile for profile, _nu in plain}:
+                for nu in nus:
+                    assert table.get((profile, nu)) == plain.get((profile, nu))
+            (profile, nu), _decision = next(iter(plain.items()))
+            for bad in ((-1,) + nu[1:], (counts[0] + 1,) + nu[1:], nu + (0,)):
+                assert_missing(table, plain, profile, bad)
+
+    def test_interned_profile_never_reached_with_jobs_left(self):
+        # the long outcome of the only job leads to profile (3,) with no
+        # jobs left: the core interns it, but no state with jobs left has it
+        table = solve_exact(make(1, [(3, [0.5])])).policy
+        assert dict(table.items()) == {((Fraction(0),), (1,)): ("start", 0)}
+        for nu in ((0,), (1,)):
+            assert_missing(table, {}, (Fraction(3),), nu)
+        # on the unit, never interned
+        assert_missing(table, {}, (Fraction(1),), (1,))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(instances, separated))
+    @example(make(1, [(169, [0.25, 0.5]), (1, [0.25, 0.25])]))  # idles
+    def test_keys_are_the_rules_reachable_states(self, inst):
+        # walk the states with jobs left from the top one with the rule's
+        # own transitions, independently of solve_core's bookkeeping
+        rounded, groups, grid, _ = prepare(inst)
+        for solve, rule, evaluated in (
+                (lambda: solve_exact(inst), ExactRule(inst), inst),
+                (lambda: solve_stratified(rounded, groups, grid),
+                 GridRule(grid), rounded)):
+            table = solve().policy
+            walked = {}
+            todo = [((0,) * evaluated.machines, evaluated.counts)]
+            while todo:
+                state = todo.pop()
+                profile, nu = state
+                if state in walked or not any(nu):
+                    continue
+                js = walked[state] = [j for j in rule.allowed(profile[0])
+                                      if nu[j]]
+                for j in js:
+                    less = nu[:j] + (nu[j] - 1,) + nu[j + 1:]
+                    todo += [(rule.after_long(profile, j), less),
+                             (profile, less)]
+                if not js:
+                    todo.append((rule.after_idle(profile, nu), nu))
+            decided = dict(table.integer_items())
+            assert decided.keys() == walked.keys()
+            for state, decision in decided.items():
+                if walked[state]:
+                    assert decision[0] == "start" and decision[1] in walked[state]
+                else:
+                    assert decision == ("idle",)
+
+
+def assert_missing(table, plain, profile, nu):
+    """(profile, nu) is a missing key of table, with the ReplayError of the
+    plain dict."""
+    assert (profile, nu) not in table and (profile, nu) not in plain
+    with pytest.raises(KeyError):
+        table[profile, nu]
+    view = SimpleNamespace(sorted_profile=lambda: profile, counts=lambda: nu)
+    messages = []
+    for t in (table, plain):
+        with pytest.raises(ReplayError, match="missing from policy table") as exc:
+            ExactTablePolicy(SimpleNamespace(policy=t)).decide(view)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
 
 class TestIdleProgress:
     def test_idle_advance_in_place_is_an_error(self):
@@ -244,11 +338,11 @@ class TestIdleProgress:
         class StalledRule:
             unit, sizes, calls = 1, (1,), 0
 
-            def startable(self, t, nu):
-                return []
+            def allowed(self, t):
+                return ()
 
             def after_long(self, profile, j):
-                raise AssertionError("nothing is startable")
+                raise AssertionError("no type may start")
 
             def after_idle(self, profile, nu):
                 self.calls += 1
