@@ -3,17 +3,37 @@
 
 For a few seeded instances, compares the simulated mean at increasing
 trial counts with the exactly enumerated value and prints the error in
-standard-error units.
+standard-error units.  ``--policy`` picks what is evaluated: SEPT (the
+default), the exact solver's table, or the stratified solver's table,
+which runs on the divisibility-rounded instance it was solved for.
 
 Usage:
     python3 scripts/mc_convergence.py --trials 1000 10000 100000 --seed 3
+    python3 scripts/mc_convergence.py --policy stratified --trials 100 1000
 """
 
 import argparse
 import sys
 
-from bernsched.harness import ExperimentSpec, generate
-from bernsched.policies import SeptPolicy, expected_cost_exact, expected_cost_mc
+from bernsched.dp_exact import solve_exact
+from bernsched.harness import ExperimentSpec, generate, solve_pipeline
+from bernsched.policies import (
+    ExactTablePolicy,
+    SeptPolicy,
+    StratifiedTablePolicy,
+    expected_cost_exact,
+    expected_cost_mc,
+)
+
+
+def policy_case(name, inst):
+    """(policy, the instance it is evaluated on)."""
+    if name == "exact":
+        return ExactTablePolicy(solve_exact(inst)), inst
+    if name == "stratified":
+        solution, grid, rounded, _merges = solve_pipeline(inst)
+        return StratifiedTablePolicy(solution, grid), rounded
+    return SeptPolicy(), inst
 
 
 def main(argv=None):
@@ -22,13 +42,15 @@ def main(argv=None):
                     default=[1000, 10000, 100000])
     ap.add_argument("--count", type=int, default=5)
     ap.add_argument("--seed", type=int, default=3)
+    ap.add_argument("--policy", choices=("sept", "exact", "stratified"),
+                    default="sept")
     args = ap.parse_args(argv)
 
     spec = ExperimentSpec(n_types=2, jobs_per_type=2, machines=2,
                           scheme="separated", count=args.count, seed=args.seed)
-    policy = SeptPolicy()
     worst = 0.0
     for idx, inst in enumerate(generate(spec)):
+        policy, inst = policy_case(args.policy, inst)
         truth = expected_cost_exact(policy, inst)
         line = [f"i{idx:02d} truth={truth:.4f}"]
         for t in args.trials:

@@ -21,19 +21,29 @@ blocks of outcome vectors (rows of a boolean matrix, one column per job
 in ``job_ids`` order): every realization in enumeration order, or the
 Monte-Carlo trials in order, where trial i draws its outcomes from its
 own stream ``SeedStream(seed, i)`` and ``numerics.uniform_block`` draws
-a whole block of streams at once.  A block's costs come from one of two
-places.  The three fixed-order policies (``ListPolicy``, ``SeptPolicy``
-and ``FixedAssignmentPolicy``) have a numpy kernel that takes the whole
-block, with times as integers in units of 1/L, L the lcm of the size
-denominators.  Every other policy, and a fixed-order one whose totals in
-units of 1/L could exceed 2**53, is replayed once per distinct row, in
-order of first occurrence, and each cost is scattered back to its rows.
-Either way the results are per-realization replay's to the bit: the
+a whole block of streams at once.  Two numpy kernels take a whole block
+on integer times:
+
+* the fixed-order kernel, for ``ListPolicy``, ``SeptPolicy`` and
+  ``FixedAssignmentPolicy``, in units of 1/L, L the lcm of the size
+  denominators;
+* the table kernel, for ``ExactTablePolicy`` and
+  ``StratifiedTablePolicy``, in the unit of the rule the table's solver
+  ran.  Each row walks the table's states; each distinct state is read
+  once, and all rows take each step together.
+
+Replay is the per-realization reference and the fallback.  Any other
+policy, a case that neither kernel takes (totals that could exceed
+2**53, a list that does not cover the jobs), and a block in which the
+table kernel meets a state it cannot step exactly as replay does (a
+missing state, say) are replayed once per distinct row, in order of
+first occurrence, and each cost is scattered back to its rows.  Either
+way the results and errors are per-realization replay's to the bit: the
 probabilities are multiplied in the same order, each cost is the
 correctly rounded float of its exact total, and the sums run in
 sequence in the same order.  ``replay`` with ``enumerate_realizations``
-or ``sample_realization`` on ``SeedStream(seed, i).generator()`` stays
-the per-realization reference.
+or ``sample_realization`` on ``SeedStream(seed, i).generator()`` is
+that reference.
 """
 
 from __future__ import annotations
@@ -45,6 +55,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .dp_exact import ExactRule
+from .dp_stratified import GridRule
 from .instances import Instance
 from .numerics import uniform_block
 from .timegrid import TimeGrid
@@ -291,6 +303,118 @@ def _fixed_order_kernel(policy, inst: Instance):
     return totals
 
 
+class _Fallback(Exception):
+    """A state the table kernel cannot step exactly as replay does."""
+
+
+def _table_kernel(policy, inst: Instance):
+    """For an exact or stratified table policy, a function from a (rows x
+    jobs) outcome matrix, columns in ``job_ids`` order, to each row's total
+    completion time as a float; None for any other policy, and for a
+    stratified one whose grid's sizes are not the instance's.
+
+    Every row walks the table's states on integer times, in the unit of
+    the rule its solver ran: ``ExactRule(inst)`` for an exact table and
+    ``GridRule(grid)`` for a stratified one.  A state starts the decided
+    type's next job, the one ``SimView.next_of_type`` picks, and adds its
+    time plus, when the job is long, its size; the long child comes from
+    the rule's ``after_long`` and the short child keeps the profile.  An
+    idle state stands for the state its ``after_idle`` advance leads to.
+    Each distinct state is read once, through the table's ``get`` on the
+    ``Fraction`` profile replay would ask for, and kept under an int id;
+    then all rows take each of their N steps together.  Totals are int64
+    in units and divided once by the unit, which is replay's correctly
+    rounded float while they stay within 2**53.
+
+    A block replays instead when one of its rows meets a state the kernel
+    cannot step as replay does: a missing state, a decision other than
+    ``("start", j)`` with type-j jobs left or ``("idle",)``, an idle in an
+    exact table, an idle that does not progress, or a time that lets a
+    total exceed 2**53.  So replay's first error and its results stand
+    unchanged.  (On the grid, a second idle in a row never progresses: the
+    first one's target is already in the idle group's Q-set.)
+    """
+    if type(policy) is ExactTablePolicy:
+        rule = ExactRule(inst)
+    elif type(policy) is StratifiedTablePolicy:
+        rule = GridRule(policy.grid)
+    else:
+        return None
+    unit, sizes, counts = rule.unit, rule.sizes, inst.counts
+    n_jobs = inst.total_jobs
+    if unit > 2**53 or sizes != tuple(t.size * unit for t in inst.types):
+        return None
+    column = {job: k for k, job in enumerate(inst.job_ids())}
+    starts = {("start", j): j for j in range(inst.n_types)}
+    keys, ids = [], {}  # state id -> (times, nu), and back
+    steps = {}  # state id -> (column, time, size, long child, short child)
+
+    def state_id(times, nu):
+        key = (times, nu)
+        sid = ids.get(key)
+        if sid is None:
+            sid = ids[key] = len(keys)
+            keys.append(key)
+        return sid
+
+    def decide(times, nu):
+        """The type the state starts, or None where it idles."""
+        profile = tuple(Fraction(t, unit) for t in times)
+        decision = policy.table.get((profile, nu))
+        if decision == ("idle",):
+            return None
+        j = starts.get(decision)
+        if j is None or not nu[j]:
+            raise _Fallback
+        return j
+
+    def describe(sid):
+        times, nu = keys[sid]
+        while (j := decide(times, nu)) is None:
+            if rule.after_idle is None:
+                raise _Fallback
+            after = rule.after_idle(times, nu)
+            if after[0] <= times[0]:
+                raise _Fallback
+            times = after
+        t = times[0]
+        if (t + sizes[j]) * n_jobs > 2**53:
+            raise _Fallback
+        less = nu[:j] + (nu[j] - 1,) + nu[j + 1:]
+        return (column[j, counts[j] - nu[j]], t, sizes[j],
+                state_id(rule.after_long(times, j), less),
+                state_id(times, less))
+
+    def step_table(sids):
+        out = []
+        for sid in sids:
+            step = steps.get(sid)
+            if step is None:
+                step = steps[sid] = describe(sid)
+            out.append(step)
+        return np.array(out, dtype=np.int64)
+
+    def walk(outcomes):
+        rows = np.arange(len(outcomes))
+        sid = np.full(len(outcomes), state_id((0,) * inst.machines, counts))
+        total = np.zeros(len(outcomes), dtype=np.int64)
+        for _ in range(n_jobs):
+            distinct, inverse = np.unique(sid, return_inverse=True)
+            col, t, size, long_child, short_child = \
+                step_table(distinct.tolist())[inverse.reshape(-1)].T
+            is_long = outcomes[rows, col]
+            total += t + is_long * size
+            sid = np.where(is_long, long_child, short_child)
+        return total / unit
+
+    def totals(outcomes):
+        try:
+            return walk(outcomes)
+        except _Fallback:
+            return _replay_costs(policy, inst, outcomes)
+    return totals
+
+
 def _running_sum(start: float, terms) -> float:
     """start + terms[0] + terms[1] + ..., added strictly left to right."""
     return float(np.cumsum(np.concatenate(([start], terms)))[-1])
@@ -298,8 +422,13 @@ def _running_sum(start: float, terms) -> float:
 
 def _cost_function(policy, inst: Instance):
     """A function from an outcome matrix to each row's total completion
-    time: the fixed-order kernel where there is one, replay otherwise."""
-    kernel = _fixed_order_kernel(policy, inst)
+    time.  The fixed-order policies and the two table policies each have a
+    numpy kernel that steps all rows together on integer times; any other
+    policy, and a case that neither kernel takes, is replayed once per
+    distinct row.  A table kernel also replays a block that meets a state
+    it cannot step as replay does.  So ``replay`` stays the reference for
+    every result and every error."""
+    kernel = _fixed_order_kernel(policy, inst) or _table_kernel(policy, inst)
     if kernel is not None:
         return kernel
     return lambda outcomes: _replay_costs(policy, inst, outcomes)

@@ -453,3 +453,181 @@ class TestReplayMonteCarlo:
         _assert_mc_equals_per_trial(ListPolicy([jobs[k] for k in
                                                 permutation[1:]]),
                                     big, trials, seed)
+
+
+# -- the table kernel against scalar replay ----------------------------------
+
+# separated sizes (169 and 1) make the stratified tables idle
+kernel_table_instances = st.builds(
+    lambda m, jobs: make(m, [(p, [q for p2, q in jobs if p2 == p])
+                             for p in {p for p, _q in jobs}]),
+    st.integers(1, 3),
+    st.lists(st.tuples(st.sampled_from([1, Fraction(3, 2), 13, 169]),
+                       st.sampled_from([0.25, 0.5, 0.93, 1.0])),
+             min_size=1, max_size=4),
+)
+
+
+def _has_idle(policy):
+    return ("idle",) in set(policy.table.values())
+
+
+def _idling_cases():
+    """Both table policies on 169-and-1 instances, each with two distinct
+    probabilities in a type; the stratified tables idle."""
+    cases = []
+    for machines, big in ((1, [0.25, 0.5]), (2, [0.25, 0.5, 0.75])):
+        cases += _table_cases(make(machines, [(169, big), (1, [0.25, 0.93])]))
+    assert all(_has_idle(policy) for policy, _inst in cases[1::2])
+    return cases
+
+
+def _no_replay(*args):
+    raise AssertionError("replay called")
+
+
+def _counting_replay(calls):
+    def counted(*args):
+        calls.append(args)
+        return replay(*args)
+    return counted
+
+
+def _outcome(evaluate, *args):
+    """The evaluation's result, or the type and message of what it raised."""
+    try:
+        return evaluate(*args)
+    except Exception as exc:  # noqa: BLE001  (compared with replay's)
+        return type(exc), str(exc)
+
+
+def _assert_table_outcomes_equal_replay(policy, inst, trials, seed):
+    """Enumeration and Monte-Carlo give per-realization replay's results
+    or errors, with the default blocks and with blocks of five rows."""
+    want = (_outcome(_scalar_exact, policy, inst),
+            _outcome(_scalar_mc, policy, inst, trials, seed))
+    for block in (policies._BLOCK, 5):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(policies, "_BLOCK", block)
+            got = (_outcome(expected_cost_exact, policy, inst),
+                   _outcome(expected_cost_mc, policy, inst, trials, seed))
+        assert got == want
+
+
+class TestTableKernel:
+    """Table policies step whole blocks on integer states and give
+    per-realization replay's results and errors to the bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_equals_scalar_replay(self, data):
+        inst = data.draw(kernel_table_instances)
+        seed = data.draw(st.integers(0, 2**32))
+        trials = data.draw(st.integers(1, 40))
+        for policy, case_inst in _table_cases(inst):
+            assert policies._table_kernel(policy, case_inst) is not None
+            # the reference replays through this module's own binding
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(policies, "replay", _no_replay)
+                _assert_table_outcomes_equal_replay(policy, case_inst,
+                                                    trials, seed)
+
+    @pytest.mark.parametrize("as_dict", [False, True])
+    def test_tables_do_not_replay(self, monkeypatch, as_dict):
+        cases = _idling_cases()
+        if as_dict:  # as loaded from a file: Fraction profiles, plain tuples
+            for policy, _inst in cases:
+                policy.table = dict(policy.table.items())
+        want = [(_scalar_exact(policy, inst), _scalar_mc(policy, inst, 60, 3))
+                for policy, inst in cases]
+        monkeypatch.setattr(policies, "replay", _no_replay)
+        for block in (policies._BLOCK, 5):
+            monkeypatch.setattr(policies, "_BLOCK", block)
+            got = [(expected_cost_exact(policy, inst),
+                    expected_cost_mc(policy, inst, 60, 3))
+                   for policy, inst in cases]
+            assert got == want
+
+    def test_missing_state_replays(self):
+        for policy, inst in _idling_cases():
+            table = dict(policy.table.items())
+            # a state that only trials whose first job is short reach
+            root = ((Fraction(0),) * inst.machines, inst.counts)
+            j = table[root][1]
+            nu = inst.counts[:j] + (inst.counts[j] - 1,) + inst.counts[j + 1:]
+            del table[root[0], nu]
+            policy.table = table
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(policies, "replay", _counting_replay(calls))
+                _assert_table_outcomes_equal_replay(policy, inst, 40, 1)
+            assert calls
+            with pytest.raises(ReplayError, match="missing from policy table"):
+                expected_cost_exact(policy, inst)
+
+    def test_idle_in_exact_table_replays(self, example_35):
+        idle = {(prof, nu): ("idle",) for prof, nu in
+                solve_exact(example_35).policy}
+        policy = ExactTablePolicy(SimpleNamespace(policy=idle))
+        _assert_table_outcomes_equal_replay(policy, example_35, 20, 2)
+        with pytest.raises(ReplayError, match="idle decision at 0 "):
+            expected_cost_mc(policy, example_35, 20, 2)
+
+    def test_idle_without_progress_replays(self):
+        # the root's time 0 is in every Q-set, so an idle there stays put
+        policy, inst = _idling_cases()[1]
+        table = dict(policy.table.items())
+        table[(Fraction(0),), inst.counts] = ("idle",)
+        policy.table = table
+        _assert_table_outcomes_equal_replay(policy, inst, 20, 2)
+        with pytest.raises(ReplayError, match="does not progress"):
+            expected_cost_exact(policy, inst)
+
+    def test_start_of_exhausted_type_replays(self):
+        policy, inst = _idling_cases()[0]
+        table = dict(policy.table.items())
+        table[(Fraction(0),), inst.counts] = ("start", 0)
+        table[(Fraction(0),), (1, 2)] = ("start", 0)
+        table[(Fraction(0),), (0, 2)] = ("start", 0)
+        policy.table = table
+        _assert_table_outcomes_equal_replay(policy, inst, 20, 2)
+        with pytest.raises(ReplayError, match="no remaining job of type 0"):
+            expected_cost_exact(policy, inst)
+
+    def test_totals_beyond_2_53_replay(self, monkeypatch):
+        inst = make(2, [(2**60, [0.5, 0.25]), (3 * 2**58, [0.75]),
+                        (Fraction(2**60, 3), [0.5])])
+        policy = ExactTablePolicy(solve_exact(inst))
+        assert policies._table_kernel(policy, inst) is not None
+        calls = []
+        monkeypatch.setattr(policies, "replay", _counting_replay(calls))
+        _assert_table_outcomes_equal_replay(policy, inst, 30, 2)
+        assert calls
+        # the same table scaled down runs without replay
+        small = make(2, [(4, [0.5, 0.25]), (3, [0.75]),
+                         (Fraction(4, 3), [0.5])])
+        policy = ExactTablePolicy(solve_exact(small))
+        calls.clear()
+        expected_cost_mc(policy, small, 30, 2)
+        assert not calls
+
+    def test_stratified_sizes_beyond_2_53_replay(self, monkeypatch):
+        policy, inst = _idling_cases()[1]
+        big = make(inst.machines,
+                   [(t.size * 2**60, list(t.qs)) for t in inst.types])
+        rounded, groups, grid, _ = prepare(big)
+        policy = StratifiedTablePolicy(solve_stratified(rounded, groups, grid),
+                                       grid)
+        assert _has_idle(policy)
+        calls = []
+        monkeypatch.setattr(policies, "replay", _counting_replay(calls))
+        _assert_table_outcomes_equal_replay(policy, rounded, 30, 2)
+        assert calls
+
+    def test_declines_other_grids_and_policies(self):
+        # a stratified table evaluated on an instance its grid was not
+        # built for is replay's business: the kernel declines it
+        policy, inst = _idling_cases()[1]
+        other = make(1, [(13, [0.5, 0.5]), (1, [0.25, 0.93])])
+        assert policies._table_kernel(policy, other) is None
+        assert policies._table_kernel(SeptPolicy(), inst) is None
