@@ -15,25 +15,9 @@ Usage:
 import argparse
 import sys
 
-from bernsched.dp_exact import solve_exact
-from bernsched.harness import ExperimentSpec, generate, solve_pipeline
-from bernsched.policies import (
-    ExactTablePolicy,
-    SeptPolicy,
-    StratifiedTablePolicy,
-    expected_cost_exact,
-    expected_cost_mc,
-)
-
-
-def policy_case(name, inst):
-    """(policy, the instance it is evaluated on)."""
-    if name == "exact":
-        return ExactTablePolicy(solve_exact(inst)), inst
-    if name == "stratified":
-        solution, grid, rounded, _merges = solve_pipeline(inst)
-        return StratifiedTablePolicy(solution, grid), rounded
-    return SeptPolicy(), inst
+from bernsched.cli import build_policy
+from bernsched.harness import ExperimentSpec, generate
+from bernsched.policies import expected_cost_exact, expected_cost_mc
 
 
 def main(argv=None):
@@ -50,7 +34,7 @@ def main(argv=None):
                           scheme="separated", count=args.count, seed=args.seed)
     worst = 0.0
     for idx, inst in enumerate(generate(spec)):
-        policy, inst = policy_case(args.policy, inst)
+        policy, inst = build_policy(args.policy, inst)
         truth = expected_cost_exact(policy, inst)
         line = [f"i{idx:02d} truth={truth:.4f}"]
         for t in args.trials:

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 
+from bernsched.dp_exact import MAX_JOBS
 from bernsched.harness import (
     SCHEMES,
     BoundViolation,
@@ -35,7 +36,7 @@ def main(argv=None):
     ap.add_argument("--jobs", type=int, default=2, help="jobs per type")
     ap.add_argument("--epsilon", default="1/13")
     ap.add_argument("--machines", type=int, nargs="+", default=[1, 2])
-    ap.add_argument("--max-jobs", type=int, default=12,
+    ap.add_argument("--max-jobs", type=int, default=MAX_JOBS,
                     help="skip instances with more jobs than this")
     args = ap.parse_args(argv)
 

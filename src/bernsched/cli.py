@@ -75,9 +75,9 @@ def dump_policy(table, kind: str, path: str):
 
 
 def load_policy_file(path: str):
-    with open(path) as fh:
-        data = json.load(fh)
     try:
+        with open(path) as fh:
+            data = json.load(fh)
         kind = data["kind"]
         if kind not in ("exact", "stratified"):
             raise ReplayError(f"unknown policy kind {kind!r} in {path}")
@@ -89,7 +89,7 @@ def load_policy_file(path: str):
     return kind, table
 
 
-def _build_policy(name: str, inst: Instance):
+def build_policy(name: str, inst: Instance):
     """Returns (policy, evaluation_instance)."""
     if name == "sept":
         return SeptPolicy(), inst
@@ -156,14 +156,14 @@ def cmd_solve_stratified(args):
             fh.write("\n")
     print(json.dumps({
         "value": sol.value,
-        "states": sol.diagnostics.states,
+        "states": sol.states,
         "merged_sizes": [format_rat(p) for p in merges],
     }))
 
 
 def cmd_simulate(args):
     inst = load_instance(args.instance)
-    policy, eval_inst = _build_policy(args.policy, inst)
+    policy, eval_inst = build_policy(args.policy, inst)
     if args.enumerate:
         mean = expected_cost_exact(policy, eval_inst)
         out = {"mean": mean, "stderr": 0.0, "method": "enum"}

@@ -8,9 +8,9 @@ machine's next available time, otherwise the machine is free again at t.
 When no allowed type has jobs left, the rule's idle advance moves the
 lagging machines forward.  ``solve_core`` runs this DP for any rule and
 owns the decision format: a ``DecisionTable`` records ``("start", j)`` or
-``("idle",)`` under the core's own int state.  ``solve_exact`` passes
-``ExactRule`` and ``dp_stratified`` its grid rule; the two solvers differ
-in nothing else.
+``("idle",)`` under the core's own int state, and both solvers return its
+``Solution``.  ``solve_exact`` passes ``ExactRule`` and ``dp_stratified``
+its grid rule; the two solvers differ in nothing else.
 
 Inside the core all arithmetic is on integers.  Times are multiples of
 1/unit, and the cost of a state with r jobs left is a numerator over
@@ -33,14 +33,20 @@ non-idling one is itself a property under test.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .instances import Instance
 from .timegrid import GridError
+
+
+#: Default caps of both solvers: most jobs, and most states in the memo.
+MAX_JOBS = 12
+STATE_CAP = 2_000_000
 
 
 class SolverCapError(RuntimeError):
@@ -130,10 +136,35 @@ class DecisionTable(Mapping):
     def values(self):
         return self.states.values()
 
-    def profiles(self):
-        """The distinct integer profiles of the states with jobs left."""
-        return [self._profiles[pid]
-                for pid in dict.fromkeys(s // self._radix for s in self.states)]
+
+@dataclass(frozen=True)
+class Diagnostics:
+    relevant_time_points: int
+    max_profiles_per_timepoint: int
+    states: int
+
+    def as_dict(self):
+        return asdict(self)
+
+
+@dataclass
+class Solution:
+    """Either solver's value and decision table; diagnostics on demand."""
+
+    value: float
+    policy: DecisionTable
+
+    @property
+    def states(self):
+        return len(self.policy)
+
+    @cached_property
+    def diagnostics(self):
+        """Distinct earliest times and most profiles at one, on first read."""
+        table = self.policy
+        pids = {s // table._radix for s in table.states}
+        by_time = Counter(table._profiles[pid][0] for pid in pids)
+        return Diagnostics(len(by_time), max(by_time.values()), len(table))
 
 
 def _mixed_radix(counts):
@@ -152,10 +183,10 @@ def _decode(nid, strides, counts):
 
 
 def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int):
-    """``(value, table)``: the optimal expected total completion time under
-    ``rule`` as a float, and the ``DecisionTable`` of every reachable state
-    with jobs left, in the rule's unit.  A decision is ``("start", j)`` or
-    ``("idle",)``, one shared tuple each.
+    """The ``Solution`` under ``rule``: the optimal expected total
+    completion time as a float, and the ``DecisionTable`` of every
+    reachable state with jobs left, in the rule's unit.  A decision is
+    ``("start", j)`` or ``("idle",)``, one shared tuple each.
 
     A rule provides ``unit``, ``sizes`` (in units of 1/unit),
     ``allowed(t)`` (the types that may start at time t, jobs left or not),
@@ -267,8 +298,8 @@ def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int):
             value[key], choice = value[moves], -1
         table[key] = decisions[choice]
 
-    table = DecisionTable(table, rule.unit, profiles, index, counts)
-    return float(Fraction(value[top], power[-1] * rule.unit)), table
+    return Solution(float(Fraction(value[top], power[-1] * rule.unit)),
+                    DecisionTable(table, rule.unit, profiles, index, counts))
 
 
 class ExactRule:
@@ -290,21 +321,11 @@ class ExactRule:
         return tuple(sorted(profile[1:] + (profile[0] + self.sizes[j],)))
 
 
-@dataclass
-class ExactSolution:
-    value: float
-    policy: DecisionTable  # every decision is ("start", j): no idling
-    states: int
-
-
-def solve_exact(inst: Instance, max_jobs: int = 12,
-                state_cap: int = 2_000_000) -> ExactSolution:
+def solve_exact(inst: Instance, max_jobs: int = MAX_JOBS,
+                state_cap: int = STATE_CAP) -> Solution:
     """Optimal expected total completion time over all non-anticipatory
-    policies, with the chosen type recorded per state.  The core runs on
-    integer times and integer cost numerators, and the policy keeps its
-    integer states; ``Fraction`` profiles appear only on lookup."""
-    value, table = solve_core(inst, ExactRule(inst), max_jobs, state_cap)
-    return ExactSolution(value=value, policy=table, states=len(table))
+    policies; every decision in the table is ``("start", j)``."""
+    return solve_core(inst, ExactRule(inst), max_jobs, state_cap)
 
 
 def brute_force_oracle(inst: Instance, max_jobs: int = 6) -> float:

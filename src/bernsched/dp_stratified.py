@@ -9,30 +9,19 @@ are the grid's own: ``TimeGrid.release`` and ``TimeGrid.successor`` on
 integer times in units of 1/``grid.unit``, which the policies' replay
 reaches through their ``Fraction`` wrappers ``release_time`` and
 ``q_successor``.  The optimum over this restricted class sandwiches the
-true optimum to within a factor that shrinks with eps.
+true optimum to within a factor that shrinks with eps.  The solve returns
+a ``dp_exact.Solution``, as the exact one does.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .dp_exact import DecisionTable, solve_core
+from .dp_exact import MAX_JOBS, STATE_CAP, Solution, solve_core
 from .instances import GroupStructure, Instance
 from .timegrid import TimeGrid
-
-
-@dataclass(frozen=True)
-class Diagnostics:
-    relevant_time_points: int
-    max_profiles_per_timepoint: int
-    states: int
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def time_point_ceiling(inst: Instance) -> int:
@@ -51,13 +40,6 @@ def profiles_per_timepoint_ceiling(inst: Instance, groups: GroupStructure) -> in
     for g in groups.groups:
         out *= comb(e ** (2 * len(g)) + m, m)
     return out
-
-
-@dataclass
-class StratSolution:
-    value: float
-    policy: DecisionTable  # each decision ("start", j) or ("idle",)
-    diagnostics: Diagnostics
 
 
 class GridRule:
@@ -86,20 +68,12 @@ class GridRule:
 
 
 def solve_stratified(inst: Instance, groups: GroupStructure, grid: TimeGrid,
-                     max_jobs: int = 12,
-                     state_cap: int = 2_000_000) -> StratSolution:
-    """Optimal policy within the grid-restricted class, with decisions and
-    state-count diagnostics recorded.  The core runs on integer times (in
-    units of 1/``grid.unit``) and integer cost numerators, and the policy
-    keeps its integer states; ``Fraction`` profiles appear only on lookup."""
-    value, table = solve_core(inst, GridRule(grid), max_jobs, state_cap)
-    by_time = Counter(profile[0] for profile in table.profiles())
-    diagnostics = Diagnostics(
-        relevant_time_points=len(by_time),
-        max_profiles_per_timepoint=max(by_time.values()),
-        states=len(table),
-    )
-    return StratSolution(value=value, policy=table, diagnostics=diagnostics)
+                     max_jobs: int = MAX_JOBS,
+                     state_cap: int = STATE_CAP) -> Solution:
+    """Optimal policy within the grid-restricted class; each decision in
+    the table is ``("start", j)`` or ``("idle",)``, times in 1/grid.unit."""
+    # groups is unused (the grid carries them); callers pass it positionally
+    return solve_core(inst, GridRule(grid), max_jobs, state_cap)
 
 
 def sandwich_bound(n_types: int, epsilon: Fraction) -> Fraction:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from .dp_exact import SolverCapError, solve_exact
@@ -120,15 +120,11 @@ class ComparisonRow:
     stratified_seconds: float = 0.0
     skipped: str = ""
 
-    FIELDS = (
-        "instance_id", "n_types", "total_jobs", "machines", "exact_value",
-        "stratified_value", "ratio", "bound", "sept_value", "fixed_value",
-        "exact_states", "stratified_states", "exact_seconds",
-        "stratified_seconds", "skipped",
-    )
-
     def as_dict(self):
-        return {name: getattr(self, name) for name in self.FIELDS}
+        return asdict(self)
+
+
+ComparisonRow.FIELDS = tuple(f.name for f in fields(ComparisonRow))
 
 
 class BoundViolation(RuntimeError):
@@ -168,7 +164,7 @@ def compare(instances, **caps):
             solution = solve_pipeline(inst, **caps)[0]
             row.stratified_seconds = time.perf_counter() - t0
             row.stratified_value = solution.value
-            row.stratified_states = solution.diagnostics.states
+            row.stratified_states = solution.states
 
             row.ratio = row.stratified_value / row.exact_value \
                 if row.exact_value else 1.0

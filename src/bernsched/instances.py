@@ -300,7 +300,11 @@ def instance_from_dict(d: dict) -> Instance:
 
 def load_instance(path) -> Instance:
     with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise InstanceError(f"malformed instance JSON: {exc}") from exc
+    return instance_from_dict(data)
 
 
 def save_instance(inst: Instance, path):

@@ -174,15 +174,18 @@ def replay(policy, inst: Instance, realization) -> Schedule:
 
 # -- realizations -----------------------------------------------------------
 
-def _free_jobs(inst: Instance, cap: int):
-    """The jobs with q < 1, which branch; at most ``cap`` of them."""
+MAX_ENUMERATED = 20  # most q < 1 jobs an enumeration branches on
+
+
+def _free_jobs(inst: Instance):
+    """The jobs with q < 1, which branch; at most ``MAX_ENUMERATED``."""
     free = [job for job in inst.job_ids() if inst.job_q(job) < 1.0]
-    if len(free) > cap:
+    if len(free) > MAX_ENUMERATED:
         raise ReplayError(f"too many stochastic jobs to enumerate ({len(free)})")
     return free
 
 
-def enumerate_realizations(inst: Instance, cap: int = 20):
+def enumerate_realizations(inst: Instance):
     """Yield (probability, realization) over all outcome vectors, the
     per-realization reference that ``_outcome_blocks`` reproduces a block
     at a time.
@@ -190,7 +193,7 @@ def enumerate_realizations(inst: Instance, cap: int = 20):
     Jobs with q = 1 are forced long and do not contribute branches.
     """
     jobs = inst.job_ids()
-    free = _free_jobs(inst, cap)
+    free = _free_jobs(inst)
     forced = {job: True for job in jobs if inst.job_q(job) >= 1.0}
     for bits in itertools.product((True, False), repeat=len(free)):
         prob = 1.0
@@ -216,13 +219,13 @@ def sample_realization(inst: Instance, rng):
 _BLOCK = 1 << 14
 
 
-def _outcome_blocks(inst: Instance, cap: int):
+def _outcome_blocks(inst: Instance):
     """(probabilities, outcomes) of every outcome vector, in blocks of at
     most ``_BLOCK`` rows: ``enumerate_realizations``' rows in its order,
     each probability multiplied up in its order, and the outcomes as a
     boolean matrix with columns in ``job_ids`` order."""
     jobs = inst.job_ids()
-    free = [(jobs.index(job), inst.job_q(job)) for job in _free_jobs(inst, cap)]
+    free = [(jobs.index(job), inst.job_q(job)) for job in _free_jobs(inst)]
     n_rows = 1 << len(free)
     for start in range(0, n_rows, _BLOCK):
         rows = np.arange(start, min(start + _BLOCK, n_rows))
@@ -434,10 +437,10 @@ def _cost_function(policy, inst: Instance):
     return lambda outcomes: _replay_costs(policy, inst, outcomes)
 
 
-def expected_cost_exact(policy, inst: Instance, cap: int = 20) -> float:
+def expected_cost_exact(policy, inst: Instance) -> float:
     costs = _cost_function(policy, inst)
     total = 0.0
-    for prob, outcomes in _outcome_blocks(inst, cap):
+    for prob, outcomes in _outcome_blocks(inst):
         total = _running_sum(total, prob * costs(outcomes))
     return total
 

@@ -195,3 +195,13 @@ def test_typed_errors_exit_1(capsys, tmp_path):
         assert main(["simulate", "--instance", path, "--policy",
                      f"file:{policy}", "--enumerate"]) == 1
         assert capsys.readouterr().err.startswith("error: ReplayError: ")
+
+    # malformed JSON is a typed error too, not a decoder traceback
+    for path_arg, argv, kind in (
+            (bad, ["solve-exact", "--instance", str(bad)], "InstanceError"),
+            (policy, ["simulate", "--instance", path, "--policy",
+                      f"file:{policy}", "--enumerate"], "ReplayError")):
+        path_arg.write_text("{bad")
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {kind}: ")

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernsched.dp_exact import (
+    Diagnostics,
     ExactRule,
+    Solution,
     SolverCapError,
     brute_force_oracle,
     idling_oracle,
@@ -205,6 +207,31 @@ class TestExactness:
         for table in (exact.policy, strat.policy):
             for profile, _nu in table:
                 assert all(type(x) is Fraction for x in profile)
+
+
+class TestSolution:
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(instances, separated))
+    @example(make(1, [(169, [0.25, 0.5]), (1, [0.25, 0.25])]))  # idles
+    def test_one_type_with_diagnostics_on_demand(self, inst):
+        exact = solve_exact(inst)
+        rounded, groups, grid, _ = prepare(inst)
+        for sol in (exact, solve_stratified(rounded, groups, grid)):
+            assert type(sol) is Solution
+            assert "diagnostics" not in vars(sol)
+            # the figures straight from the table's integer states
+            by_time = {}
+            for (times, _nu), _decision in sol.policy.integer_items():
+                by_time.setdefault(times[0], set()).add(times)
+            expected = Diagnostics(
+                relevant_time_points=len(by_time),
+                max_profiles_per_timepoint=max(map(len, by_time.values())),
+                states=len(sol.policy))
+            d = sol.diagnostics
+            assert "diagnostics" in vars(sol) and sol.diagnostics is d
+            assert d == expected
+            assert sol.states == len(sol.policy)
+        assert exact.diagnostics.states == exact.states
 
 
 class TestDecisionTable:
