@@ -67,8 +67,11 @@ def str_to_state(s: str):
 
 
 def dump_policy(table, kind: str, path: str):
-    decisions = {state_to_str(key): "idle" if d[0] == "idle" else d[1]
-                 for key, d in table.items()}
+    """Write ``table`` as JSON, its decisions sorted by state string, so
+    the file does not depend on the order in which the solver decided."""
+    decisions = dict(sorted(
+        (state_to_str(key), "idle" if d[0] == "idle" else d[1])
+        for key, d in table.items()))
     with open(path, "w") as fh:
         json.dump({"kind": kind, "decisions": decisions}, fh, indent=2)
         fh.write("\n")
@@ -84,6 +87,8 @@ def load_policy_file(path: str):
         table = {str_to_state(s): ("idle",) if value == "idle"
                  else ("start", int(value))
                  for s, value in data["decisions"].items()}
+    except OSError as exc:
+        raise ReplayError(f"cannot read policy file: {exc}") from exc
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ReplayError(f"malformed policy file {path}: {exc!r}") from exc
     return kind, table
@@ -107,7 +112,7 @@ def build_policy(name: str, inst: Instance):
             rounded, groups, grid, _ = prepare(inst)
             return StratifiedTablePolicy(solution, grid), rounded
         return ExactTablePolicy(solution), inst
-    raise SystemExit(f"unknown policy {name!r}")
+    raise ReplayError(f"unknown policy {name!r}")
 
 
 def _add_spec_options(p):

@@ -18,11 +18,19 @@ D**r * unit, D the lcm of the probability denominators (floats are dyadic
 rationals, so this is exact).  The candidates at a state share that
 denominator, so comparing numerators breaks ties exactly and
 scale-invariantly, towards the lowest type index.  A state is one int: an
-interned profile's index times the number of count vectors, plus the
+interned profile's index times the number of count vectors NU, plus the
 counts in mixed radix.  The core asks the rule about a profile once, not
-once per state, and an edge costs int additions and dict lookups on ints.
-The traversal uses an explicit stack, so the job count does not meet the
-recursion limit.
+once per state.
+
+Two traversals compute the same ``Solution``; ``solve_core`` picks one
+from NU before the solve.  With fewer than ``LEVELS_MIN_NU`` (64) count
+vectors, or more than the state cap allows states, ``_solve_dfs`` walks
+the states depth first on an explicit stack, an edge costing int
+additions and dict lookups on ints.  Otherwise ``_solve_levels`` builds one sorted numpy array of state keys per
+number of jobs left and evaluates each level as one (states x types)
+array of candidates, in int64 when a bound proves the costs fit and in
+exact Python ints otherwise.  Neither recurses, so the job count does not
+meet the recursion limit.
 
 ``brute_force_oracle`` deliberately shares none of this: machine loads stay
 unsorted and jobs keep their identities, so it serves as an independent
@@ -39,6 +47,8 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+
+import numpy as np
 
 from .instances import Instance
 from .timegrid import GridError
@@ -67,8 +77,9 @@ class DecisionTable(Mapping):
     with radix ``counts[j] + 1``.  Lookups take the
     ``Fraction`` profiles of replay and convert them with integer
     arithmetic; a time off the unit, a profile never interned or counts
-    outside ``counts`` are a missing key.  Iteration decodes the states in
-    the order the core decided them, with ``Fraction`` profiles."""
+    outside ``counts`` are a missing key.  Iteration decodes the states,
+    with ``Fraction`` profiles, in an order that depends on the traversal:
+    sort them where the order matters."""
 
     def __init__(self, states: dict, unit: int, profiles: list, index: dict,
                  counts: tuple):
@@ -119,8 +130,8 @@ class DecisionTable(Mapping):
         return (key for key, _decision in self.items())
 
     def integer_items(self):
-        """``((times, nu), decision)`` in decision order, the times integers
-        in units of 1/``unit``."""
+        """``((times, nu), decision)`` per state, the times integers in
+        units of 1/``unit``."""
         nus = {}
         for state, decision in self.states.items():
             pid, nid = divmod(state, self._radix)
@@ -182,6 +193,11 @@ def _decode(nid, strides, counts):
     return tuple(nid // s % (c + 1) for s, c in zip(strides, counts))
 
 
+#: ``solve_core`` traverses level by level when the instance has at least
+#: this many count vectors, and depth first below that.
+LEVELS_MIN_NU = 64
+
+
 def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int):
     """The ``Solution`` under ``rule``: the optimal expected total
     completion time as a float, and the ``DecisionTable`` of every
@@ -200,10 +216,22 @@ def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int):
     profile; ``nid`` is the jobs-left counts ``nu`` in mixed radix (stride
     s_j, radix counts[j] + 1, NU their product), so one type-j job fewer
     is ``nid - s_j``.  Per profile the core asks the rule once for the
-    allowed types at its earliest time and their long children, and per
-    ``nid`` it computes once, for each type with jobs left, the counts
-    without one of its jobs and that job's q numerator.  So an edge is two
-    int additions and a dict lookup per child.
+    allowed types at its earliest time and their long children.
+
+    Two traversals compute the same ``Solution``, and the core picks one by
+    NU, before the solve.  Below ``LEVELS_MIN_NU`` (64) count vectors, and
+    above ``state_cap + 1``, ``_solve_dfs`` walks the states depth first
+    with an explicit stack, an edge costing int additions and a dict
+    lookup.  From 64 on, ``_solve_levels`` builds one sorted numpy array of keys per number of
+    jobs left and evaluates a whole level as one (states x types) array.
+    Measured on sweep shapes (2 vCPU, Python 3.11, numpy 2.4), the level
+    traversal costs about 0.1 ms a level whatever its size, so it is 1.2
+    to 4 times slower up to NU = 27 (300 states or fewer), about even at
+    NU = 36 to 49, and 1.15 to 3.3 times faster from NU = 64 (1,000
+    states and more).  It keeps costs in int64 when
+    D**N * (N+1) * t_max < 2**62 bounds every candidate, t_max the latest
+    time of any profile, and in exact Python ints (``dtype=object``)
+    otherwise.
 
     Idle advances never follow each other, so the core needs no bound on
     them: the grid rule raises the earliest time to ``successor(h, t)``, a
@@ -211,16 +239,29 @@ def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int):
     left, so that type may start at the state the advance leads to.
     """
     _check_job_cap(inst, max_jobs)
+    _strides, radix = _mixed_radix(inst.counts)
+    # the level traversal allocates tables of NU rows up front; with more
+    # count vectors than the state cap allows states (the exact rule
+    # reaches them all) the depth-first one meets the cap in bounded memory
+    if LEVELS_MIN_NU <= radix <= state_cap + 1:
+        return _solve_levels(inst, rule, state_cap)
+    return _solve_dfs(inst, rule, state_cap)
+
+
+def _numerators(inst):
+    """``(den, power, qnum)``: the lcm D of the probability denominators,
+    ``power[r] = D**r``, and ``qnum[j][c]`` the numerator over D of the q
+    of type j's next job when c of its jobs are left (0 for c = 0)."""
     qs = [[Fraction(q) for q in t.qs] for t in inst.types]
     den = lcm(*(q.denominator for row in qs for q in row))
     power = [den ** r for r in range(inst.total_jobs + 1)]
-    counts = inst.counts
-    strides, radix = _mixed_radix(counts)
-    # q numerator of the next job of type j when c of its jobs are left
-    qnum = [[0] + [int(q * den) for q in reversed(row)] for row in qs]
-    sizes, allowed, after_long = rule.sizes, rule.allowed, rule.after_long
-    decisions = tuple(("start", j) for j in range(inst.n_types)) + (("idle",),)
-    profiles, index = [], {}  # pid -> integer times, and back
+    return den, power, [[0] + [int(q * den) for q in reversed(row)]
+                        for row in qs]
+
+
+def _interner():
+    """``(profiles, index, intern)``: pid -> integer times, and back."""
+    profiles, index = [], {}
 
     def intern(times):
         pid = index.get(times)
@@ -229,6 +270,29 @@ def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int):
             profiles.append(times)
         return pid
 
+    return profiles, index, intern
+
+
+def _decisions(n_types):
+    return tuple(("start", j) for j in range(n_types)) + (("idle",),)
+
+
+def _stalled(profile, unit):
+    return GridError(f"idle advance stalled at {profile[0]}/{unit}")
+
+
+def _solve_dfs(inst: Instance, rule, state_cap: int) -> Solution:
+    """``solve_core`` depth first: per ``nid`` it computes once, for each
+    type with jobs left, the counts without one of its jobs and that job's
+    q numerator, so an edge is two int additions and a dict lookup per
+    child.  The stack is explicit, so the job count does not meet the
+    recursion limit."""
+    den, power, qnum = _numerators(inst)
+    counts = inst.counts
+    strides, radix = _mixed_radix(counts)
+    sizes, allowed, after_long = rule.sizes, rule.allowed, rule.after_long
+    decisions = _decisions(inst.n_types)
+    profiles, index, intern = _interner()
     edges = {}  # pid -> per allowed type: (type, long child pid * radix)
     steps = {}  # nid -> per type: (nid less one job of it, its q numerator)
     value = {}  # state -> cost numerator; states without jobs cost nothing
@@ -275,8 +339,7 @@ def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int):
             after = intern(
                 rule.after_idle(profile, _decode(nid, strides, counts)))
             if profiles[after][0] <= profile[0]:
-                raise GridError(f"idle advance stalled at {profile[0]}"
-                                f"/{rule.unit}")
+                raise _stalled(profile, rule.unit)
             moves = after * radix + nid
             stack.append((key, r, moves))
             if moves not in value:
@@ -299,6 +362,141 @@ def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int):
         table[key] = decisions[choice]
 
     return Solution(float(Fraction(value[top], power[-1] * rule.unit)),
+                    DecisionTable(table, rule.unit, profiles, index, counts))
+
+
+def _unique(keys):
+    """The sorted distinct values of an int64 array (sorting beats the
+    hash table ``np.unique`` uses for ints by several times)."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
+def _solve_levels(inst: Instance, rule, state_cap: int) -> Solution:
+    """``solve_core`` level by level, one level per number of jobs left.
+
+    The forward pass builds each level as a sorted, unique int64 array of
+    keys: the children of the level above, from the per-profile long
+    children and per-``nid`` tables of counts, then the targets of the
+    level's idle advances, which are asked of the rule one state at a time
+    until no new target appears.  The backward pass, from one job left up,
+    finds the children's costs by ``searchsorted`` into the level below and
+    evaluates every state's candidates at once; an impossible move costs a
+    sentinel above every candidate, so ``argmin``'s first minimum is the
+    lowest type, as in ``_solve_dfs``.  Between the passes only each
+    level's keys and idle advances are kept.
+    """
+    den, power, qnum = _numerators(inst)
+    counts, n, jobs = inst.counts, inst.n_types, inst.total_jobs
+    strides, radix = _mixed_radix(counts)
+    allowed, after_long = rule.allowed, rule.after_long
+    profiles, index, intern = _interner()
+    # per nid and type: the count left, and the nid without one such job
+    nids = np.arange(radix, dtype=np.int64)[:, None]
+    stride = np.array(strides, np.int64)
+    nu_of = nids // stride % (np.array(counts, np.int64) + 1)
+    has_of, less_of = nu_of > 0, nids - stride
+    # long child pid per (pid, type), -1 where the type may not start; a
+    # row is filled when its profile first has a state with jobs left
+    long_of = np.full((64, n), -1, np.int64)
+    filled = np.zeros(64, bool)
+
+    def moves(keys):
+        """Per state: pid and nid; per state and type: whether the type
+        starts (allowed, with jobs left) and its long and short child."""
+        nonlocal long_of, filled
+        if len(profiles) > len(filled):
+            grow = max(len(profiles), 2 * len(filled)) - len(filled)
+            long_of = np.vstack((long_of, np.full((grow, n), -1, np.int64)))
+            filled = np.concatenate((filled, np.zeros(grow, bool)))
+        pid = keys // radix
+        nid = keys - pid * radix
+        for p in _unique(pid[~filled[pid]]).tolist():
+            profile = profiles[p]
+            for j in allowed(profile[0]):
+                long_of[p, j] = intern(after_long(profile, j))
+            filled[p] = True
+        # take: the fast gather of whole rows
+        long_pid, less = long_of.take(pid, 0), less_of.take(nid, 0)
+        return (pid, nid, (long_pid >= 0) & has_of.take(nid, 0),
+                long_pid * radix + less, (keys - nid)[:, None] + less)
+
+    top = intern((0,) * inst.machines) * radix + radix - 1
+    levels = []  # from N jobs left down: keys, idle keys, their targets
+    keys, total = np.array([top], np.int64), 0
+    for r in range(jobs, 0, -1):
+        fresh, children, idle = keys, [], {}
+        while len(fresh):
+            pid, nid, ok, long, short = moves(fresh)
+            if r > 1:
+                children += (long[ok], short[ok])
+            targets = []
+            stuck = np.flatnonzero(~ok.any(axis=1))
+            for i, nu in zip(stuck.tolist(), nu_of[nid[stuck]].tolist()):
+                profile, v = profiles[pid[i]], int(nid[i])
+                after = intern(rule.after_idle(profile, tuple(nu)))
+                if profiles[after][0] <= profile[0]:
+                    raise _stalled(profile, rule.unit)
+                targets.append(after * radix + v)
+                idle[int(fresh[i])] = targets[-1]
+            fresh = _unique(np.array(targets, np.int64))
+            # the targets not in the level yet
+            fresh = fresh[keys[np.searchsorted(keys, fresh) % len(keys)]
+                          != fresh]
+            if len(fresh):
+                keys = np.sort(np.concatenate((keys, fresh)))
+        total += len(keys)
+        if total > state_cap + 1:
+            raise SolverCapError(
+                f"state cap exceeded ({state_cap + 1} states)")
+        for key, target in idle.items():  # an advance to an idle state
+            while target in idle:         # takes that state's final target
+                target = idle[target]
+            idle[key] = target
+        levels.append((keys, np.array(list(idle), np.int64),
+                       np.array(list(idle.values()), np.int64)))
+        if r > 1:
+            keys = _unique(np.concatenate(children))
+
+    # every cost numerator is at most D**N * N * t_max, t_max the latest
+    # time of any profile (or a larger size), so the sentinel is above them
+    # all and in int64 no sum or product of them overflows
+    t_max = max(max(rule.sizes), max(p[-1] for p in profiles))
+    sentinel = power[-1] * (jobs + 1) * t_max + 1
+    dtype = np.int64 if sentinel < 2 ** 62 else object
+    start = np.array([p[0] for p in profiles], dtype)
+    a_of = np.stack([np.array(row, dtype)[nu_of[:, j]]
+                     for j, row in enumerate(qnum)], axis=1)
+    sizes = np.array(rule.sizes, dtype)
+    decisions = _decisions(n)
+    table = {}
+    below_keys = below = None
+    for r, (keys, idle, targets) in enumerate(reversed(levels), 1):
+        pid, nid, ok, long, short = moves(keys)
+        a = a_of.take(nid, 0)
+        if below is None:
+            v_long = v_short = 0
+        else:
+            # an impossible move's child may be past the last key
+            last = len(below_keys) - 1
+            v_long = below[np.minimum(below_keys.searchsorted(long), last)]
+            v_short = below[np.minimum(below_keys.searchsorted(short), last)]
+        candidates = np.where(
+            ok, a * (v_long + sizes * power[r - 1]) + (den - a) * v_short,
+            sentinel)
+        choice = candidates.argmin(axis=1)
+        value = (candidates[np.arange(len(keys)), choice]
+                 + start[pid] * power[r])
+        at = np.searchsorted(keys, idle)
+        value[at], choice[at] = value[np.searchsorted(keys, targets)], n
+        table.update(zip(keys.tolist(), map(decisions.__getitem__,
+                                            choice.tolist())))
+        below_keys, below = keys, value
+
+    top_value = int(below[np.searchsorted(below_keys, top)])
+    return Solution(float(Fraction(top_value, power[-1] * rule.unit)),
                     DecisionTable(table, rule.unit, profiles, index, counts))
 
 

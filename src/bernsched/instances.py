@@ -299,11 +299,13 @@ def instance_from_dict(d: dict) -> Instance:
 
 
 def load_instance(path) -> Instance:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except ValueError as exc:
-            raise InstanceError(f"malformed instance JSON: {exc}") from exc
+    except OSError as exc:
+        raise InstanceError(f"cannot read instance file: {exc}") from exc
+    except ValueError as exc:
+        raise InstanceError(f"malformed instance JSON: {exc}") from exc
     return instance_from_dict(data)
 
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from bernsched.cli import main, state_to_str, str_to_state
+from bernsched.cli import dump_policy, main, state_to_str, str_to_state
+from bernsched.dp_exact import ExactRule, _solve_dfs, _solve_levels
 from bernsched.instances import load_instance, save_instance, \
     validate_and_canonicalize
 
@@ -205,3 +206,37 @@ def test_typed_errors_exit_1(capsys, tmp_path):
         assert main(argv) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {kind}: ")
+
+    # so are a missing input file and an unknown policy name
+    missing = str(tmp_path / "missing.json")
+    for argv, kind in (
+            (["solve-exact", "--instance", missing], "InstanceError"),
+            (["simulate", "--instance", missing, "--policy", "sept"],
+             "InstanceError"),
+            (["simulate", "--instance", path, "--policy", f"file:{missing}",
+              "--enumerate"], "ReplayError"),
+            (["simulate", "--instance", path, "--policy",
+              f"file:{tmp_path}", "--enumerate"], "ReplayError")):
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {kind}: ")
+    assert main(["simulate", "--instance", path, "--policy", "bogus"]) == 1
+    assert capsys.readouterr().err == \
+        "error: ReplayError: unknown policy 'bogus'\n"
+
+
+def test_dump_does_not_depend_on_the_traversal(tmp_path):
+    # the two traversals decide the states in different orders; the dump
+    # sorts them by state string, so both write the same bytes
+    inst = validate_and_canonicalize(
+        2, "1/13", [(169, [0.5, 0.25, 0.75]), (13, [0.5, 0.5, 0.25]),
+                    (1, [0.75, 0.25, 0.5])])
+    dumps = []
+    for solve in (_solve_dfs, _solve_levels):
+        path = tmp_path / f"{solve.__name__}.json"
+        dump_policy(solve(inst, ExactRule(inst), 10 ** 6).policy, "exact",
+                    str(path))
+        dumps.append(path.read_bytes())
+    assert dumps[0] == dumps[1]
+    keys = list(json.loads(dumps[0])["decisions"])
+    assert keys == sorted(keys) and len(keys) > 1

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bernsched import dp_exact
 from bernsched.dp_exact import (
+    LEVELS_MIN_NU,
     Diagnostics,
     ExactRule,
     Solution,
     SolverCapError,
+    _solve_dfs,
+    _solve_levels,
     brute_force_oracle,
     idling_oracle,
     solve_core,
@@ -357,24 +361,127 @@ def assert_missing(table, plain, profile, nu):
     assert messages[0] == messages[1]
 
 
+class StalledRule:
+    """A rule that never lets a job start and idles in place: without a
+    progress check the core would ask it again (and loop forever), so a
+    second call fails the test instead of hanging it."""
+
+    unit, sizes = 1, (1,)
+
+    def __init__(self):
+        self.calls = 0
+
+    def allowed(self, t):
+        return ()
+
+    def after_long(self, profile, j):
+        raise AssertionError("no type may start")
+
+    def after_idle(self, profile, nu):
+        self.calls += 1
+        assert self.calls == 1, "solve_core idled in place again"
+        return profile
+
+
 class TestIdleProgress:
     def test_idle_advance_in_place_is_an_error(self):
-        # a rule that never lets a job start and idles in place: without a
-        # progress check the core would ask it again (and loop forever), so
-        # a second call fails the test instead of hanging it
-        class StalledRule:
-            unit, sizes, calls = 1, (1,), 0
-
-            def allowed(self, t):
-                return ()
-
-            def after_long(self, profile, j):
-                raise AssertionError("no type may start")
-
-            def after_idle(self, profile, nu):
-                self.calls += 1
-                assert self.calls == 1, "solve_core idled in place again"
-                return profile
-
         with pytest.raises(GridError, match="idle advance stalled at 0/1"):
             solve_core(make(1, [(1, [0.5])]), StalledRule(), 12, 100)
+
+    @pytest.mark.parametrize("solve", [_solve_dfs, _solve_levels])
+    def test_both_traversals_report_the_stall(self, solve):
+        with pytest.raises(GridError, match=r"^idle advance stalled at 0/1$"):
+            solve(make(1, [(1, [0.5])]), StalledRule(), 100)
+
+
+# sizes near 2**52 in units: the costs outgrow int64, so the level
+# traversal computes them in Python ints
+huge = st.builds(
+    lambda m, jobs: make(m, [(p, [q for p2, q in jobs if p2 == p])
+                             for p in {p for p, _q in jobs}]),
+    st.integers(1, 2),
+    st.lists(st.tuples(st.sampled_from([2 ** 50, 3 * 2 ** 50, 5 * 2 ** 50]),
+                       st.sampled_from([0.25, 0.5, 1.0])),
+             min_size=1, max_size=5),
+)
+
+
+def rules(inst):
+    """(instance, rule) for the exact solve and for the grid-restricted
+    solve of the rounded instance."""
+    rounded, _groups, grid, _ = prepare(inst)
+    return ((inst, lambda: ExactRule(inst)),
+            (rounded, lambda: GridRule(grid)))
+
+
+def assert_same_solution(a, b):
+    assert repr(a.value) == repr(b.value)
+    assert len(a.policy) == len(b.policy)
+    assert dict(a.policy.integer_items()) == dict(b.policy.integer_items())
+    assert a.diagnostics == b.diagnostics
+
+
+class TestTraversals:
+    """``solve_core``'s depth-first and level traversals are one solver."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(instances, separated, huge))
+    @example(make(2, [(1, [1.0]), (2, [1.0])]))  # every decision a tie
+    @example(make(1, [(169, [0.25, 0.5]), (1, [0.25, 0.25])]))  # idles
+    @example(make(2, [(2 ** 50, [0.25, 0.5]), (3 * 2 ** 50, [0.25, 0.25]),
+                      (5 * 2 ** 50, [0.25])]))  # past int64
+    def test_identical_solutions(self, inst):
+        for evaluated, rule in rules(inst):
+            assert_same_solution(_solve_dfs(evaluated, rule(), 10 ** 6),
+                                 _solve_levels(evaluated, rule(), 10 ** 6))
+
+    def test_chained_idle_advances(self):
+        # no shipped rule idles twice in a row, but the core allows it: two
+        # advances of one unit lead from time 0 to 2, where the job may
+        # start
+        class ChainRule:
+            unit, sizes = 1, (1,)
+
+            def allowed(self, t):
+                return (0,) if t >= 2 else ()
+
+            def after_long(self, profile, j):
+                return tuple(sorted(profile[1:] + (profile[0] + 1,)))
+
+            def after_idle(self, profile, nu):
+                return tuple(max(x, profile[0] + 1) for x in profile)
+
+        inst = make(2, [(1, [0.5, 0.25])])
+        dfs = _solve_dfs(inst, ChainRule(), 100)
+        assert_same_solution(dfs, _solve_levels(inst, ChainRule(), 100))
+        decided = dict(dfs.policy.integer_items())
+        assert decided[(0, 0), (2,)] == decided[(1, 1), (2,)] == ("idle",)
+
+    def test_same_cap_error(self):
+        inst = make(2, [(3, [0.5, 0.25]), (1, [0.75, 0.5]), (2, [0.5])])
+        for evaluated, rule in rules(inst):
+            states = _solve_dfs(evaluated, rule(), 10 ** 6).states
+            messages = []
+            for solve in (_solve_dfs, _solve_levels):
+                with pytest.raises(SolverCapError) as exc:
+                    solve(evaluated, rule(), states - 2)
+                messages.append(str(exc.value))
+                for cap in (states - 1, states):
+                    assert solve(evaluated, rule(), cap).states == states
+            assert messages == [f"state cap exceeded ({states - 1} states)"] * 2
+
+    @pytest.mark.parametrize("nu, cap, levels", [
+        (LEVELS_MIN_NU - 1, 10 ** 6, False),
+        (LEVELS_MIN_NU, 10 ** 6, True),
+        (LEVELS_MIN_NU, LEVELS_MIN_NU - 1, True),
+        # more count vectors than states allowed: no NU-row tables
+        (LEVELS_MIN_NU, LEVELS_MIN_NU - 2, False)])
+    def test_picks_by_count_vectors(self, monkeypatch, nu, cap, levels):
+        # one type with nu - 1 jobs has nu count vectors
+        called = []
+        for name in ("_solve_dfs", "_solve_levels"):
+            monkeypatch.setattr(dp_exact, name,
+                                lambda *args, name=name: called.append(name))
+        inst = make(1, [(1, [0.5] * (nu - 1))])
+        solve_core(inst, ExactRule(inst), nu, cap)
+        assert called == ["_solve_levels" if levels else "_solve_dfs"]
