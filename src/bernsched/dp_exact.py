@@ -22,15 +22,10 @@ interned profile's index times the number of count vectors NU, plus the
 counts in mixed radix.  The core asks the rule about a profile once, not
 once per state.
 
-Two traversals compute the same ``Solution``; ``solve_core`` picks one
-from NU before the solve.  With fewer than ``LEVELS_MIN_NU`` (64) count
-vectors, or more than the state cap allows states, ``_solve_dfs`` walks
-the states depth first on an explicit stack, an edge costing int
-additions and dict lookups on ints.  Otherwise ``_solve_levels`` builds one sorted numpy array of state keys per
-number of jobs left and evaluates each level as one (states x types)
-array of candidates, in int64 when a bound proves the costs fit and in
-exact Python ints otherwise.  Neither recurses, so the job count does not
-meet the recursion limit.
+Two traversals compute the same ``Solution``, depth first on an explicit
+stack (``_solve_dfs``) or level by level in numpy (``_solve_levels``);
+``solve_core`` picks one from NU.  Neither recurses, so the job count does
+not meet the recursion limit.
 
 ``brute_force_oracle`` deliberately shares none of this: machine loads stay
 unsorted and jobs keep their identities, so it serves as an independent
@@ -71,21 +66,33 @@ def _check_job_cap(inst: Instance, max_jobs: int):
 
 
 class DecisionTable(Mapping):
-    """A solver's decisions under the core's int states ``pid * NU + nid``:
-    ``pid`` indexes the interned profiles (integer times in units of
-    1/``unit``) and ``nid`` is the jobs-left counts in mixed radix, type j
-    with radix ``counts[j] + 1``.  Lookups take the
-    ``Fraction`` profiles of replay and convert them with integer
-    arithmetic; a time off the unit, a profile never interned or counts
-    outside ``counts`` are a missing key.  Iteration decodes the states,
-    with ``Fraction`` profiles, in an order that depends on the traversal:
-    sort them where the order matters."""
+    """A solver's decisions as two arrays: ``keys``, the core's int states
+    ``pid * NU + nid``, and ``codes``, each state's decision as a type index
+    (``("start", j)``) or the type count (``("idle",)``).  ``pid`` indexes
+    the interned profiles (integer times in units of 1/``unit``) and
+    ``nid`` is the jobs-left counts in mixed radix, type j with radix
+    ``counts[j] + 1``.  Length, ``values`` and iteration read the arrays;
+    the dicts that lookups need are built on the first ``get``.  Lookups
+    take the ``Fraction`` profiles of replay and convert them with integer
+    arithmetic; a time off the unit, a profile never interned or counts of
+    no state are a missing key.  Iteration decodes the states, with
+    ``Fraction`` profiles, in an order that depends on the traversal: sort
+    them where the order matters."""
 
-    def __init__(self, states: dict, unit: int, profiles: list, index: dict,
+    def __init__(self, keys, codes, unit: int, profiles: list, index: dict,
                  counts: tuple):
-        self.states, self.unit, self.counts = states, unit, counts
-        self._profiles, self._index, self._nids = profiles, index, {}
+        self.keys, self.codes, self.unit, self.counts = keys, codes, unit, counts
+        self._profiles, self._index = profiles, index
         self._strides, self._radix = _mixed_radix(counts)
+        self._decisions = _decisions(len(counts))
+
+    @cached_property
+    def _lookup(self):
+        """``(state -> decision, counts -> nid)``, built on the first
+        ``get``; counts that no state has are missing from the second."""
+        nids = _unique(self.keys % self._radix).tolist()
+        return (dict(zip(self.keys.tolist(), self.values())),
+                {_decode(nid, self._strides, self.counts): nid for nid in nids})
 
     def get(self, key, default=None):
         profile, nu = key
@@ -96,26 +103,11 @@ class DecisionTable(Mapping):
             if r:
                 return default
             times.append(a * k)
-        pid = self._index.get(tuple(times))
-        nid = self._nids.get(nu)
-        if nid is None:
-            nid = self._nid(nu)
+        decided, nids = self._lookup
+        pid, nid = self._index.get(tuple(times)), nids.get(nu)
         if pid is None or nid is None:
             return default
-        return self.states.get(pid * self._radix + nid, default)
-
-    def _nid(self, nu):
-        """``nid`` of counts ``nu``, or None when they are not counts of
-        this table's instance; remembered when they are."""
-        if len(nu) != len(self.counts):
-            return None
-        nid = 0
-        for c, s, top in zip(nu, self._strides, self.counts):
-            if not 0 <= c <= top:
-                return None
-            nid += c * s
-        self._nids[nu] = nid
-        return nid
+        return decided.get(pid * self._radix + nid, default)
 
     def __getitem__(self, key):
         decision = self.get(key)
@@ -124,7 +116,7 @@ class DecisionTable(Mapping):
         return decision
 
     def __len__(self):
-        return len(self.states)
+        return len(self.keys)
 
     def __iter__(self):
         return (key for key, _decision in self.items())
@@ -133,7 +125,7 @@ class DecisionTable(Mapping):
         """``((times, nu), decision)`` per state, the times integers in
         units of 1/``unit``."""
         nus = {}
-        for state, decision in self.states.items():
+        for state, decision in zip(self.keys.tolist(), self.values()):
             pid, nid = divmod(state, self._radix)
             nu = nus.get(nid)
             if nu is None:
@@ -145,7 +137,7 @@ class DecisionTable(Mapping):
             yield (tuple(Fraction(t, self.unit) for t in profile), nu), decision
 
     def values(self):
-        return self.states.values()
+        return map(self._decisions.__getitem__, self.codes.tolist())
 
 
 @dataclass(frozen=True)
@@ -173,7 +165,7 @@ class Solution:
     def diagnostics(self):
         """Distinct earliest times and most profiles at one, on first read."""
         table = self.policy
-        pids = {s // table._radix for s in table.states}
+        pids = _unique(table.keys // table._radix).tolist()
         by_time = Counter(table._profiles[pid][0] for pid in pids)
         return Diagnostics(len(by_time), max(by_time.values()), len(table))
 
@@ -194,49 +186,33 @@ def _decode(nid, strides, counts):
 
 
 #: ``solve_core`` traverses level by level when the instance has at least
-#: this many count vectors, and depth first below that.
-LEVELS_MIN_NU = 64
+#: this many count vectors, and depth first below that (README.md).
+LEVELS_MIN_NU = 36
 
 
 def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int):
     """The ``Solution`` under ``rule``: the optimal expected total
     completion time as a float, and the ``DecisionTable`` of every
-    reachable state with jobs left, in the rule's unit.  A decision is
-    ``("start", j)`` or ``("idle",)``, one shared tuple each.
+    reachable state with jobs left, in the rule's unit.
 
     A rule provides ``unit``, ``sizes`` (in units of 1/unit),
     ``allowed(t)`` (the types that may start at time t, jobs left or not),
-    ``after_long(profile, j)`` and ``after_idle(profile, nu)``, all on
-    integer times.  The core starts only allowed types with jobs left;
-    ``after_idle`` is asked only when there is none and must raise the
-    earliest time, or the core raises ``GridError``.  The grid rule's unit
-    is ``grid.unit`` and it asks the grid's integer queries directly.
-
-    A state is one int, ``pid * NU + nid``.  ``pid`` indexes an interned
-    profile; ``nid`` is the jobs-left counts ``nu`` in mixed radix (stride
-    s_j, radix counts[j] + 1, NU their product), so one type-j job fewer
-    is ``nid - s_j``.  Per profile the core asks the rule once for the
-    allowed types at its earliest time and their long children.
+    ``after_long(profile, j)``, ``idle_group(nu)`` (an int from 0 to the
+    type count - 1) and ``after_idle(profile, h)``, all on integer times.
+    The core starts only allowed types with jobs left; when there is none
+    it advances the profile to ``after_idle(profile, idle_group(nu))``,
+    which must raise the earliest time, or the core raises ``GridError``.
 
     Two traversals compute the same ``Solution``, and the core picks one by
-    NU, before the solve.  Below ``LEVELS_MIN_NU`` (64) count vectors, and
-    above ``state_cap + 1``, ``_solve_dfs`` walks the states depth first
-    with an explicit stack, an edge costing int additions and a dict
-    lookup.  From 64 on, ``_solve_levels`` builds one sorted numpy array of keys per number of
-    jobs left and evaluates a whole level as one (states x types) array.
-    Measured on sweep shapes (2 vCPU, Python 3.11, numpy 2.4), the level
-    traversal costs about 0.1 ms a level whatever its size, so it is 1.2
-    to 4 times slower up to NU = 27 (300 states or fewer), about even at
-    NU = 36 to 49, and 1.15 to 3.3 times faster from NU = 64 (1,000
-    states and more).  It keeps costs in int64 when
-    D**N * (N+1) * t_max < 2**62 bounds every candidate, t_max the latest
-    time of any profile, and in exact Python ints (``dtype=object``)
-    otherwise.
-
-    Idle advances never follow each other, so the core needs no bound on
-    them: the grid rule raises the earliest time to ``successor(h, t)``, a
-    point of Q_h, where h is the group of the largest-index type with jobs
-    left, so that type may start at the state the advance leads to.
+    NU, before the solve.  Below ``LEVELS_MIN_NU`` count vectors, and above
+    ``state_cap + 1``, ``_solve_dfs`` walks the states depth first, an
+    edge costing int additions and a dict lookup.  Otherwise
+    ``_solve_levels`` evaluates one level (states with as many jobs left)
+    at a time as numpy arrays, in int64 where a bound proves the level's
+    costs fit and in exact Python ints elsewhere.  A level costs about
+    0.1 ms of numpy calls whatever its size, so on small solves the
+    depth-first walk is faster (README.md gives the measured crossover).
+    Both hand the ``DecisionTable`` a key array and a code array.
     """
     _check_job_cap(inst, max_jobs)
     _strides, radix = _mixed_radix(inst.counts)
@@ -274,6 +250,7 @@ def _interner():
 
 
 def _decisions(n_types):
+    """The decision of each code: type j's start, then idle (code n_types)."""
     return tuple(("start", j) for j in range(n_types)) + (("idle",),)
 
 
@@ -285,19 +262,18 @@ def _solve_dfs(inst: Instance, rule, state_cap: int) -> Solution:
     """``solve_core`` depth first: per ``nid`` it computes once, for each
     type with jobs left, the counts without one of its jobs and that job's
     q numerator, so an edge is two int additions and a dict lookup per
-    child.  The stack is explicit, so the job count does not meet the
-    recursion limit."""
+    child."""
     den, power, qnum = _numerators(inst)
     counts = inst.counts
     strides, radix = _mixed_radix(counts)
     sizes, allowed, after_long = rule.sizes, rule.allowed, rule.after_long
-    decisions = _decisions(inst.n_types)
+    n = inst.n_types
     profiles, index, intern = _interner()
     edges = {}  # pid -> per allowed type: (type, long child pid * radix)
     steps = {}  # nid -> per type: (nid less one job of it, its q numerator)
     value = {}  # state -> cost numerator; states without jobs cost nothing
     cost = value.get
-    table = {}
+    keys, codes = [], []  # the table: each state and its decision's code
     top = intern((0,) * inst.machines) * radix + radix - 1
     # frames (state, jobs left, moves): moves is None until the state is
     # expanded, then a list of (type, q numerator, long state, short
@@ -336,8 +312,8 @@ def _solve_dfs(inst: Instance, rule, state_cap: int) -> Solution:
                         if short_key not in value:
                             stack.append((short_key, r - 1, None))
                 continue
-            after = intern(
-                rule.after_idle(profile, _decode(nid, strides, counts)))
+            h = rule.idle_group(_decode(nid, strides, counts))
+            after = intern(rule.after_idle(profile, h))
             if profiles[after][0] <= profile[0]:
                 raise _stalled(profile, rule.unit)
             moves = after * radix + nid
@@ -358,11 +334,14 @@ def _solve_dfs(inst: Instance, rule, state_cap: int) -> Solution:
                     best, choice = v, j
             value[key] = best + profiles[key // radix][0] * power[r]
         else:
-            value[key], choice = value[moves], -1
-        table[key] = decisions[choice]
+            value[key], choice = value[moves], n
+        keys.append(key)
+        codes.append(choice)
 
     return Solution(float(Fraction(value[top], power[-1] * rule.unit)),
-                    DecisionTable(table, rule.unit, profiles, index, counts))
+                    DecisionTable(np.array(keys, np.int64),
+                                  np.array(codes, np.min_scalar_type(n)),
+                                  rule.unit, profiles, index, counts))
 
 
 def _unique(keys):
@@ -375,73 +354,89 @@ def _unique(keys):
 
 
 def _solve_levels(inst: Instance, rule, state_cap: int) -> Solution:
-    """``solve_core`` level by level, one level per number of jobs left.
+    """``solve_core`` level by level, one level per number of jobs left,
+    each per-state array with one row per type and one column per state.
 
     The forward pass builds each level as a sorted, unique int64 array of
-    keys: the children of the level above, from the per-profile long
-    children and per-``nid`` tables of counts, then the targets of the
-    level's idle advances, which are asked of the rule one state at a time
+    keys: the children of the level above, then the targets of its idle
+    advances, asked of the rule once per distinct (profile, idle group),
     until no new target appears.  The backward pass, from one job left up,
-    finds the children's costs by ``searchsorted`` into the level below and
-    evaluates every state's candidates at once; an impossible move costs a
-    sentinel above every candidate, so ``argmin``'s first minimum is the
-    lowest type, as in ``_solve_dfs``.  Between the passes only each
-    level's keys and idle advances are kept.
+    finds the children's costs by ``searchsorted`` in the level below (a
+    type's short children, ``key - s_j``, come ascending) and evaluates
+    every candidate at once; an impossible move costs a sentinel above
+    every candidate, so ``argmin`` picks the lowest type on ties, as
+    ``_solve_dfs`` does.  Level r computes in int64 when its sentinel,
+    D**r * (r+1) * t_max + 1 with t_max the latest time of any profile (or
+    a larger size), is below 2**62, and in Python ints (``dtype=object``)
+    from the first level where it is not.
     """
     den, power, qnum = _numerators(inst)
     counts, n, jobs = inst.counts, inst.n_types, inst.total_jobs
     strides, radix = _mixed_radix(counts)
     allowed, after_long = rule.allowed, rule.after_long
     profiles, index, intern = _interner()
-    # per nid and type: the count left, and the nid without one such job
-    nids = np.arange(radix, dtype=np.int64)[:, None]
-    stride = np.array(strides, np.int64)
-    nu_of = nids // stride % (np.array(counts, np.int64) + 1)
+    # per type and nid: the count left, and the nid without one such job
+    nids = np.arange(radix, dtype=np.int64)
+    stride = np.array(strides, np.int64)[:, None]
+    nu_of = nids // stride % (np.array(counts, np.int64)[:, None] + 1)
     has_of, less_of = nu_of > 0, nids - stride
-    # long child pid per (pid, type), -1 where the type may not start; a
-    # row is filled when its profile first has a state with jobs left
-    long_of = np.full((64, n), -1, np.int64)
+    # per nid: the rule's idle group, -1 until a state with it idles; per
+    # pid * n + idle group: the pid the idle advance leads to
+    group_of, idled = np.full(radix, -1, np.int64), {}
+    # long child pid per (type, pid), -1 where the type may not start; a
+    # column is filled when its profile first has a state with jobs left
+    long_of = np.full((n, 64), -1, np.int64)
     filled = np.zeros(64, bool)
 
     def moves(keys):
-        """Per state: pid and nid; per state and type: whether the type
+        """Per state: pid and nid; per type and state: whether the type
         starts (allowed, with jobs left) and its long and short child."""
         nonlocal long_of, filled
         if len(profiles) > len(filled):
             grow = max(len(profiles), 2 * len(filled)) - len(filled)
-            long_of = np.vstack((long_of, np.full((grow, n), -1, np.int64)))
+            long_of = np.hstack((long_of, np.full((n, grow), -1, np.int64)))
             filled = np.concatenate((filled, np.zeros(grow, bool)))
         pid = keys // radix
         nid = keys - pid * radix
         for p in _unique(pid[~filled[pid]]).tolist():
             profile = profiles[p]
             for j in allowed(profile[0]):
-                long_of[p, j] = intern(after_long(profile, j))
+                long_of[j, p] = intern(after_long(profile, j))
             filled[p] = True
-        # take: the fast gather of whole rows
-        long_pid, less = long_of.take(pid, 0), less_of.take(nid, 0)
-        return (pid, nid, (long_pid >= 0) & has_of.take(nid, 0),
-                long_pid * radix + less, (keys - nid)[:, None] + less)
+        long_pid = long_of.take(pid, 1)
+        return (pid, nid, (long_pid >= 0) & has_of.take(nid, 1),
+                long_pid * radix + less_of.take(nid, 1), keys - stride)
+
+    def advance(pid, nid):
+        """The state each idle state (pid, nid) advances to."""
+        for v in _unique(nid[group_of[nid] < 0]).tolist():
+            group_of[v] = rule.idle_group(_decode(v, strides, counts))
+        pairs, inverse = np.unique(pid * n + group_of[nid],
+                                   return_inverse=True)
+        for pair in pairs.tolist():
+            if pair not in idled:
+                p, h = divmod(pair, n)
+                after = idled[pair] = intern(rule.after_idle(profiles[p], h))
+                if profiles[after][0] <= profiles[p][0]:
+                    raise _stalled(profiles[p], rule.unit)
+        after = np.array([idled[pair] for pair in pairs.tolist()], np.int64)
+        return after[inverse] * radix + nid
 
     top = intern((0,) * inst.machines) * radix + radix - 1
-    levels = []  # from N jobs left down: keys, idle keys, their targets
+    levels = []  # from N jobs left down: keys, idle and target positions
     keys, total = np.array([top], np.int64), 0
     for r in range(jobs, 0, -1):
-        fresh, children, idle = keys, [], {}
+        fresh, children, idle, targets = keys, [], [], []
         while len(fresh):
             pid, nid, ok, long, short = moves(fresh)
             if r > 1:
                 children += (long[ok], short[ok])
-            targets = []
-            stuck = np.flatnonzero(~ok.any(axis=1))
-            for i, nu in zip(stuck.tolist(), nu_of[nid[stuck]].tolist()):
-                profile, v = profiles[pid[i]], int(nid[i])
-                after = intern(rule.after_idle(profile, tuple(nu)))
-                if profiles[after][0] <= profile[0]:
-                    raise _stalled(profile, rule.unit)
-                targets.append(after * radix + v)
-                idle[int(fresh[i])] = targets[-1]
-            fresh = _unique(np.array(targets, np.int64))
+            stuck = ~ok.any(axis=0)
+            if not stuck.any():
+                break
+            idle.append(fresh[stuck])
+            targets.append(advance(pid[stuck], nid[stuck]))
+            fresh = _unique(targets[-1])
             # the targets not in the level yet
             fresh = fresh[keys[np.searchsorted(keys, fresh) % len(keys)]
                           != fresh]
@@ -451,53 +446,58 @@ def _solve_levels(inst: Instance, rule, state_cap: int) -> Solution:
         if total > state_cap + 1:
             raise SolverCapError(
                 f"state cap exceeded ({state_cap + 1} states)")
-        for key, target in idle.items():  # an advance to an idle state
-            while target in idle:         # takes that state's final target
-                target = idle[target]
-            idle[key] = target
-        levels.append((keys, np.array(list(idle), np.int64),
-                       np.array(list(idle.values()), np.int64)))
+        frm = to = np.empty(0, np.int64)
+        if idle:  # an advance to an idle state takes its final target
+            frm = keys.searchsorted(np.concatenate(idle))
+            to = keys.searchsorted(np.concatenate(targets))
+            link = np.arange(len(keys))
+            link[frm] = to
+            while (link[to] != to).any():
+                to = link[to]
+        levels.append((keys, frm, to))
         if r > 1:
             keys = _unique(np.concatenate(children))
 
-    # every cost numerator is at most D**N * N * t_max, t_max the latest
-    # time of any profile (or a larger size), so the sentinel is above them
-    # all and in int64 no sum or product of them overflows
     t_max = max(max(rule.sizes), max(p[-1] for p in profiles))
-    sentinel = power[-1] * (jobs + 1) * t_max + 1
-    dtype = np.int64 if sentinel < 2 ** 62 else object
+    # above every cost of its level: no sum or product there overflows it
+    sentinel = [power[r] * (r + 1) * t_max + 1 for r in range(jobs + 1)]
+    dtype = np.int64 if sentinel[1] < 2 ** 62 else object
     start = np.array([p[0] for p in profiles], dtype)
-    a_of = np.stack([np.array(row, dtype)[nu_of[:, j]]
-                     for j, row in enumerate(qnum)], axis=1)
-    sizes = np.array(rule.sizes, dtype)
-    decisions = _decisions(n)
-    table = {}
-    below_keys = below = None
-    for r, (keys, idle, targets) in enumerate(reversed(levels), 1):
+    a_of = np.stack([np.array(row, dtype)[nu_of[j]]
+                     for j, row in enumerate(qnum)])
+    sizes = np.array(rule.sizes, dtype)[:, None]
+    code = np.min_scalar_type(n)  # uint8 up to 255 types
+    table_keys, table_codes = [], []
+    # states without jobs cost nothing: one key of cost 0 stands for them
+    below_keys, below = np.zeros(1, np.int64), np.zeros(1, dtype)
+    for r in range(1, jobs + 1):
+        keys, frm, to = levels.pop()
+        if dtype is np.int64 and sentinel[r] >= 2 ** 62:
+            dtype = object
+            start, a_of, sizes, below = (
+                x.astype(object) for x in (start, a_of, sizes, below))
         pid, nid, ok, long, short = moves(keys)
-        a = a_of.take(nid, 0)
-        if below is None:
-            v_long = v_short = 0
-        else:
-            # an impossible move's child may be past the last key
-            last = len(below_keys) - 1
-            v_long = below[np.minimum(below_keys.searchsorted(long), last)]
-            v_short = below[np.minimum(below_keys.searchsorted(short), last)]
+        a = a_of.take(nid, 1)
+        # an impossible move's child may be past the last key
+        last = len(below_keys) - 1
+        v_long = below[np.minimum(below_keys.searchsorted(long), last)]
+        v_short = below[np.minimum(below_keys.searchsorted(short), last)]
         candidates = np.where(
             ok, a * (v_long + sizes * power[r - 1]) + (den - a) * v_short,
-            sentinel)
-        choice = candidates.argmin(axis=1)
-        value = (candidates[np.arange(len(keys)), choice]
+            sentinel[r])
+        choice = candidates.argmin(axis=0)
+        value = (candidates[choice, np.arange(len(keys))]
                  + start[pid] * power[r])
-        at = np.searchsorted(keys, idle)
-        value[at], choice[at] = value[np.searchsorted(keys, targets)], n
-        table.update(zip(keys.tolist(), map(decisions.__getitem__,
-                                            choice.tolist())))
+        value[frm], choice[frm] = value[to], n
+        table_keys.append(keys)
+        table_codes.append(choice.astype(code))
         below_keys, below = keys, value
 
     top_value = int(below[np.searchsorted(below_keys, top)])
     return Solution(float(Fraction(top_value, power[-1] * rule.unit)),
-                    DecisionTable(table, rule.unit, profiles, index, counts))
+                    DecisionTable(np.concatenate(table_keys),
+                                  np.concatenate(table_codes), rule.unit,
+                                  profiles, index, counts))
 
 
 class ExactRule:

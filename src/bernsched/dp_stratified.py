@@ -45,10 +45,10 @@ def profiles_per_timepoint_ceiling(inst: Instance, groups: GroupStructure) -> in
 class GridRule:
     """A type may start at t when its group's Q-set holds t.  A long job of
     group h frees its machine at ``grid.release(h, completion)``; when no
-    allowed type has jobs left, every machine below the next Q point of
-    ``grid.idle_group(nu)`` is raised to it.  Times are integers in units
-    of 1/``grid.unit``, and each grid query is answered once per (group,
-    time)."""
+    allowed type has jobs left, ``after_idle(profile, h)``, h the counts'
+    ``idle_group``, raises every machine below the next Q_h point to it.
+    Times are integers in units of 1/``grid.unit``, and each grid query is
+    answered once per (group, time)."""
 
     def __init__(self, grid: TimeGrid):
         self.unit, self.sizes = grid.unit, grid.sizes
@@ -62,8 +62,8 @@ class GridRule:
         s = self._release(self.group[j], profile[0] + self.sizes[j])
         return tuple(sorted(profile[1:] + (s,)))
 
-    def after_idle(self, profile, nu):
-        target = self._advance(self.idle_group(nu), profile[0])
+    def after_idle(self, profile, h):
+        target = self._advance(h, profile[0])
         return tuple(target if x < target else x for x in profile)
 
 

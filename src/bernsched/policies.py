@@ -376,7 +376,7 @@ def _table_kernel(policy, inst: Instance):
         while (j := decide(times, nu)) is None:
             if rule.after_idle is None:
                 raise _Fallback
-            after = rule.after_idle(times, nu)
+            after = rule.after_idle(times, rule.idle_group(nu))
             if after[0] <= times[0]:
                 raise _Fallback
             times = after

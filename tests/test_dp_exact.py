@@ -1,12 +1,15 @@
+import hashlib
 import itertools
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bernsched import dp_exact
+from bernsched import cli, dp_exact
 from bernsched.dp_exact import (
     LEVELS_MIN_NU,
     Diagnostics,
@@ -21,7 +24,7 @@ from bernsched.dp_exact import (
     solve_exact,
 )
 from bernsched.dp_stratified import GridRule, solve_stratified
-from bernsched.harness import prepare
+from bernsched.harness import ExperimentSpec, generate, prepare
 from bernsched.instances import validate_and_canonicalize
 from bernsched.numerics import SeedStream
 from bernsched.policies import (
@@ -48,6 +51,17 @@ def random_instance(rng, max_jobs=5, max_machines=3, sizes=(1, 2, 3, 5, 9),
         q = float(qs[int(rng.integers(0, len(qs)))])
         by_size.setdefault(p, []).append(q)
     return make(m, [(p, v) for p, v in by_size.items()])
+
+
+@pytest.fixture(scope="module")
+def separated_4x3x2():
+    """``bernsched gen --types 4 --jobs 3 --machines 2 --seed 1``'s
+    separated instance, its rounding and grid: 30,078 exact and 10,662
+    grid states, 2,442 of them idle."""
+    inst = generate(ExperimentSpec(n_types=4, jobs_per_type=3, machines=2,
+                                   scheme="separated", count=1, seed=1))[0]
+    rounded, _groups, grid, _ = prepare(inst)
+    return inst, rounded, grid
 
 
 class TestSolveExact:
@@ -235,6 +249,14 @@ class TestSolution:
             assert "diagnostics" in vars(sol) and sol.diagnostics is d
             assert d == expected
             assert sol.states == len(sol.policy)
+            # read from the arrays, equal to the figures of the lookup dict
+            assert "_lookup" not in vars(sol.policy)
+            table = sol.policy
+            decided, _nids = table._lookup
+            pids = {state // table._radix for state in decided}
+            by_time = Counter(table._profiles[pid][0] for pid in pids)
+            assert d == Diagnostics(len(by_time), max(by_time.values()),
+                                    len(decided))
         assert exact.diagnostics.states == exact.states
 
 
@@ -300,6 +322,30 @@ class TestDecisionTable:
             for bad in ((-1,) + nu[1:], (counts[0] + 1,) + nu[1:], nu + (0,)):
                 assert_missing(table, plain, profile, bad)
 
+    def test_lookup_dict_built_on_first_get(self, separated_4x3x2):
+        # the digests are the sha256 of the sorted state=decision lines,
+        # read through get, that the dict-backed table of the previous
+        # version gave: the exact solve and both traversals of the grid one
+        inst, rounded, grid = separated_4x3x2
+        exact = "020b9503181638a8ac3b2ede9a60fd4cda2c51add2ca629d1adf41a896edb6ee"
+        strat = "5604134241cebf703d9e2f6bc449f5083c95901a5eeb171924bec9f9bbd4e3f6"
+        for solve, digest in (
+                (lambda: solve_exact(inst), exact),
+                (lambda: _solve_dfs(rounded, GridRule(grid), 10 ** 6), strat),
+                (lambda: _solve_levels(rounded, GridRule(grid), 10 ** 6),
+                 strat)):
+            sol = solve()
+            table = sol.policy
+            assert table.codes.dtype == np.uint8
+            assert len(table) == sol.states == sol.diagnostics.states
+            assert len(list(table.values())) == len(table)
+            keys = list(table)
+            assert "_lookup" not in vars(table)
+            lines = sorted(f"{cli.state_to_str(key)}={table.get(key)}\n"
+                           for key in keys)
+            assert "_lookup" in vars(table)
+            assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+
     def test_interned_profile_never_reached_with_jobs_left(self):
         # the long outcome of the only job leads to profile (3,) with no
         # jobs left: the core interns it, but no state with jobs left has it
@@ -336,7 +382,8 @@ class TestDecisionTable:
                     todo += [(rule.after_long(profile, j), less),
                              (profile, less)]
                 if not js:
-                    todo.append((rule.after_idle(profile, nu), nu))
+                    h = rule.idle_group(nu)
+                    todo.append((rule.after_idle(profile, h), nu))
             decided = dict(table.integer_items())
             assert decided.keys() == walked.keys()
             for state, decision in decided.items():
@@ -377,7 +424,10 @@ class StalledRule:
     def after_long(self, profile, j):
         raise AssertionError("no type may start")
 
-    def after_idle(self, profile, nu):
+    def idle_group(self, nu):
+        return 0
+
+    def after_idle(self, profile, h):
         self.calls += 1
         assert self.calls == 1, "solve_core idled in place again"
         return profile
@@ -435,6 +485,39 @@ class TestTraversals:
             assert_same_solution(_solve_dfs(evaluated, rule(), 10 ** 6),
                                  _solve_levels(evaluated, rule(), 10 ** 6))
 
+    def test_width_changes_between_levels(self, separated_4x3x2):
+        # level r computes in int64 while D**r * (r+1) * t_max + 1 < 2**62
+        s = 128102389400760775
+        tight = make(1, [(2 * s, [0.5]), (3 * s, [0.5, 0.5])])
+        _inst, rounded, grid = separated_4x3x2
+        for inst, rule, fits in (
+                # level 2's costs pass 2**63: in int64 they would wrap
+                (tight, ExactRule(tight), [True, False, False]),
+                (rounded, GridRule(grid), [True] * 10 + [False] * 2)):
+            levels = _solve_levels(inst, rule, 10 ** 6)
+            _den, power, _qnum = dp_exact._numerators(inst)
+            t_max = max(max(rule.sizes),
+                        max(p[-1] for p in levels.policy._profiles))
+            assert fits == [power[r] * (r + 1) * t_max + 1 < 2 ** 62
+                            for r in range(1, inst.total_jobs + 1)]
+            assert_same_solution(_solve_dfs(inst, rule, 10 ** 6), levels)
+
+    def test_one_idle_advance_per_profile_and_group(self, separated_4x3x2):
+        _inst, rounded, grid = separated_4x3x2
+        calls = []
+
+        class Counting(GridRule):
+            def after_idle(self, profile, h):
+                calls.append((profile, h))
+                return super().after_idle(profile, h)
+
+        table = _solve_levels(rounded, Counting(grid), 10 ** 6).policy
+        idle = [(times, grid.idle_group(nu))
+                for (times, nu), d in table.integer_items() if d == ("idle",)]
+        assert len(idle) == 2442
+        assert len(calls) == len(set(calls)) == len(set(idle)) == 530
+        assert set(calls) == set(idle)
+
     def test_chained_idle_advances(self):
         # no shipped rule idles twice in a row, but the core allows it: two
         # advances of one unit lead from time 0 to 2, where the job may
@@ -448,7 +531,10 @@ class TestTraversals:
             def after_long(self, profile, j):
                 return tuple(sorted(profile[1:] + (profile[0] + 1,)))
 
-            def after_idle(self, profile, nu):
+            def idle_group(self, nu):
+                return 0
+
+            def after_idle(self, profile, h):
                 return tuple(max(x, profile[0] + 1) for x in profile)
 
         inst = make(2, [(1, [0.5, 0.25])])
@@ -470,12 +556,14 @@ class TestTraversals:
                     assert solve(evaluated, rule(), cap).states == states
             assert messages == [f"state cap exceeded ({states - 1} states)"] * 2
 
+    # ids that do not change when LEVELS_MIN_NU moves
     @pytest.mark.parametrize("nu, cap, levels", [
         (LEVELS_MIN_NU - 1, 10 ** 6, False),
         (LEVELS_MIN_NU, 10 ** 6, True),
         (LEVELS_MIN_NU, LEVELS_MIN_NU - 1, True),
         # more count vectors than states allowed: no NU-row tables
-        (LEVELS_MIN_NU, LEVELS_MIN_NU - 2, False)])
+        (LEVELS_MIN_NU, LEVELS_MIN_NU - 2, False)],
+        ids=["below", "at", "at-cap-edge", "above-cap"])
     def test_picks_by_count_vectors(self, monkeypatch, nu, cap, levels):
         # one type with nu - 1 jobs has nu count vectors
         called = []

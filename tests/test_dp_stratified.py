@@ -27,9 +27,10 @@ def after_long(profile, j, grid):
 
 
 def after_idle(profile, nu, grid):
-    """GridRule.after_idle on Fraction times."""
+    """GridRule.after_idle on Fraction times, to counts nu's idle group."""
     rule = GridRule(grid)
-    out = rule.after_idle(tuple(int(x * rule.unit) for x in profile), nu)
+    out = rule.after_idle(tuple(int(x * rule.unit) for x in profile),
+                          rule.idle_group(nu))
     return tuple(Fraction(x, rule.unit) for x in out)
 
 
@@ -124,7 +125,7 @@ class TestProfileUpdates:
                     assert Fraction(s, unit) == grid.release_time(
                         grid.group_of_type(j), t + p)
                 if not grid.q_contains(h, t):
-                    [s] = rule.after_idle((x,), nu)
+                    [s] = rule.after_idle((x,), h)
                     assert type(s) is int
                     assert Fraction(s, unit) == grid.q_successor(h, t)
 
