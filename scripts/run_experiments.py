@@ -12,6 +12,7 @@ Usage:
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -41,7 +42,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     os.makedirs(args.out, exist_ok=True)
-    grand_max = 0.0
+    cell_max = []  # each cell's max ratio, nan where no row has one
     for scheme in SCHEMES:
         for m in args.machines:
             spec = ExperimentSpec(
@@ -62,11 +63,13 @@ def main(argv=None):
                 csv_path=os.path.join(args.out, f"{tag}.csv"),
                 json_path=os.path.join(args.out, f"{tag}.json"),
             )
-            grand_max = max(grand_max, summary["max_ratio"])
+            cell_max.append(summary["max_ratio"])
             print(f"{tag}: {summary['rows']} rows, "
                   f"{summary['skipped']} skipped, "
                   f"max ratio {summary['max_ratio']:.6f}, "
                   f"max states {summary['max_states']}")
+    grand_max = max((r for r in cell_max if not math.isnan(r)),
+                    default=float("nan"))
     print(f"overall max ratio: {grand_max:.6f}")
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
         json.dump({"overall_max_ratio": grand_max}, fh, indent=2)

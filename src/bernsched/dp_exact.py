@@ -360,11 +360,14 @@ def _solve_levels(inst: Instance, rule, state_cap: int) -> Solution:
     The forward pass builds each level as a sorted, unique int64 array of
     keys: the children of the level above, then the targets of its idle
     advances, asked of the rule once per distinct (profile, idle group),
-    until no new target appears.  The backward pass, from one job left up,
-    finds the children's costs by ``searchsorted`` in the level below (a
-    type's short children, ``key - s_j``, come ascending) and evaluates
-    every candidate at once; an impossible move costs a sentinel above
-    every candidate, so ``argmin`` picks the lowest type on ties, as
+    until no new target appears.  It keeps each level's moves that take
+    gathers to find (which types each state may start, and their long
+    children) in key order; pid, nid and the short children come from the
+    keys by arithmetic.  The backward pass, from one job left up, finds
+    the children's costs by ``searchsorted`` in the level below (a type's
+    short children, ``key - s_j``, come ascending) and evaluates every
+    candidate at once; an impossible move costs a sentinel above every
+    candidate, so ``argmin`` picks the lowest type on ties, as
     ``_solve_dfs`` does.  Level r computes in int64 when its sentinel,
     D**r * (r+1) * t_max + 1 with t_max the latest time of any profile (or
     a larger size), is below 2**62, and in Python ints (``dtype=object``)
@@ -423,12 +426,14 @@ def _solve_levels(inst: Instance, rule, state_cap: int) -> Solution:
         return after[inverse] * radix + nid
 
     top = intern((0,) * inst.machines) * radix + radix - 1
-    levels = []  # from N jobs left down: keys, idle and target positions
+    # from N jobs left down: keys, idle and target positions, (ok, long)
+    levels = []
     keys, total = np.array([top], np.int64), 0
     for r in range(jobs, 0, -1):
-        fresh, children, idle, targets = keys, [], [], []
+        fresh, chunks, children, idle, targets = keys, [], [], [], []
         while len(fresh):
             pid, nid, ok, long, short = moves(fresh)
+            chunks.append((fresh, ok, long))
             if r > 1:
                 children += (long[ok], short[ok])
             stuck = ~ok.any(axis=0)
@@ -454,7 +459,11 @@ def _solve_levels(inst: Instance, rule, state_cap: int) -> Solution:
             link[frm] = to
             while (link[to] != to).any():
                 to = link[to]
-        levels.append((keys, frm, to))
+        if len(chunks) > 1:  # each chunk's moves, in key order
+            order = np.concatenate([chunk[0] for chunk in chunks]).argsort()
+            chunks = [[np.concatenate(parts, axis=-1)[..., order]
+                       for parts in zip(*chunks)]]
+        levels.append((keys, frm, to, chunks[0][1:]))
         if r > 1:
             keys = _unique(np.concatenate(children))
 
@@ -471,13 +480,14 @@ def _solve_levels(inst: Instance, rule, state_cap: int) -> Solution:
     # states without jobs cost nothing: one key of cost 0 stands for them
     below_keys, below = np.zeros(1, np.int64), np.zeros(1, dtype)
     for r in range(1, jobs + 1):
-        keys, frm, to = levels.pop()
+        keys, frm, to, (ok, long) = levels.pop()
+        pid, nid = np.divmod(keys, radix)
         if dtype is np.int64 and sentinel[r] >= 2 ** 62:
             dtype = object
             start, a_of, sizes, below = (
                 x.astype(object) for x in (start, a_of, sizes, below))
-        pid, nid, ok, long, short = moves(keys)
         a = a_of.take(nid, 1)
+        short = keys - stride
         # an impossible move's child may be past the last key
         last = len(below_keys) - 1
         v_long = below[np.minimum(below_keys.searchsorted(long), last)]

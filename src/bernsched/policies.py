@@ -43,11 +43,20 @@ probabilities are multiplied in the same order, each cost is the
 correctly rounded float of its exact total, and the sums run in
 sequence in the same order.  ``replay`` with ``enumerate_realizations``
 or ``sample_realization`` on ``SeedStream(seed, i).generator()`` is
-that reference.
+that reference.  Enumeration branches on at most ``MAX_ENUMERATED``
+stochastic jobs.
+
+``expected_cost_reached`` needs no enumeration, so that limit does not
+apply to it.  It prices the list, SEPT and fixed-assignment policies
+exactly, as a ``Fraction``: the fixed assignment by a closed form, and a
+list policy by one forward pass over the (sorted profile, jobs started)
+states it reaches, within a state cap.  ``harness.compare`` prices its
+baselines with it.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -55,7 +64,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dp_exact import ExactRule
+from .dp_exact import STATE_CAP, ExactRule, SolverCapError
 from .dp_stratified import GridRule
 from .instances import Instance
 from .numerics import uniform_block
@@ -263,6 +272,15 @@ def _replay_costs(policy, inst: Instance, outcomes):
     return costs[inverse.reshape(-1)]
 
 
+def _queue_weights(ctl):
+    """(job, weight) per job of a bound fixed assignment: a machine runs its
+    queue back to back, so a job's size counts once for itself and once for
+    each job queued after it."""
+    for queue in ctl.queues:
+        for pos, job in enumerate(queue):
+            yield job, len(queue) - pos
+
+
 def _fixed_order_kernel(policy, inst: Instance):
     """For a list, SEPT or fixed-assignment policy, a function from a
     (rows x jobs) outcome matrix, columns in ``job_ids`` order, to each
@@ -281,12 +299,9 @@ def _fixed_order_kernel(policy, inst: Instance):
     index = {job: k for k, job in enumerate(jobs)}
     ctl = policy.bind(inst)
     if type(ctl) is FixedAssignmentPolicy:
-        # a machine runs its queue back to back, so a job's size counts
-        # once for itself and once for each job queued after it
         weights = np.zeros(len(jobs), dtype=np.int64)
-        for queue in ctl.queues:
-            for pos, job in enumerate(queue):
-                weights[index[job]] = len(queue) - pos
+        for job, weight in _queue_weights(ctl):
+            weights[index[job]] = weight
         return lambda outcomes: (outcomes * sizes) @ weights / unit
     order = [index[job] for job in dict.fromkeys(ctl.order) if job in index]
     if len(order) != len(jobs):
@@ -461,6 +476,67 @@ def expected_cost_mc(policy, inst: Instance, trials: int, seed: int):
         return mean, 0.0
     var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
     return mean, math.sqrt(var / trials)
+
+
+def expected_cost_reached(policy, inst: Instance,
+                          state_cap: int = STATE_CAP) -> Fraction:
+    """The exact expected total completion time of a list, SEPT or
+    fixed-assignment policy, without enumerating outcome vectors.
+
+    By linearity, a fixed assignment's cost is the sum over jobs of q·p
+    times the job's weight in its queue (``_queue_weights``, which the
+    fixed-order kernel also uses).  A list policy starts its jobs in order,
+    each at the earliest available time, so after k starts its state is
+    the sorted profile alone.  One forward pass carries each reached
+    profile's probability mass from one start to the next; equal profiles
+    merge and branches of zero mass are dropped.  Times are integers in
+    units of 1/L, L the lcm of the size denominators, and after k starts
+    the masses are integer numerators over D**k, D the lcm of the
+    probability denominators.
+
+    Raises ReplayError where replay would (a list that does not cover the
+    jobs) and for any other policy, and SolverCapError when the reached
+    states outnumber ``state_cap``.
+    """
+    ctl = policy.bind(inst)
+    jobs = inst.job_ids()
+    unit = math.lcm(*(t.size.denominator for t in inst.types))
+    size = {job: (inst.job_size(job) * unit).numerator for job in jobs}
+    prob = [Fraction(inst.job_q(job)) for job in jobs]
+    den = math.lcm(*(q.denominator for q in prob))
+    qnum = {job: int(q * den) for job, q in zip(jobs, prob)}  # q over den
+    if type(ctl) is FixedAssignmentPolicy:
+        total = sum(weight * qnum[job] * size[job]
+                    for job, weight in _queue_weights(ctl))
+        return Fraction(total, den * unit)
+    if type(ctl) is not ListPolicy:
+        raise ReplayError(f"no reached-state evaluator for {policy.name!r}")
+    order = [job for job in dict.fromkeys(ctl.order) if job in size]
+    if len(order) != len(jobs):
+        raise ReplayError("list exhausted with jobs remaining")
+    reached = {(0,) * inst.machines: 1}  # profile -> mass over den**k
+    # total: numerator over den**k * unit of the cost of the first k starts
+    total, scale, states = 0, 1, 0
+    for job in order:
+        states += len(reached)
+        if states > state_cap:
+            raise SolverCapError(f"state cap exceeded ({states} states)")
+        p, a = size[job], qnum[job]
+        after, weighted = {}, 0  # weighted: sum of mass * start time
+        for profile, mass in reached.items():
+            t = profile[0]
+            weighted += mass * t
+            if a:
+                i = bisect.bisect_right(profile, t + p, 1)
+                long = profile[1:i] + (t + p,) + profile[i:]
+                after[long] = after.get(long, 0) + mass * a
+            if a != den:
+                after[profile] = after.get(profile, 0) + mass * (den - a)
+        # the masses sum to scale, so a long job adds a * p * scale
+        total = (total + weighted) * den + a * p * scale
+        scale *= den
+        reached = after
+    return Fraction(total, scale * unit)
 
 
 # -- policies ---------------------------------------------------------------

@@ -1,10 +1,14 @@
 import csv
+import importlib.util
 import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from bernsched import harness
+from bernsched.dp_exact import SolverCapError
 from bernsched.harness import (
     ComparisonRow,
     ExperimentSpec,
@@ -87,20 +91,28 @@ class TestCompare:
         ] * 2
         assert rows[0].exact_value == pytest.approx(507.0)
 
-    def test_too_many_stochastic_jobs_marks_skipped(self):
-        # the solvers take 21 jobs, the baselines' enumeration does not
-        inst = validate_and_canonicalize(1, "1/13", [(3, [0.5] * 21)])
-        rows = compare([inst, inst], max_jobs=21)
-        assert [r.skipped for r in rows] == [
-            "ReplayError: too many stochastic jobs to enumerate (21)"
-        ] * 2
-        assert rows[1].ratio >= 1
+    @pytest.mark.parametrize("raw", [
+        [(3, [0.5] * 21)],
+        [(13, [0.25, 0.5, 0.75] * 4), (1, [0.5] * 12)],
+    ], ids=["21-jobs", "24-jobs"])
+    def test_baselines_past_enumeration(self, raw):
+        # more stochastic jobs than enumeration takes: the baselines are
+        # priced over the states they reach
+        inst = validate_and_canonicalize(2, "1/13", raw)
+        rows = compare([inst, inst], max_jobs=inst.total_jobs)
+        for row in rows:
+            assert row.skipped == ""
+            assert math.isfinite(row.sept_value)
+            assert math.isfinite(row.fixed_value)
+            assert row.sept_value >= row.exact_value - 1e-9
+            assert row.fixed_value >= row.exact_value - 1e-9
+            assert 1 <= row.ratio <= row.bound
 
     def test_bound_checked_before_baselines(self, monkeypatch):
-        def enumerate_fails(policy, inst):
+        def baseline_fails(policy, inst, state_cap):
             raise AssertionError("baseline evaluated")
 
-        monkeypatch.setattr(harness, "expected_cost_exact", enumerate_fails)
+        monkeypatch.setattr(harness, "expected_cost_reached", baseline_fails)
         monkeypatch.setattr(harness, "sandwich_bound", lambda n, eps: 1)
         inst = validate_and_canonicalize(1, "1/13", [(169, [1.0, 1.0])])
         with pytest.raises(harness.BoundViolation):
@@ -117,6 +129,22 @@ class TestCompare:
 
 
 class TestReport:
+    def test_ratio_counts_when_a_baseline_fails(self, monkeypatch):
+        # the bound check passed, so the row's ratio and states count in
+        # the summary although its baselines did not finish
+        def baseline_fails(policy, inst, state_cap):
+            raise SolverCapError("state cap exceeded (7 states)")
+
+        monkeypatch.setattr(harness, "expected_cost_reached", baseline_fails)
+        inst = validate_and_canonicalize(1, "1/13", [(3, [0.5] * 22)])
+        row = compare([inst], max_jobs=22)[0]
+        assert row.skipped == "SolverCapError: state cap exceeded (7 states)"
+        assert math.isnan(row.sept_value)
+        summary = report([row])
+        assert summary["skipped"] == 1
+        assert summary["max_ratio"] == row.ratio >= 1
+        assert summary["max_states"] == row.stratified_states > 0
+
     def test_csv_and_json(self, tmp_path):
         inst = validate_and_canonicalize(1, "1/13", [(169, [1.0, 1.0])])
         rows = compare([inst])
@@ -133,3 +161,34 @@ class TestReport:
         assert summary["max_ratio"] == pytest.approx(max(
             r["ratio"] for r in data["rows"]
         ))
+
+
+def _run_experiments():
+    path = Path(__file__).resolve().parent.parent / "scripts" / \
+        "run_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_experiments", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRunExperiments:
+    @pytest.mark.parametrize("ratios, printed", [
+        ([float("nan")] * 3, "nan"),
+        ([float("nan"), 1.25, 1.5], "1.500000"),
+    ], ids=["all-skipped", "some-skipped"])
+    def test_overall_max_ignores_cells_without_ratio(
+            self, tmp_path, capsys, monkeypatch, ratios, printed):
+        script = _run_experiments()
+        cells = iter(ratios)
+
+        def rows_of_one_cell(instances, max_jobs):
+            ratio = next(cells)
+            return [ComparisonRow(instance_id="i0000", ratio=ratio,
+                                  skipped="cap" if math.isnan(ratio) else "")]
+
+        monkeypatch.setattr(script, "compare", rows_of_one_cell)
+        monkeypatch.setattr(script, "generate", lambda spec: [])
+        assert script.main(["--out", str(tmp_path), "--machines", "1"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == f"overall max ratio: {printed}"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernsched import policies
-from bernsched.dp_exact import solve_exact
+from bernsched.dp_exact import SolverCapError, solve_exact
 from bernsched.dp_stratified import solve_stratified
 from bernsched.harness import prepare
 from bernsched.instances import validate_and_canonicalize
@@ -22,6 +22,7 @@ from bernsched.policies import (
     enumerate_realizations,
     expected_cost_exact,
     expected_cost_mc,
+    expected_cost_reached,
     replay,
     sample_realization,
     sept_order,
@@ -631,3 +632,88 @@ class TestTableKernel:
         other = make(1, [(13, [0.5, 0.5]), (1, [0.25, 0.93])])
         assert policies._table_kernel(policy, other) is None
         assert policies._table_kernel(SeptPolicy(), inst) is None
+
+
+# -- exact values over reached states against enumeration --------------------
+
+# several types, q = 1 among the jobs, and one to three machines
+reached_instances = st.builds(
+    lambda m, jobs: make(m, [(p, [q for p2, q in jobs if p2 == p])
+                             for p in {p for p, _q in jobs}]),
+    st.integers(1, 3),
+    st.lists(st.tuples(st.sampled_from([Fraction(5, 13), 1, Fraction(3, 2),
+                                        4, 13]),
+                       st.sampled_from([0.1, 0.25, 0.5, 0.93, 1.0])),
+             min_size=1, max_size=8),
+)
+
+
+def _replay_error(policy, inst):
+    """The message of the ReplayError that replaying ``policy`` raises."""
+    with pytest.raises(ReplayError) as exc:
+        replay(policy, inst, {job: True for job in inst.job_ids()})
+    return str(exc.value)
+
+
+class TestReachedStates:
+    """``expected_cost_reached`` prices the list, SEPT and fixed-assignment
+    policies exactly, without enumerating outcome vectors."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_equals_enumeration(self, data):
+        inst = data.draw(reached_instances)
+        permutation = data.draw(st.permutations(range(inst.total_jobs)))
+        for policy in _fixed_order_policies(inst, permutation):
+            got = expected_cost_reached(policy, inst)
+            assert isinstance(got, Fraction)
+            want = expected_cost_exact(policy, inst)
+            assert abs(float(got) - want) <= 1e-12 * want
+
+    def test_two_machines_resort_the_profile(self):
+        # the size-4 job holds one machine until 4; when the size-2 job
+        # runs long, the other machine is free at 2, so the last job
+        # starts at 2 (at 0 when it ran short), not at 4
+        inst = make(2, [(4, [1.0]), (2, [0.5]), (1, [1.0])])
+        order = ListPolicy([(0, 0), (1, 0), (2, 0)])
+        want = 4 + Fraction(1, 2) * 2 + Fraction(1, 2) * (2 + 1) \
+            + Fraction(1, 2) * 1
+        assert expected_cost_reached(order, inst) == want
+        assert expected_cost_exact(order, inst) == float(want)
+
+    def test_fixed_assignment_closed_form(self):
+        # one machine, queue (1, 0), (0, 0): the first job counts twice
+        inst = make(1, [(3, [0.5]), (1, [1.0])])
+        assert expected_cost_reached(FixedAssignmentPolicy(), inst) == \
+            2 * 1 + Fraction(3, 2)
+
+    def test_past_enumeration(self):
+        # 24 stochastic jobs: enumeration refuses them; on one machine the
+        # SEPT list and the fixed assignment run the same order
+        inst = make(1, [(Fraction(7, 3), [0.25, 0.5, 0.75] * 4),
+                        (1, [0.1, 0.93] * 6)])
+        with pytest.raises(ReplayError, match="too many stochastic jobs"):
+            expected_cost_exact(SeptPolicy(), inst)
+        sept = expected_cost_reached(SeptPolicy(), inst)
+        assert sept == expected_cost_reached(FixedAssignmentPolicy(), inst)
+        assert sept.denominator > 1
+
+    def test_missing_job_raises_replays_error(self):
+        inst = make(2, [(3, [0.5, 0.25]), (1, [1.0])])
+        partial = ListPolicy([(0, 1), (1, 0)])
+        with pytest.raises(ReplayError) as exc:
+            expected_cost_reached(partial, inst)
+        assert str(exc.value) == _replay_error(partial, inst)
+
+    def test_other_policies_raise(self, example_35):
+        policy = ExactTablePolicy(solve_exact(example_35))
+        with pytest.raises(ReplayError, match="no reached-state evaluator"):
+            expected_cost_reached(policy, example_35)
+
+    def test_state_cap(self):
+        inst = make(2, [(3, [0.5] * 3), (1, [0.25] * 3)])
+        with pytest.raises(SolverCapError,
+                           match=r"^state cap exceeded \(\d+ states\)$"):
+            expected_cost_reached(SeptPolicy(), inst, state_cap=5)
+        assert expected_cost_reached(SeptPolicy(), inst, state_cap=100) == \
+            expected_cost_reached(SeptPolicy(), inst)
