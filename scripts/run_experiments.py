@@ -23,6 +23,7 @@ from bernsched.harness import (
     ExperimentSpec,
     compare,
     generate,
+    json_safe,
     report,
 )
 from bernsched.instances import save_instance
@@ -72,7 +73,8 @@ def main(argv=None):
                     default=float("nan"))
     print(f"overall max ratio: {grand_max:.6f}")
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        json.dump({"overall_max_ratio": grand_max}, fh, indent=2)
+        json.dump(json_safe({"overall_max_ratio": grand_max}), fh, indent=2,
+                  allow_nan=False)
         fh.write("\n")
     return 0
 

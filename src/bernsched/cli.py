@@ -21,6 +21,7 @@ from .harness import (
     ExperimentSpec,
     compare,
     generate,
+    json_safe,
     prepare,
     report,
     solve_pipeline,
@@ -194,7 +195,7 @@ def cmd_compare(args):
               file=sys.stderr)
         raise SystemExit(1)
     summary = report(rows, csv_path=args.csv, json_path=args.json_out)
-    print(json.dumps(summary))
+    print(json.dumps(json_safe(summary), allow_nan=False))
 
 
 def cmd_grid_dump(args):

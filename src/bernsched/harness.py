@@ -190,10 +190,26 @@ def compare(instances, **caps):
     return rows
 
 
+def json_safe(value):
+    """``value`` with every non-finite float, in nested dicts and lists
+    too, replaced by None: JSON (RFC 8259) has no NaN or Infinity, so
+    ``json.dumps`` writes ``null`` for them."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [json_safe(v) for v in value]
+    return value
+
+
 def report(rows, csv_path=None, json_path=None):
     """CSV (fixed header) and JSON (array plus summary block) outputs.  The
     summary's ``max_ratio`` and ``max_states`` cover every row whose bound
-    check passed (a finite ratio), skipped for a later step or not."""
+    check passed (a finite ratio), skipped for a later step or not.  The
+    returned summary holds ``nan`` where no row has a ratio; the JSON file
+    holds ``null`` for it and for every missing value of a row, where the
+    CSV holds ``nan``."""
     checked = [r for r in rows if math.isfinite(r.ratio)]
     summary = {
         "rows": len(rows),
@@ -210,8 +226,9 @@ def report(rows, csv_path=None, json_path=None):
     if json_path:
         with open(json_path, "w") as fh:
             json.dump(
-                {"rows": [r.as_dict() for r in rows], "summary": summary},
-                fh, indent=2,
+                json_safe({"rows": [r.as_dict() for r in rows],
+                           "summary": summary}),
+                fh, indent=2, allow_nan=False,
             )
             fh.write("\n")
     return summary

@@ -12,7 +12,11 @@ Random numbers come from numpy's Philox4x64-10 counter generator, one
 stream per (master_seed, stream_index) key of two unsigned 64-bit words:
 ``SeedStream`` gives one stream as a numpy generator, and
 ``uniform_block`` computes the same draws for many consecutive streams
-in one vectorized pass.
+in vectorized passes.  A pass holds counter words 0 and 2 as the two
+lanes of one uint64 array and words 1 and 3 as a second, so each numpy
+call of a round serves both of the round's multiplications; the 128-bit
+products' high words come from 32-bit halves in three carry steps, and
+the first round, on the counter (b, 0, 0, 0), is computed on Python ints.
 """
 
 from __future__ import annotations
@@ -112,35 +116,61 @@ class SeedStream:
         return f"SeedStream({self.master_seed}, {self.stream_index})"
 
 
-def _mulhilo(m: int, x):
-    """(high, low) 64-bit words of the 128-bit products m * x, for a
-    constant m and a uint64 array x; the high word is built from 32-bit
-    halves, whose products fit in 64 bits."""
-    low32 = np.uint64(0xFFFFFFFF)
-    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
-    x_hi, x_lo = x >> np.uint64(32), x & low32
-    lo_lo, lo_hi, hi_lo = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
-    mid = (lo_lo >> np.uint64(32)) + (lo_hi & low32) + (hi_lo & low32)
-    hi = (m_hi * x_hi + (lo_hi >> np.uint64(32)) + (hi_lo >> np.uint64(32))
-          + (mid >> np.uint64(32)))
-    return hi, np.uint64(m) * x
-
-
 def _philox_words(seed: int, first: int, rows: int, blocks: int):
     """The first ``blocks`` four-word output blocks of the streams
-    first .. first+rows-1, as a (rows x 4*blocks) uint64 matrix."""
-    c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), (rows, 1))
-    c1 = c2 = c3 = np.zeros((rows, blocks), dtype=np.uint64)
-    k0 = seed
-    k1 = np.arange(rows, dtype=np.uint64)[:, None] + np.uint64(first)
-    for rnd in range(_PHILOX_ROUNDS):
-        if rnd:
-            k0 = (k0 + _PHILOX_W[0]) & _MASK64
-            k1 = k1 + np.uint64(_PHILOX_W[1])
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack((c0, c1, c2, c3), axis=-1).reshape(rows, 4 * blocks)
+    first .. first+rows-1, as a (rows x 4*blocks) uint64 matrix.
+
+    Words 0 and 2 are the lanes of the (2 x blocks x rows) array ``x``,
+    words 1 and 3 those of ``y``; the multipliers and the key words
+    broadcast per lane.  Rows are the inner axis, so the per-row key word
+    broadcasts along an outer one.  The first round maps the counter
+    (b, 0, 0, 0) to (k0, 0, hi(M0 b) ^ k1, lo(M0 b)).
+    """
+    low32, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
+    m = np.array(_PHILOX_M, dtype=np.uint64).reshape(2, 1, 1)
+    m_hi, m_lo = m >> shift, m & low32
+    weyl = np.array(_PHILOX_W, dtype=np.uint64).reshape(2, 1, 1)
+    key = np.empty((2, 1, rows), dtype=np.uint64)
+    key[0] = seed
+    key[1] = np.arange(rows, dtype=np.uint64) + np.uint64(first)
+    # the first round: (hi, lo) of M0 b for each block's counter b
+    hi_lo = [divmod(_PHILOX_M[0] * b, 1 << 64) for b in range(1, blocks + 1)]
+    hi_lo = np.array(hi_lo, dtype=np.uint64).reshape(blocks, 2)
+    x = np.empty((2, blocks, rows), dtype=np.uint64)
+    y = np.empty_like(x)
+    x[0], y[0] = seed, 0
+    np.bitwise_xor(key[1], hi_lo[:, :1], out=x[1])
+    y[1] = hi_lo[:, 1:]
+    y_next, x_hi, t, u = (np.empty_like(x) for _ in range(4))
+    for _ in range(1, _PHILOX_ROUNDS):
+        key += weyl
+        # the low words (lo0, lo1) are the next round's (word 3, word 1)
+        np.multiply(m, x, out=y_next[::-1])
+        np.right_shift(x, shift, out=x_hi)
+        x &= low32
+        # hi = m_hi x_hi + hi32(t) + hi32(u), where
+        # t = m_lo x_hi + hi32(m_lo x_lo) and u = m_hi x_lo + lo32(t)
+        np.multiply(m_lo, x_hi, out=t)
+        np.multiply(m_lo, x, out=u)
+        u >>= shift
+        t += u
+        np.bitwise_and(t, low32, out=u)
+        x *= m_hi
+        u += x
+        x_hi *= m_hi
+        t >>= shift
+        x_hi += t
+        u >>= shift
+        x_hi += u
+        # (hi1 ^ word 1 ^ k0, hi0 ^ word 3 ^ k1) are the next (word 0, word 2)
+        np.bitwise_xor(x_hi[::-1], y, out=x)
+        x ^= key
+        y, y_next = y_next, y
+    del y_next, x_hi, t, u  # free the round buffers before the output
+    words = np.empty((rows, blocks, 2, 2), dtype=np.uint64)
+    by_lane = words.transpose(2, 1, 0, 3)
+    by_lane[..., 0], by_lane[..., 1] = x, y
+    return words.reshape(rows, 4 * blocks)
 
 
 def uniform_block(master_seed: int, first_index: int, rows: int, draws: int):
@@ -161,5 +191,6 @@ def uniform_block(master_seed: int, first_index: int, rows: int, draws: int):
     out = np.empty((rows, draws))
     for r in range(0, rows, step):
         words = _philox_words(seed, first + r, min(step, rows - r), blocks)
-        out[r:r + len(words)] = (words[:, :draws] >> np.uint64(11)) * 2.0**-53
+        np.multiply(words[:, :draws] >> np.uint64(11), 2.0**-53,
+                    out=out[r:r + len(words)])
     return out

@@ -112,6 +112,38 @@ def test_compare(capsys, tmp_path):
     assert open(csv_path).readline().startswith("instance_id")
 
 
+def _strict_json(text):
+    """json.loads that rejects the NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_compare_writes_strict_json(capsys, tmp_path):
+    # no rows leave max_ratio without a value; 13 jobs exceed the exact
+    # solver's job cap, so that row is skipped with every value missing
+    inst = validate_and_canonicalize(1, "1/13", [(3, [0.5] * 13)])
+    path = str(tmp_path / "big.json")
+    save_instance(inst, path)
+    json_path = tmp_path / "rows.json"
+    csv_path = tmp_path / "rows.csv"
+    for argv in (["--count", "0"], ["--instances", path]):
+        code, out = run(capsys, "compare", *argv, "--json-out",
+                        str(json_path), "--csv", str(csv_path))
+        assert code == 0
+        summary = _strict_json(out)
+        written = _strict_json(json_path.read_text())
+        assert summary == written["summary"]
+        assert summary["max_ratio"] is None
+    row, = written["rows"]
+    assert row["skipped"].startswith("SolverCapError: ")
+    assert row["exact_value"] is row["ratio"] is row["sept_value"] is None
+    assert row["bound"] > 1
+    # the CSV keeps writing nan
+    header, values = csv_path.read_text().splitlines()
+    assert dict(zip(header.split(","), values.split(",")))["ratio"] == "nan"
+
+
 def test_compare_unknown_scheme(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--scheme", "bogus"])

@@ -145,6 +145,17 @@ class TestReport:
         assert summary["max_ratio"] == row.ratio >= 1
         assert summary["max_states"] == row.stratified_states > 0
 
+    def test_json_file_writes_null_for_nan(self, tmp_path):
+        json_path = tmp_path / "rows.json"
+        summary = report([ComparisonRow(instance_id="i0000", skipped="cap")],
+                         json_path=str(json_path))
+        assert math.isnan(summary["max_ratio"])  # the returned dict keeps nan
+        data = json.loads(json_path.read_text(),
+                          parse_constant=_reject_constant)
+        assert data["summary"]["max_ratio"] is None
+        assert data["rows"][0]["exact_value"] is None
+        assert data["rows"][0]["exact_seconds"] == 0.0
+
     def test_csv_and_json(self, tmp_path):
         inst = validate_and_canonicalize(1, "1/13", [(169, [1.0, 1.0])])
         rows = compare([inst])
@@ -161,6 +172,10 @@ class TestReport:
         assert summary["max_ratio"] == pytest.approx(max(
             r["ratio"] for r in data["rows"]
         ))
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
 
 
 def _run_experiments():
@@ -192,3 +207,7 @@ class TestRunExperiments:
         assert script.main(["--out", str(tmp_path), "--machines", "1"]) == 0
         last = capsys.readouterr().out.splitlines()[-1]
         assert last == f"overall max ratio: {printed}"
+        written = json.loads((tmp_path / "summary.json").read_text(),
+                             parse_constant=_reject_constant)
+        assert written["overall_max_ratio"] == (
+            None if printed == "nan" else float(printed))

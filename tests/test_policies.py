@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bernsched import policies
 from bernsched.dp_exact import SolverCapError, solve_exact
 from bernsched.dp_stratified import solve_stratified
-from bernsched.harness import prepare
+from bernsched.harness import ExperimentSpec, generate, prepare
 from bernsched.instances import validate_and_canonicalize
 from bernsched.numerics import SeedStream
 from bernsched.policies import (
@@ -132,6 +132,24 @@ class TestMonteCarlo:
     def test_trials_validated(self, example_35):
         with pytest.raises(ReplayError):
             expected_cost_mc(SeptPolicy(), example_35, trials=0, seed=0)
+
+    def test_golden_bits(self):
+        # (mean, stderr) as float.hex, pinned from the earlier one-lane
+        # sampler; 20,000 trials are two trial blocks
+        inst, = generate(ExperimentSpec(n_types=2, jobs_per_type=3,
+                                        machines=2, count=1, seed=1))
+        (exact, _), (stratified, rounded) = _table_cases(inst)
+        want = {
+            "sept": ("0x1.de252a3055326p+9", "0x1.a720908b283b1p+1"),
+            "exact": ("0x1.dde4bfb15b574p+9", "0x1.a7e6f8bfec583p+1"),
+            "stratified": ("0x1.eab6036ad8ffdp+9", "0x1.dae7134cc8156p+1"),
+        }
+        cases = {"sept": (SeptPolicy(), inst), "exact": (exact, inst),
+                 "stratified": (stratified, rounded)}
+        assert 20_000 > policies._BLOCK
+        for name, (policy, case_inst) in cases.items():
+            mean, stderr = expected_cost_mc(policy, case_inst, 20_000, 7)
+            assert (mean.hex(), stderr.hex()) == want[name], name
 
 
 class TestSept:
