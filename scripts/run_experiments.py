@@ -16,7 +16,6 @@ import math
 import os
 import sys
 
-from bernsched.dp_exact import MAX_JOBS
 from bernsched.harness import (
     SCHEMES,
     BoundViolation,
@@ -38,8 +37,6 @@ def main(argv=None):
     ap.add_argument("--jobs", type=int, default=2, help="jobs per type")
     ap.add_argument("--epsilon", default="1/13")
     ap.add_argument("--machines", type=int, nargs="+", default=[1, 2])
-    ap.add_argument("--max-jobs", type=int, default=MAX_JOBS,
-                    help="skip instances with more jobs than this")
     args = ap.parse_args(argv)
 
     os.makedirs(args.out, exist_ok=True)
@@ -53,7 +50,7 @@ def main(argv=None):
             )
             tag = f"{scheme}_m{m}"
             try:
-                rows = compare(generate(spec), max_jobs=args.max_jobs)
+                rows = compare(generate(spec))
             except BoundViolation as exc:
                 bad = os.path.join(args.out, f"{tag}_violation.json")
                 save_instance(exc.instance, bad)

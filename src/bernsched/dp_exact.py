@@ -49,20 +49,14 @@ from .instances import Instance
 from .timegrid import GridError
 
 
-#: Default caps of both solvers: most jobs, and most states in the memo.
-MAX_JOBS = 12
+#: Default cap of both solvers: most states in the memo.
 STATE_CAP = 2_000_000
 
 
 class SolverCapError(RuntimeError):
-    """Raised when an instance has more jobs than ``max_jobs`` or the state
-    count exceeds the configured cap."""
-
-
-def _check_job_cap(inst: Instance, max_jobs: int):
-    if inst.total_jobs > max_jobs:
-        raise SolverCapError(f"job cap exceeded ({inst.total_jobs} jobs "
-                             f"> max_jobs {max_jobs})")
+    """Raised when a solve reaches more states than its ``state_cap``, the
+    one guard of every solve whatever its job count, or when an instance
+    has more jobs than an oracle takes."""
 
 
 class DecisionTable(Mapping):
@@ -190,7 +184,7 @@ def _decode(nid, strides, counts):
 LEVELS_MIN_NU = 36
 
 
-def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int):
+def solve_core(inst: Instance, rule, state_cap: int):
     """The ``Solution`` under ``rule``: the optimal expected total
     completion time as a float, and the ``DecisionTable`` of every
     reachable state with jobs left, in the rule's unit.
@@ -212,13 +206,16 @@ def solve_core(inst: Instance, rule, max_jobs: int, state_cap: int):
     costs fit and in exact Python ints elsewhere.  A level costs about
     0.1 ms of numpy calls whatever its size, so on small solves the
     depth-first walk is faster (README.md gives the measured crossover).
-    Both hand the ``DecisionTable`` a key array and a code array.
+    Both hand the ``DecisionTable`` a key array and a code array.  Only
+    ``state_cap`` limits a solve, whatever its job count: past that many
+    states the core raises ``SolverCapError``.
     """
-    _check_job_cap(inst, max_jobs)
     _strides, radix = _mixed_radix(inst.counts)
     # the level traversal allocates tables of NU rows up front; with more
     # count vectors than the state cap allows states (the exact rule
-    # reaches them all) the depth-first one meets the cap in bounded memory
+    # reaches them all) the depth-first one meets the cap in bounded memory,
+    # and the level path's int64 keys pid * NU + nid cannot overflow short
+    # of 2**63 / NU interned profiles (4.6e12 at the default cap)
     if LEVELS_MIN_NU <= radix <= state_cap + 1:
         return _solve_levels(inst, rule, state_cap)
     return _solve_dfs(inst, rule, state_cap)
@@ -529,28 +526,31 @@ class ExactRule:
         return tuple(sorted(profile[1:] + (profile[0] + self.sizes[j],)))
 
 
-def solve_exact(inst: Instance, max_jobs: int = MAX_JOBS,
-                state_cap: int = STATE_CAP) -> Solution:
+def solve_exact(inst: Instance, state_cap: int = STATE_CAP) -> Solution:
     """Optimal expected total completion time over all non-anticipatory
     policies; every decision in the table is ``("start", j)``."""
-    return solve_core(inst, ExactRule(inst), max_jobs, state_cap)
+    return solve_core(inst, ExactRule(inst), state_cap)
 
 
-def brute_force_oracle(inst: Instance, max_jobs: int = 6) -> float:
+def brute_force_oracle(inst: Instance) -> float:
     """Expectimax over raw states: unsorted machine-indexed loads and
-    explicit job subsets, no within-type compression."""
-    return _expectimax(inst, max_jobs, allow_idle=False)
+    explicit job subsets, no within-type compression.  At most 6 jobs."""
+    return _expectimax(inst, allow_idle=False)
 
 
-def idling_oracle(inst: Instance, max_jobs: int = 4) -> float:
+def idling_oracle(inst: Instance) -> float:
     """Expectimax where the free machine may also be deferred to the next
     completion epoch (the next strictly larger load) instead of starting a
-    job.  Deferral is only available while some machine is ahead."""
-    return _expectimax(inst, max_jobs, allow_idle=True)
+    job.  Deferral is only available while some machine is ahead.  At most
+    4 jobs."""
+    return _expectimax(inst, allow_idle=True)
 
 
-def _expectimax(inst: Instance, max_jobs: int, allow_idle: bool) -> float:
-    _check_job_cap(inst, max_jobs)
+def _expectimax(inst: Instance, allow_idle: bool) -> float:
+    max_jobs = 4 if allow_idle else 6  # the oracles' state space is exponential
+    if inst.total_jobs > max_jobs:
+        raise SolverCapError(f"job cap exceeded ({inst.total_jobs} jobs "
+                             f"> max_jobs {max_jobs})")
     jobs = inst.job_ids()
     size = {job: inst.job_size(job) for job in jobs}
     prob = {job: inst.job_q(job) for job in jobs}

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .dp_exact import MAX_JOBS, STATE_CAP, Solution, solve_core
+from .dp_exact import STATE_CAP, Solution, solve_core
 from .instances import GroupStructure, Instance
 from .timegrid import TimeGrid
 
@@ -68,12 +68,11 @@ class GridRule:
 
 
 def solve_stratified(inst: Instance, groups: GroupStructure, grid: TimeGrid,
-                     max_jobs: int = MAX_JOBS,
                      state_cap: int = STATE_CAP) -> Solution:
     """Optimal policy within the grid-restricted class; each decision in
     the table is ``("start", j)`` or ``("idle",)``, times in 1/grid.unit."""
     # groups is unused (the grid carries them); callers pass it positionally
-    return solve_core(inst, GridRule(grid), max_jobs, state_cap)
+    return solve_core(inst, GridRule(grid), state_cap)
 
 
 def sandwich_bound(n_types: int, epsilon: Fraction) -> Fraction:

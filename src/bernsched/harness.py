@@ -2,8 +2,8 @@
 
 ``compare`` prices its SEPT and fixed-assignment baselines exactly with
 ``policies.expected_cost_reached``, which needs no enumeration of outcome
-vectors, so ``policies.MAX_ENUMERATED`` does not limit them: the solvers'
-caps do.  ``expected_cost_exact`` is still importable from here, where the
+vectors, so ``policies.MAX_ENUMERATED`` does not limit them: the state
+cap does.  ``expected_cost_exact`` is still importable from here, where the
 benchmark's tracing spans it by name.
 """
 
@@ -103,10 +103,10 @@ def prepare(inst: Instance):
     return rounded, groups2, grid, merges
 
 
-def solve_pipeline(inst: Instance, **caps):
+def solve_pipeline(inst: Instance, *, state_cap: int = STATE_CAP):
     """Round, grid, solve: (solution, grid, rounded_instance, merges)."""
     rounded, groups, grid, merges = prepare(inst)
-    solution = solve_stratified(rounded, groups, grid, **caps)
+    solution = solve_stratified(rounded, groups, grid, state_cap=state_cap)
     return solution, grid, rounded, merges
 
 
@@ -144,16 +144,15 @@ class BoundViolation(RuntimeError):
         self.instance = inst
 
 
-def compare(instances, **caps):
+def compare(instances, *, state_cap: int = STATE_CAP):
     """One row per instance: exact vs grid-restricted values, their ratio
     against the analytic bound, and the exact expected costs of the SEPT
     and fixed-assignment baselines over the states they reach.  A ratio
     outside [1 - 1e-9, bound + 1e-9] aborts with the offending instance
-    attached, before the baselines run.  An instance that hits a solver cap
-    (or whose baselines reach more than ``state_cap`` states) or raises
-    GridError or InstanceError becomes a skipped row whose reason starts
-    with the exception's type name."""
-    state_cap = caps.get("state_cap", STATE_CAP)
+    attached, before the baselines run.  ``state_cap`` is the one guard,
+    whatever the job count: an instance whose solves or baselines reach
+    more states, or that raises GridError or InstanceError, becomes a
+    skipped row whose reason starts with the exception's type name."""
     rows = []
     for idx, inst in enumerate(instances):
         row = ComparisonRow(
@@ -165,13 +164,13 @@ def compare(instances, **caps):
         row.bound = float(sandwich_bound(inst.n_types, inst.epsilon))
         try:
             t0 = time.perf_counter()
-            exact = solve_exact(inst, **caps)
+            exact = solve_exact(inst, state_cap=state_cap)
             row.exact_seconds = time.perf_counter() - t0
             row.exact_value = exact.value
             row.exact_states = exact.states
 
             t0 = time.perf_counter()
-            solution = solve_pipeline(inst, **caps)[0]
+            solution = solve_pipeline(inst, state_cap=state_cap)[0]
             row.stratified_seconds = time.perf_counter() - t0
             row.stratified_value = solution.value
             row.stratified_states = solution.states

@@ -90,8 +90,9 @@ class GroupStructure:
 def validate_and_canonicalize(machines, epsilon, raw_types) -> Instance:
     """Build a canonical instance from raw (size, [q...]) pairs.
 
-    Duplicate sizes are merged into one type, types are sorted by size
-    descending and probabilities ascending within each type.
+    Duplicate sizes are merged into one type and a size without jobs is
+    dropped; types are sorted by size descending and probabilities
+    ascending within each type.
     """
     if machines < 1:
         raise InstanceError("need at least one machine")
@@ -111,9 +112,9 @@ def validate_and_canonicalize(machines, epsilon, raw_types) -> Instance:
 
     types = tuple(
         JobType(size=p, qs=tuple(sorted(by_size[p])))
-        for p in sorted(by_size, reverse=True)
+        for p in sorted(by_size, reverse=True) if by_size[p]
     )
-    if sum(t.count for t in types) == 0:
+    if not types:
         raise InstanceError("empty job list")
     return Instance(machines=machines, epsilon=eps, types=types)
 
@@ -289,8 +290,9 @@ def instance_from_dict(d: dict) -> Instance:
         # bool is an int subclass, and int() would truncate 2.7 to 2
         if type(machines) not in (int, float) or machines != int(machines):
             raise InstanceError(f"machine count {machines!r} is not an integer")
-        if any(type(q) is bool for _p, qs in raw for q in qs):
-            raise InstanceError("a probability is a boolean, not a number")
+        if any(type(x) is bool for p, qs in raw for x in (p, *qs)):
+            raise InstanceError("a size or probability is a boolean, "
+                                "not a number")
         return validate_and_canonicalize(int(machines), d["epsilon"], raw)
     except (InstanceError, NumericsError):
         raise

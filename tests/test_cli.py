@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from bernsched import cli
 from bernsched.cli import dump_policy, main, state_to_str, str_to_state
-from bernsched.dp_exact import ExactRule, _solve_dfs, _solve_levels
+from bernsched.dp_exact import ExactRule, _solve_dfs, _solve_levels, solve_exact
 from bernsched.instances import load_instance, save_instance, \
     validate_and_canonicalize
 
@@ -120,9 +121,10 @@ def _strict_json(text):
 
 
 def test_compare_writes_strict_json(capsys, tmp_path):
-    # no rows leave max_ratio without a value; 13 jobs exceed the exact
-    # solver's job cap, so that row is skipped with every value missing
-    inst = validate_and_canonicalize(1, "1/13", [(3, [0.5] * 13)])
+    # no rows leave max_ratio without a value; at eps = 1/2 rounding 15 up
+    # to 16 splits 4 off its group, so that row is skipped without a ratio
+    inst = validate_and_canonicalize(1, "1/2", [(15, [0.5]), (4, [0.5]),
+                                                (1, [0.5])])
     path = str(tmp_path / "big.json")
     save_instance(inst, path)
     json_path = tmp_path / "rows.json"
@@ -136,8 +138,10 @@ def test_compare_writes_strict_json(capsys, tmp_path):
         assert summary == written["summary"]
         assert summary["max_ratio"] is None
     row, = written["rows"]
-    assert row["skipped"].startswith("SolverCapError: ")
-    assert row["exact_value"] is row["ratio"] is row["sept_value"] is None
+    assert row["skipped"] == \
+        "InstanceError: divisibility rounding changed the group partition"
+    assert row["ratio"] is row["sept_value"] is None
+    assert row["exact_value"] == 13
     assert row["bound"] > 1
     # the CSV keeps writing nan
     header, values = csv_path.read_text().splitlines()
@@ -191,14 +195,20 @@ def test_round_powers(capsys, tmp_path):
     assert data["types"][0]["size"] == "28561"
 
 
-def test_typed_errors_exit_1(capsys, tmp_path):
+def test_typed_errors_exit_1(capsys, tmp_path, monkeypatch):
+    # 13 jobs solve under the default state cap, and fail under a small one
     big = validate_and_canonicalize(1, "1/13", [(169, [0.5] * 6),
                                                 (1, [0.5] * 7)])
     path = str(tmp_path / "big.json")
     save_instance(big, path)
-    assert main(["solve-exact", "--instance", path]) == 1
-    assert capsys.readouterr().err == "error: SolverCapError: job cap " \
-        "exceeded (13 jobs > max_jobs 12)\n"
+    code, out = run(capsys, "solve-exact", "--instance", path)
+    assert code == 0 and json.loads(out)["value"] > 0
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "solve_exact",
+                      lambda inst: solve_exact(inst, state_cap=10))
+        assert main(["solve-exact", "--instance", path]) == 1
+    assert capsys.readouterr().err == "error: SolverCapError: state cap " \
+        "exceeded (11 states)\n"
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"machines": 1, "epsilon": "1/1",
@@ -212,6 +222,8 @@ def test_typed_errors_exit_1(capsys, tmp_path):
                          ({"machines": 2.7}, "InstanceError"),
                          ({"machines": True}, "InstanceError"),
                          ({"types": [{"size": "3", "jobs": [True]}]},
+                          "InstanceError"),
+                         ({"types": [{"size": True, "jobs": [0.5]}]},
                           "InstanceError")):
         bad.write_text(json.dumps({"machines": 1, "epsilon": "1/13",
                                    "types": [{"size": "3", "jobs": [0.5]}],

@@ -81,14 +81,20 @@ class TestSolveExact:
         assert solve_exact(inst).value == pytest.approx(2.5)
 
     def test_cap(self):
+        # the state cap is the solver's one guard; the oracles keep job caps
         inst = make(1, [(3, [0.5] * 5)])
-        with pytest.raises(SolverCapError):
-            solve_exact(inst, max_jobs=4)
+        with pytest.raises(SolverCapError, match=r"^state cap exceeded \("):
+            solve_exact(inst, state_cap=4)
+        assert solve_exact(inst).states > 4
+        for oracle, jobs in ((brute_force_oracle, 7), (idling_oracle, 5)):
+            with pytest.raises(SolverCapError, match=(
+                    rf"^job cap exceeded \({jobs} jobs > max_jobs {jobs - 1}\)$")):
+                oracle(make(1, [(3, [0.5] * jobs)]))
 
     def test_1100_jobs(self):
         # deeper than Python's recursion limit; 605,550 = 1 + 2 + ... + 1100
         inst = make(1, [(1, [1.0] * 1100)])
-        sol = solve_exact(inst, max_jobs=1100)
+        sol = solve_exact(inst)
         assert sol.value == 605_550
         assert sol.states == 605_550
 
@@ -436,7 +442,7 @@ class StalledRule:
 class TestIdleProgress:
     def test_idle_advance_in_place_is_an_error(self):
         with pytest.raises(GridError, match="idle advance stalled at 0/1"):
-            solve_core(make(1, [(1, [0.5])]), StalledRule(), 12, 100)
+            solve_core(make(1, [(1, [0.5])]), StalledRule(), 100)
 
     @pytest.mark.parametrize("solve", [_solve_dfs, _solve_levels])
     def test_both_traversals_report_the_stall(self, solve):
@@ -571,5 +577,5 @@ class TestTraversals:
             monkeypatch.setattr(dp_exact, name,
                                 lambda *args, name=name: called.append(name))
         inst = make(1, [(1, [0.5] * (nu - 1))])
-        solve_core(inst, ExactRule(inst), nu, cap)
+        solve_core(inst, ExactRule(inst), cap)
         assert called == ["_solve_levels" if levels else "_solve_dfs"]

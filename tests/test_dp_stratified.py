@@ -179,7 +179,7 @@ class TestManyJobs:
         # exact optimum runs the unit jobs back to back: 1 + 2 + ... + 1100.
         inst = make(1, [(1, [1.0] * 1100)])
         rounded, groups, grid, _ = prepare(inst)
-        sol = solve_stratified(rounded, groups, grid, max_jobs=1100)
+        sol = solve_stratified(rounded, groups, grid)
         exact = 1100 * 1101 // 2
         bound = float(sandwich_bound(1, inst.epsilon))
         assert exact - 1e-9 <= sol.value <= bound * exact + 1e-9

@@ -68,13 +68,12 @@ class TestCompare:
         assert compare([]) == []
 
     def test_cap_marks_skipped(self):
+        # 13 jobs: the state cap, not the job count, decides the skip
         inst = validate_and_canonicalize(
             1, "1/13", [(169, [0.5] * 6), (1, [0.5] * 7)]
         )
-        rows = compare([inst], max_jobs=4)
-        assert rows[0].skipped == \
-            "SolverCapError: job cap exceeded (13 jobs > max_jobs 4)"
-        rows = compare([inst], max_jobs=13, state_cap=10)
+        assert not compare([inst])[0].skipped
+        rows = compare([inst], state_cap=10)
         assert rows[0].skipped.startswith(
             "SolverCapError: state cap exceeded (")
         assert rows[0].skipped.endswith(" states)")
@@ -91,6 +90,30 @@ class TestCompare:
         ] * 2
         assert rows[0].exact_value == pytest.approx(507.0)
 
+    @pytest.mark.parametrize("types, jobs, machines", [
+        (2, 10, 2), (1, 200, 3)], ids=["2x10x2", "1x200x3"])
+    def test_verifies_past_twelve_jobs(self, types, jobs, machines):
+        # no job cap: the default state cap admits 20 and 200 jobs
+        spec = ExperimentSpec(n_types=types, jobs_per_type=jobs,
+                              machines=machines, q_choices=(0.25, 0.5, 0.75),
+                              count=1, seed=1)
+        row, = compare(generate(spec))
+        assert row.skipped == ""
+        assert row.total_jobs == types * jobs
+        assert 1 <= row.ratio <= row.bound
+
+    def test_empty_type_changes_nothing(self):
+        # a size without jobs is dropped, so it joins no group or grid
+        inst = validate_and_canonicalize(1, "1/13", [(3, [0.5, 0.5])])
+        padded = validate_and_canonicalize(1, "1/13", [(3, [0.5, 0.5]),
+                                                       ("1", [])])
+        assert padded == inst
+        untimed = [{k: v for k, v in row.as_dict().items()
+                    if not k.endswith("_seconds")}
+                   for row in compare([inst, padded])]
+        assert untimed[0] == {**untimed[1], "instance_id": "i0000"}
+        assert untimed[0]["stratified_value"] == pytest.approx(66 / 13)
+
     @pytest.mark.parametrize("raw", [
         [(3, [0.5] * 21)],
         [(13, [0.25, 0.5, 0.75] * 4), (1, [0.5] * 12)],
@@ -99,7 +122,7 @@ class TestCompare:
         # more stochastic jobs than enumeration takes: the baselines are
         # priced over the states they reach
         inst = validate_and_canonicalize(2, "1/13", raw)
-        rows = compare([inst, inst], max_jobs=inst.total_jobs)
+        rows = compare([inst, inst])
         for row in rows:
             assert row.skipped == ""
             assert math.isfinite(row.sept_value)
@@ -137,7 +160,7 @@ class TestReport:
 
         monkeypatch.setattr(harness, "expected_cost_reached", baseline_fails)
         inst = validate_and_canonicalize(1, "1/13", [(3, [0.5] * 22)])
-        row = compare([inst], max_jobs=22)[0]
+        row = compare([inst])[0]
         assert row.skipped == "SolverCapError: state cap exceeded (7 states)"
         assert math.isnan(row.sept_value)
         summary = report([row])
@@ -197,7 +220,7 @@ class TestRunExperiments:
         script = _run_experiments()
         cells = iter(ratios)
 
-        def rows_of_one_cell(instances, max_jobs):
+        def rows_of_one_cell(instances):
             ratio = next(cells)
             return [ComparisonRow(instance_id="i0000", ratio=ratio,
                                   skipped="cap" if math.isnan(ratio) else "")]

@@ -209,7 +209,8 @@ def test_from_dict_rejects_malformed_types():
             "types": [{"size": "3", "jobs": [0.5, 1.0]}]}
     assert instance_from_dict({**good, "machines": 2.0}).machines == 2
     for fields in ({"machines": 2.7}, {"machines": True}, {"machines": "2"},
-                   {"types": [{"size": "3", "jobs": [0.5, True]}]}):
+                   {"types": [{"size": "3", "jobs": [0.5, True]}]},
+                   {"types": [{"size": True, "jobs": [0.5]}]}):
         with pytest.raises(InstanceError):
             instance_from_dict({**good, **fields})
 
