@@ -41,7 +41,8 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 
@@ -225,11 +226,9 @@ def _numerators(inst):
     """``(den, power, qnum)``: the lcm D of the probability denominators,
     ``power[r] = D**r``, and ``qnum[j][c]`` the numerator over D of the q
     of type j's next job when c of its jobs are left (0 for c = 0)."""
-    qs = [[Fraction(q) for q in t.qs] for t in inst.types]
-    den = lcm(*(q.denominator for row in qs for q in row))
-    power = [den ** r for r in range(inst.total_jobs + 1)]
-    return den, power, [[0] + [int(q * den) for q in reversed(row)]
-                        for row in qs]
+    den = inst.q_den
+    power = list(accumulate(repeat(den, inst.total_jobs), mul, initial=1))
+    return den, power, [[0, *reversed(row)] for row in inst.q_nums]
 
 
 def _interner():
@@ -335,7 +334,7 @@ def _solve_dfs(inst: Instance, rule, state_cap: int) -> Solution:
         keys.append(key)
         codes.append(choice)
 
-    return Solution(float(Fraction(value[top], power[-1] * rule.unit)),
+    return Solution(value[top] / (power[-1] * rule.unit),
                     DecisionTable(np.array(keys, np.int64),
                                   np.array(codes, np.min_scalar_type(n)),
                                   rule.unit, profiles, index, counts))
@@ -426,7 +425,16 @@ def _solve_levels(inst: Instance, rule, state_cap: int) -> Solution:
     # from N jobs left down: keys, idle and target positions, (ok, long)
     levels = []
     keys, total = np.array([top], np.int64), 0
+
+    def check_cap():
+        """Raise before a level's moves are built for more states than
+        the cap allows."""
+        if total + len(keys) > state_cap + 1:
+            raise SolverCapError(
+                f"state cap exceeded ({state_cap + 1} states)")
+
     for r in range(jobs, 0, -1):
+        check_cap()
         fresh, chunks, children, idle, targets = keys, [], [], [], []
         while len(fresh):
             pid, nid, ok, long, short = moves(fresh)
@@ -444,10 +452,8 @@ def _solve_levels(inst: Instance, rule, state_cap: int) -> Solution:
                           != fresh]
             if len(fresh):
                 keys = np.sort(np.concatenate((keys, fresh)))
+                check_cap()
         total += len(keys)
-        if total > state_cap + 1:
-            raise SolverCapError(
-                f"state cap exceeded ({state_cap + 1} states)")
         frm = to = np.empty(0, np.int64)
         if idle:  # an advance to an idle state takes its final target
             frm = keys.searchsorted(np.concatenate(idle))
@@ -501,7 +507,7 @@ def _solve_levels(inst: Instance, rule, state_cap: int) -> Solution:
         below_keys, below = keys, value
 
     top_value = int(below[np.searchsorted(below_keys, top)])
-    return Solution(float(Fraction(top_value, power[-1] * rule.unit)),
+    return Solution(top_value / (power[-1] * rule.unit),
                     DecisionTable(np.concatenate(table_keys),
                                   np.concatenate(table_codes), rule.unit,
                                   profiles, index, counts))
@@ -515,8 +521,7 @@ class ExactRule:
     after_idle = None  # never reached: a type with jobs left may always start
 
     def __init__(self, inst: Instance):
-        self.unit = lcm(*(t.size.denominator for t in inst.types))
-        self.sizes = tuple((t.size * self.unit).numerator for t in inst.types)
+        self.unit, self.sizes = inst.unit, inst.int_sizes
         self.types = tuple(range(inst.n_types))
 
     def allowed(self, t):

@@ -75,8 +75,10 @@ def solve_stratified(inst: Instance, groups: GroupStructure, grid: TimeGrid,
     return solve_core(inst, GridRule(grid), state_cap)
 
 
+@lru_cache(maxsize=None)
 def sandwich_bound(n_types: int, epsilon: Fraction) -> Fraction:
     """Worst-case ratio certificate between the restricted and exact optima:
-    (1+eps) * (1 + (2n+4)(1+eps)eps) * (1+5eps), exact rational."""
+    (1+eps) * (1 + (2n+4)(1+eps)eps) * (1+5eps), exact rational.  Memoized:
+    a run of ``compare`` asks for few (type count, eps) pairs, often."""
     eps = Fraction(epsilon)
     return (1 + eps) * (1 + (2 * n_types + 4) * (1 + eps) * eps) * (1 + 5 * eps)

@@ -5,6 +5,13 @@ of type j has processing time p_j (its "size") with probability q and 0
 otherwise.  Types are kept in strictly decreasing size order and the jobs
 of a type in non-decreasing order of probability; every operation below
 preserves (or restores) that canonical form.
+
+Sizes are ``Fraction`` values at the interface.  An instance also caches
+an integer view of itself: its sizes in units of 1/L, L the lcm of their
+denominators, and its probabilities as numerators over D, the lcm of
+their (power-of-two) denominators.  Grouping, divisibility rounding, the
+time grid's construction and the solvers work on that view; a
+``Fraction`` is built only for a public value or an error message.
 """
 
 from __future__ import annotations
@@ -12,8 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
-from .numerics import NumericsError, ceil_to_multiple_of, divides, format_rat, parse_rat
+from .numerics import NumericsError, format_rat, parse_rat
 
 
 class InstanceError(ValueError):
@@ -60,6 +69,35 @@ class Instance:
 
     def job_size(self, job_id) -> Fraction:
         return self.types[job_id[0]].size
+
+    # -- the integer view, computed once per instance ----------------------
+
+    @cached_property
+    def unit(self) -> int:
+        """L, the lcm of the size denominators."""
+        return lcm(*(t.size.denominator for t in self.types))
+
+    @cached_property
+    def int_sizes(self) -> tuple:
+        """Each type's size in units of 1/``unit``."""
+        unit = self.unit
+        return tuple(t.size.numerator * (unit // t.size.denominator)
+                     for t in self.types)
+
+    @cached_property
+    def q_den(self) -> int:
+        """D, the lcm of the probability denominators (floats are dyadic
+        rationals, so D is a power of two)."""
+        return lcm(*(q.as_integer_ratio()[1] for t in self.types for q in t.qs))
+
+    @cached_property
+    def q_nums(self) -> tuple:
+        """Per type, each job's probability as a numerator over ``q_den``,
+        in the order of ``qs``."""
+        den = self.q_den
+        return tuple(tuple(a * (den // b) for a, b in
+                           map(float.as_integer_ratio, t.qs))
+                     for t in self.types)
 
 
 @dataclass(frozen=True)
@@ -123,13 +161,14 @@ def build_groups(inst: Instance) -> GroupStructure:
     """Greedy partition of types into size groups.
 
     The next type joins the current group iff its size exceeds eps^2 times
-    the previous type's size; otherwise a new group starts.
+    the previous type's size; otherwise a new group starts.  With eps = 1/E
+    that is E^2 * p_{j+1} > p_j, compared on the integer sizes.
     """
-    eps2 = inst.epsilon * inst.epsilon
+    sizes, e2 = inst.int_sizes, inst.epsilon.denominator ** 2
     groups = []
     current = [0]
     for j in range(1, inst.n_types):
-        if inst.types[j].size > eps2 * inst.types[j - 1].size:
+        if e2 * sizes[j] > sizes[j - 1]:
             current.append(j)
         else:
             groups.append(tuple(current))
@@ -144,11 +183,11 @@ def build_groups(inst: Instance) -> GroupStructure:
 
 
 def _check_separation(inst: Instance, gs: GroupStructure):
-    eps2 = inst.epsilon * inst.epsilon
+    sizes, e2 = inst.int_sizes, inst.epsilon.denominator ** 2
     for h in range(1, gs.gamma):
         for j in gs.groups[h - 1]:
             for jp in gs.groups[h]:
-                if inst.types[j].size * eps2 < inst.types[jp].size:
+                if sizes[j] < e2 * sizes[jp]:
                     raise InstanceError(
                         f"groups {h - 1},{h} not eps^-2 separated "
                         f"({inst.types[j].size} vs {inst.types[jp].size})"
@@ -159,41 +198,49 @@ def round_for_divisibility(inst: Instance, groups: GroupStructure):
     """Round sizes up so representatives divide each other across groups and
     eps * p_{G_h} divides every size in G_h.
 
-    Representatives are processed from the smallest group upward; every size
-    grows by a factor at most (1 + eps).  Types whose rounded sizes collide
-    are merged (the merges are returned, not an error).
+    Representatives (each group's smallest size) are processed from the
+    smallest group upward; every size grows by a factor at most (1 + eps).
+    Types whose rounded sizes collide are merged (the merges are returned,
+    not an error).  The rounding is on integers: the representatives in
+    units of 1/L, and the sizes in units of 1/(L*E), in which eps times a
+    representative of r units of 1/L is r.
 
     Returns (rounded_instance, new_groups, merges) where merges is a list of
     rounded sizes that absorbed more than one original type.
     """
-    eps = inst.epsilon
+    e, sizes = inst.epsilon.denominator, inst.int_sizes
     gamma = groups.gamma
 
-    new_reps = list(groups.reps)
+    reps = [sizes[g[-1]] for g in groups.groups]
     for h in range(gamma - 2, -1, -1):
-        new_reps[h] = ceil_to_multiple_of(groups.reps[h], new_reps[h + 1])
+        reps[h] = -(-reps[h] // reps[h + 1]) * reps[h + 1]
 
-    rounded = []  # (new_size, qs)
+    unit = e * inst.unit
+    absorbed = {}  # rounded size in units of 1/unit -> original types
     for h, g in enumerate(groups.groups):
-        grid = eps * new_reps[h]
+        step = reps[h]
         for j in g:
-            old = inst.types[j].size
-            new = max(ceil_to_multiple_of(old, grid), new_reps[h])
-            if new > (1 + eps) * old:
+            old = e * sizes[j]
+            new = max(-(-old // step) * step, e * step)
+            if e * new > (e + 1) * old:
                 raise InstanceError(
-                    f"divisibility rounding grew {old} to {new}, beyond (1+eps)"
+                    f"divisibility rounding grew {inst.types[j].size} to "
+                    f"{Fraction(new, unit)}, beyond (1+eps)"
                 )
-            rounded.append((new, inst.types[j].qs))
+            absorbed.setdefault(new, []).append(j)
+    merges = [Fraction(p, unit) for p in sorted(absorbed)
+              if len(absorbed[p]) > 1]
 
-    sizes = [new for new, _qs in rounded]
-    merges = sorted(p for p in set(sizes) if sizes.count(p) > 1)
-
-    out = validate_and_canonicalize(inst.machines, eps, rounded)
+    out = Instance(inst.machines, inst.epsilon, tuple(
+        JobType(size=Fraction(p, unit), qs=tuple(sorted(
+            q for j in absorbed[p] for q in inst.types[j].qs)))
+        for p in sorted(absorbed, reverse=True)))
     new_groups = build_groups(out)
     if not partition_unchanged(inst, groups, out, new_groups):
         raise InstanceError("divisibility rounding changed the group partition")
+    new_reps = [out.int_sizes[g[-1]] for g in new_groups.groups]
     for h in range(1, new_groups.gamma):
-        if not divides(new_groups.reps[h], new_groups.reps[h - 1]):
+        if new_reps[h - 1] % new_reps[h]:
             raise InstanceError("representative divisibility failed after rounding")
     return out, new_groups, merges
 

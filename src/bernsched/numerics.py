@@ -2,11 +2,16 @@
 
 Times, sizes and grid points are nonnegative ``fractions.Fraction`` values
 at every public interface, so that grid membership and load-profile
-equality are bit-exact.  Inside, the solvers' shared core and the time
-grid's queries work on integer multiples of a common unit instead (the
-grid's is ``TimeGrid.unit``); the Fraction helpers here serve input
-parsing, instance rounding and the grid's construction.  Probabilities
-and reported expected costs are ordinary floats.
+equality are bit-exact.  Inside, everything from grouping and rounding
+on works on integers instead: an instance's sizes in units of 1/L
+(``Instance.unit``), the grid's construction over one common denominator
+and its queries in ``TimeGrid.unit``, the solvers' core in the rule's
+unit.  The Fraction helpers here serve input parsing and output;
+``floor_div``, ``ceil_to_multiple_of`` and ``divides`` remain for the
+tests' Fraction references of the rounding and the grid.  Probabilities
+are ordinary floats, exact dyadic rationals that the integer view holds
+as numerators over a power of two, and reported expected costs are
+floats.
 
 Random numbers come from numpy's Philox4x64-10 counter generator, one
 stream per (master_seed, stream_index) key of two unsigned 64-bit words:

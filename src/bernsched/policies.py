@@ -26,7 +26,7 @@ on integer times:
 
 * the fixed-order kernel, for ``ListPolicy``, ``SeptPolicy`` and
   ``FixedAssignmentPolicy``, in units of 1/L, L the lcm of the size
-  denominators;
+  denominators (``Instance.unit``);
 * the table kernel, for ``ExactTablePolicy`` and
   ``StratifiedTablePolicy``, in the unit of the rule the table's solver
   ran.  Each row walks the table's states; each distinct state is read
@@ -291,8 +291,8 @@ def _fixed_order_kernel(policy, inst: Instance):
     if type(policy) not in (ListPolicy, SeptPolicy, FixedAssignmentPolicy):
         return None
     jobs = inst.job_ids()
-    unit = math.lcm(*(t.size.denominator for t in inst.types))
-    sizes = [(inst.job_size(job) * unit).numerator for job in jobs]
+    unit = inst.unit
+    sizes = [inst.int_sizes[j] for j, _i in jobs]
     if max(unit, len(jobs) * sum(sizes)) > 2**53:
         return None
     sizes = np.array(sizes, dtype=np.int64)
@@ -360,7 +360,8 @@ def _table_kernel(policy, inst: Instance):
         return None
     unit, sizes, counts = rule.unit, rule.sizes, inst.counts
     n_jobs = inst.total_jobs
-    if unit > 2**53 or sizes != tuple(t.size * unit for t in inst.types):
+    if unit > 2**53 or unit % inst.unit or sizes != tuple(
+            s * (unit // inst.unit) for s in inst.int_sizes):
         return None
     column = {job: k for k, job in enumerate(inst.job_ids())}
     starts = {("start", j): j for j in range(inst.n_types)}
@@ -492,19 +493,17 @@ def expected_cost_reached(policy, inst: Instance,
     merge and branches of zero mass are dropped.  Times are integers in
     units of 1/L, L the lcm of the size denominators, and after k starts
     the masses are integer numerators over D**k, D the lcm of the
-    probability denominators.
+    probability denominators: the instance's integer view.
 
     Raises ReplayError where replay would (a list that does not cover the
     jobs) and for any other policy, and SolverCapError when the reached
     states outnumber ``state_cap``.
     """
     ctl = policy.bind(inst)
-    jobs = inst.job_ids()
-    unit = math.lcm(*(t.size.denominator for t in inst.types))
-    size = {job: (inst.job_size(job) * unit).numerator for job in jobs}
-    prob = [Fraction(inst.job_q(job)) for job in jobs]
-    den = math.lcm(*(q.denominator for q in prob))
-    qnum = {job: int(q * den) for job, q in zip(jobs, prob)}  # q over den
+    unit, den = inst.unit, inst.q_den
+    size = {job: inst.int_sizes[job[0]] for job in inst.job_ids()}
+    qnum = {(j, i): a for j, row in enumerate(inst.q_nums)  # q over den
+            for i, a in enumerate(row)}
     if type(ctl) is FixedAssignmentPolicy:
         total = sum(weight * qnum[job] * size[job]
                     for job, weight in _queue_weights(ctl))
@@ -512,7 +511,7 @@ def expected_cost_reached(policy, inst: Instance,
     if type(ctl) is not ListPolicy:
         raise ReplayError(f"no reached-state evaluator for {policy.name!r}")
     order = [job for job in dict.fromkeys(ctl.order) if job in size]
-    if len(order) != len(jobs):
+    if len(order) != len(size):
         raise ReplayError("list exhausted with jobs remaining")
     reached = {(0,) * inst.machines: 1}  # profile -> mass over den**k
     # total: numerator over den**k * unit of the cost of the first k starts
@@ -579,16 +578,12 @@ class ListPolicy(Policy):
 
 def sept_order(inst: Instance):
     """All jobs ordered by expected size q*p ascending, ties broken by type
-    index then probability."""
-    jobs = inst.job_ids()
-    return sorted(
-        jobs,
-        key=lambda job: (
-            float(inst.job_q(job)) * float(inst.job_size(job)),
-            job[0],
-            inst.job_q(job),
-        ),
-    )
+    index then probability.  The products are compared exactly, as
+    integers over D*L (``Instance.q_nums`` times ``Instance.int_sizes``),
+    so the order does not change when the sizes are scaled."""
+    sizes, qnums = inst.int_sizes, inst.q_nums
+    return sorted(inst.job_ids(),
+                  key=lambda job: (qnums[job[0]][job[1]] * sizes[job[0]], job))
 
 
 class SeptPolicy(Policy):

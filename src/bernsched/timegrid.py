@@ -6,9 +6,11 @@ partition of the time axis into intervals: group-h intervals have length
 between eps*p_h/2 and eps*p_h, where p_h is the group's representative
 (smallest) size.  The interval endpoints form O(gamma) arithmetic runs,
 so every query is closed-form, whatever the size ratios between groups.
-Queries are answered on integer times in units of 1/``TimeGrid.unit``,
-in which the whole grid is exact; ``Fraction`` appears only in the
-construction and in thin wrappers for replay, the CLI and tests.
+The grid is built on integers over one common denominator, then reduced
+to ``TimeGrid.unit``, in which the whole grid is exact; queries are
+answered on integer times in that unit.  ``Fraction`` appears only in the
+public values (thresholds, run starts, endpoints and Q-set members) and
+in thin wrappers for replay, the CLI and tests.
 
 Group indices here are 0-based with group 0 holding the *largest* sizes.
 """
@@ -18,11 +20,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
-from math import ceil, floor, inf, lcm
+from math import ceil, floor, gcd, inf
 
 from .instances import GroupStructure, Instance
-from .numerics import floor_div
 
 
 class GridError(ValueError):
@@ -42,27 +44,24 @@ class Thresholds:
     p_circ: tuple
 
 
-def compute_thresholds(inst: Instance, groups: GroupStructure) -> Thresholds:
-    """p_star[h] = rep_h plus a correction charging each strictly smaller
-    group k a term (number of types below group k + 3) * rep_k, scaled by
-    (1+eps)*eps.  The smallest group gets no correction."""
-    eps = inst.epsilon
-    gamma = groups.gamma
+def _p_star(groups: GroupStructure, reps, e: int):
+    """The thresholds p_star[h]: rep_h plus a correction charging each
+    strictly smaller group k a term (number of types below group k + 3) *
+    rep_k, scaled by (1+eps)*eps = (E+1)/E^2.  The smallest group gets no
+    correction.  On integer ``reps`` over a denominator whose numerators
+    E^2 divides, the thresholds are exact integers over the same one."""
+    gamma = len(reps)
     counts = [len(g) for g in groups.groups]
     p_star = []
     for h in range(gamma):
-        corr = Fraction(0)
+        corr = 0
         for k in range(h + 1, gamma - 1):
-            tail_types = sum(counts[i] for i in range(k + 1, gamma))
-            corr += (tail_types + 3) * groups.reps[k]
-        p_star.append(groups.reps[h] + (1 + eps) * eps * corr)
+            corr += (sum(counts[k + 1:]) + 3) * reps[k]
+        p_star.append(reps[h] + (e + 1) * corr // (e * e))
     for h in range(1, gamma):
         if not p_star[h - 1] > p_star[h]:
             raise GridError("thresholds not strictly decreasing across groups")
-    stretch = 1 + 5 * eps
-    return Thresholds(
-        p_star=tuple(p_star), p_circ=tuple(stretch * p for p in p_star)
-    )
+    return p_star
 
 
 class TimeGrid:
@@ -84,6 +83,12 @@ class TimeGrid:
     one-point run's step is its interval's length.  ``prefix`` holds the
     2*gamma - 1 run starts below p_star[0].
 
+    The construction is on integers over M = 2*L*E^3 (L the instance's
+    size unit, eps = 1/E): E^2 from the thresholds' (1+eps)*eps, 2 from
+    the midpoints and one more E from the stretch (E+5)/E.  ``unit`` is M
+    divided by the gcd of M and every value's numerator, so that the grid
+    is exact in it and in no coarser unit.
+
     Q_h consists of
       * the base grid: multiples of eps*rep_{gamma-1} below the first
         stretched endpoint minus pmax_{gamma-1} (0 always included),
@@ -95,37 +100,42 @@ class TimeGrid:
     """
 
     def __init__(self, inst: Instance, groups: GroupStructure):
+        e = inst.epsilon.denominator
         self.eps = inst.epsilon
         self.gamma = groups.gamma
         self.reps = groups.reps
         self.pmaxs = groups.pmaxs
-        self.stretch = 1 + 5 * self.eps
-        self.thresholds = compute_thresholds(inst, groups)
         self._group_of_type = tuple(groups.group_of_map())
 
-        runs = self._build_runs()
-        self.prefix = tuple(run[0] for run in runs[:-1])
+        # numerators over M = 2 L E^3, from sizes in units of 1/L
+        scale = 2 * e ** 3
+        sizes = [scale * s for s in inst.int_sizes]
+        p_star = _p_star(groups, [sizes[g[-1]] for g in groups.groups], e)
+        steps = [sizes[g[-1]] // e for g in groups.groups]  # eps * rep_h
+        runs = self._build_runs(p_star, steps)
         plain = [x for run in runs for x in run[:2]]
-        unit = self.unit = lcm(*(x.denominator for x in [
-            *plain, *(self.stretch * x for x in plain),
-            *(t.size for t in inst.types)]))
+        # every plain numerator is a multiple of E: stretching is exact
+        g = gcd(scale * inst.unit, *plain, *sizes,
+                *((e + 5) * (x // e) for x in plain))
+        self.unit = scale * inst.unit // g
 
-        def units(x):
-            return int(x * unit)
+        def stretched(x):
+            return (e + 5) * (x // e) // g
 
-        self.sizes = tuple(units(t.size) for t in inst.types)
-        self.runs = tuple((units(s), units(d), c, g) for s, d, c, g in runs)
+        self.sizes = tuple(s // g for s in sizes)
+        self.runs = tuple((s // g, d // g, c, h) for s, d, c, h in runs)
         # index of each run's first endpoint
         self._firsts = tuple(accumulate((run[2] for run in runs[:-1]), initial=0))
         # stretched runs (start, step, start of the next run)
         starts = self._stretched_starts = tuple(
-            units(self.stretch * run[0]) for run in runs)
+            stretched(run[0]) for run in runs)
         self._stretched = tuple(
-            (s, units(self.stretch * run[1]), end)
+            (s, stretched(run[1]), end)
             for s, run, end in zip(starts, runs, (*starts[1:], inf)))
-        self._steps = tuple(units(self.eps * r) for r in self.reps)
-        self._pmaxs = tuple(units(p) for p in self.pmaxs)
-        self._p_circ = tuple(units(p) for p in self.thresholds.p_circ)
+        self._steps = tuple(d // g for d in steps)
+        self._pmaxs = tuple(sizes[grp[0]] // g for grp in groups.groups)
+        self._p_star = tuple(p // g for p in p_star)
+        self._p_circ = tuple(stretched(p) for p in p_star)
         # where group h's fine points begin: p_circ of the next-larger group
         self._fine_from = (inf, *self._p_circ[:-1])
         # the base grid lies below l'_1 = starts[1]
@@ -133,27 +143,53 @@ class TimeGrid:
 
         for pc in self._p_circ:
             if self._interval(pc)[0] != pc:
-                raise GridError(f"threshold {Fraction(pc, unit)} is not a "
-                                "stretched endpoint")
+                raise GridError(f"threshold {Fraction(pc, self.unit)} "
+                                "is not a stretched endpoint")
 
     # -- construction -----------------------------------------------------
 
-    def _build_runs(self):
-        """The endpoint runs as Fractions; sets ``tail_start``, ``tail_step``."""
-        ps = self.thresholds.p_star
-        runs, point, label = [], Fraction(0), None  # pending one-point run
+    def _build_runs(self, ps, steps):
+        """The endpoint runs on integers over the construction's
+        denominator, from the thresholds ``ps`` and the steps eps * rep_h."""
+        runs, point, label = [], 0, None  # pending one-point run
         for h in range(self.gamma - 1, 0, -1):
-            step = self.eps * self.reps[h]
+            step = steps[h]
             if not (point < ps[h] < ps[h - 1] - step):
                 raise GridError(f"no room for group-{h} endpoints between thresholds")
             # fine points ps[h] + i*step strictly below ps[h-1] - step
-            count = -floor_div(ps[h] + step - ps[h - 1], step)
+            count = -((ps[h] + step - ps[h - 1]) // step)
             runs += [(point, ps[h] - point, 1, label), (ps[h], step, count, h)]
             last = ps[h] + (count - 1) * step
-            point, label = last + (ps[h - 1] - last) / 2, h
-        self.tail_start, self.tail_step = ps[0], self.eps * self.reps[0]
+            # the midpoint of last and ps[h-1]; their numerators are even
+            point, label = (last + ps[h - 1]) // 2, h
         return runs + [(point, ps[0] - point, 1, label),
-                       (ps[0], self.tail_step, None, 0)]
+                       (ps[0], steps[0], None, 0)]
+
+    # -- public values as Fractions ---------------------------------------
+
+    @cached_property
+    def stretch(self) -> Fraction:
+        """1 + 5*eps, the factor from an endpoint to its stretched image."""
+        return 1 + 5 * self.eps
+
+    @cached_property
+    def thresholds(self) -> Thresholds:
+        return Thresholds(
+            p_star=tuple(Fraction(p, self.unit) for p in self._p_star),
+            p_circ=tuple(Fraction(p, self.unit) for p in self._p_circ))
+
+    @cached_property
+    def prefix(self) -> tuple:
+        """The run starts below p_star[0]."""
+        return tuple(Fraction(run[0], self.unit) for run in self.runs[:-1])
+
+    @cached_property
+    def tail_start(self) -> Fraction:
+        return Fraction(self.runs[-1][0], self.unit)
+
+    @cached_property
+    def tail_step(self) -> Fraction:
+        return Fraction(self.runs[-1][1], self.unit)
 
     # -- endpoint queries -------------------------------------------------
 

@@ -562,6 +562,26 @@ class TestTraversals:
                     assert solve(evaluated, rule(), cap).states == states
             assert messages == [f"state cap exceeded ({states - 1} states)"] * 2
 
+    def test_levels_cap_before_moves(self):
+        # eight one-job types on one machine: 256 count vectors, and the
+        # level with r jobs left holds C(8, r) * 2**(8 - r) states, so
+        # 1 + 16 + 112 down to six jobs left and 448 more at five.  A cap of
+        # 300 is met when level five's keys are known, before its moves
+        # ask for a long child: only the profiles of the three levels above,
+        # the sums of at most two sizes, are ever asked about
+        inst = make(1, [(169 ** k, [0.5]) for k in range(8)])
+        calls = []
+
+        class CountingRule(ExactRule):
+            def after_long(self, profile, j):
+                calls.append(profile)
+                return super().after_long(profile, j)
+
+        with pytest.raises(SolverCapError,
+                           match=r"^state cap exceeded \(301 states\)$"):
+            _solve_levels(inst, CountingRule(inst), 300)
+        assert len(calls) == 8 * len(set(calls)) == 8 * (1 + 8 + 28)
+
     # ids that do not change when LEVELS_MIN_NU moves
     @pytest.mark.parametrize("nu, cap, levels", [
         (LEVELS_MIN_NU - 1, 10 ** 6, False),

@@ -1,18 +1,21 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bernsched.instances import (
+    GroupStructure,
     InstanceError,
     build_groups,
     instance_from_dict,
     instance_to_dict,
     partition_sml,
+    partition_unchanged,
     round_for_divisibility,
     round_to_powers_of_c,
     validate_and_canonicalize,
 )
+from bernsched.numerics import ceil_to_multiple_of, divides
 
 
 def make(machines, epsilon, raw):
@@ -256,3 +259,116 @@ def test_grouping_and_rounding_invariants(inst):
         grid = eps * new_groups.reps[h]
         for j in g:
             assert (out.types[j].size / grid).denominator == 1
+
+
+def fraction_groups(inst):
+    """Reference for ``build_groups`` in ``Fraction`` arithmetic."""
+    eps2 = inst.epsilon * inst.epsilon
+    groups, current = [], [0]
+    for j in range(1, inst.n_types):
+        if inst.types[j].size > eps2 * inst.types[j - 1].size:
+            current.append(j)
+        else:
+            groups.append(tuple(current))
+            current = [j]
+    groups.append(tuple(current))
+    for h in range(1, len(groups)):
+        for j in groups[h - 1]:
+            for jp in groups[h]:
+                if inst.types[j].size * eps2 < inst.types[jp].size:
+                    raise InstanceError(
+                        f"groups {h - 1},{h} not eps^-2 separated "
+                        f"({inst.types[j].size} vs {inst.types[jp].size})")
+    return GroupStructure(groups=tuple(groups),
+                          reps=tuple(inst.types[g[-1]].size for g in groups),
+                          pmaxs=tuple(inst.types[g[0]].size for g in groups))
+
+
+def fraction_round(inst, groups):
+    """Reference for ``round_for_divisibility`` in ``Fraction``
+    arithmetic, the rounded instance built by ``validate_and_canonicalize``
+    and grouped by ``fraction_groups``."""
+    eps, gamma = inst.epsilon, groups.gamma
+    new_reps = list(groups.reps)
+    for h in range(gamma - 2, -1, -1):
+        new_reps[h] = ceil_to_multiple_of(groups.reps[h], new_reps[h + 1])
+    rounded = []
+    for h, g in enumerate(groups.groups):
+        grid = eps * new_reps[h]
+        for j in g:
+            old = inst.types[j].size
+            new = max(ceil_to_multiple_of(old, grid), new_reps[h])
+            if new > (1 + eps) * old:
+                raise InstanceError(
+                    f"divisibility rounding grew {old} to {new}, beyond (1+eps)")
+            rounded.append((new, inst.types[j].qs))
+    sizes = [new for new, _qs in rounded]
+    merges = sorted(p for p in set(sizes) if sizes.count(p) > 1)
+    out = validate_and_canonicalize(inst.machines, eps, rounded)
+    new_groups = fraction_groups(out)
+    if not partition_unchanged(inst, groups, out, new_groups):
+        raise InstanceError("divisibility rounding changed the group partition")
+    for h in range(1, new_groups.gamma):
+        if not divides(new_groups.reps[h], new_groups.reps[h - 1]):
+            raise InstanceError("representative divisibility failed after rounding")
+    return out, new_groups, merges
+
+
+@st.composite
+def rounding_inputs(draw):
+    """eps = 1/E for E from 2 to 30 and 1 to 4 groups of 1 to 3 fractional
+    sizes, each size a factor 1 + a/(4E) (a <= 8) or 1 + a/4 < E^2 above
+    the last and each representative E^2 (1 + b/8) times the largest size
+    below it; with the instance's own groups, or with any partition of the
+    types into runs of consecutive types, which rounding may grow by more
+    than 1 + eps."""
+    e = draw(st.integers(2, 30))
+    size = Fraction(draw(st.integers(1, 60)), draw(st.integers(1, 12)))
+    raw = []
+    for h in range(draw(st.integers(1, 4))):
+        if h:
+            size *= e * e * (1 + Fraction(draw(st.integers(0, 16)), 8))
+        for i in range(draw(st.integers(1, 3))):
+            if i:
+                size *= 1 + draw(st.one_of(
+                    st.integers(1, 8).map(lambda a: Fraction(a, 4 * e)),
+                    st.integers(1, 4 * e * e - 5).map(lambda a: Fraction(a, 4))))
+            qs = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+                               min_size=1, max_size=2))
+            raw.append((size, qs))
+    inst = validate_and_canonicalize(draw(st.integers(1, 2)),
+                                     Fraction(1, e), raw)
+    if draw(st.booleans()):
+        return inst, build_groups(inst)
+    n = inst.n_types
+    cuts = draw(st.lists(st.integers(1, n - 1), max_size=3, unique=True)) \
+        if n > 1 else []
+    bounds = [0, *sorted(cuts), n]
+    groups = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+    return inst, GroupStructure(
+        groups=groups, reps=tuple(inst.types[g[-1]].size for g in groups),
+        pmaxs=tuple(inst.types[g[0]].size for g in groups))
+
+
+@given(rounding_inputs())
+@example((make(1, "1/2", [(15, [0.5]), (4, [0.5]), (1, [0.5])]), None))
+# 2 rounds up to 3, exactly (1 + eps) * 2: no growth error
+@example((make(1, "1/2", [(2, [0.5]), (Fraction(3, 2), [0.5])]),
+          GroupStructure(((0,), (1,)), (2, Fraction(3, 2)),
+                         (2, Fraction(3, 2)))))
+@settings(max_examples=300, deadline=None)
+def test_rounding_matches_fraction_reference(instance):
+    inst, groups = instance
+    assert build_groups(inst) == fraction_groups(inst)
+    groups = groups or build_groups(inst)
+    try:
+        want = fraction_round(inst, groups)
+    except InstanceError as exc:
+        with pytest.raises(InstanceError) as got:
+            round_for_divisibility(inst, groups)
+        assert str(got.value) == str(exc)
+        return
+    out, new_groups, merges = round_for_divisibility(inst, groups)
+    assert (out, new_groups, merges) == want
+    assert all(type(t.size) is Fraction for t in out.types)
+    assert all(type(p) is Fraction for p in merges)

@@ -161,6 +161,17 @@ class TestSept:
         inst = make(1, [(4, [0.5]), (2, [1.0])])  # both E=2
         assert sept_order(inst) == [(0, 0), (1, 0)]
 
+    def test_exact_ties_do_not_depend_on_scale(self):
+        # q*p = 5/24 for all three jobs, but in floats 1/3 * 0.625 falls
+        # below 5/3 * 0.125; scaled by 3 the products tie in floats too
+        small = make(2, [(Fraction(5, 3), [0.125]),
+                         (Fraction(1, 3), [0.625, 0.625])])
+        scaled = make(2, [(5, [0.125]), (1, [0.625, 0.625])])
+        assert sept_order(small) == sept_order(scaled) \
+            == [(0, 0), (1, 0), (1, 1)]
+        assert expected_cost_reached(SeptPolicy(), scaled) \
+            == 3 * expected_cost_reached(SeptPolicy(), small)
+
     def test_deterministic_instances_optimal(self):
         for k in range(10):
             rng = SeedStream(515, k).generator()

@@ -1,15 +1,16 @@
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, inf, lcm
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bernsched.harness import compare
-from bernsched.instances import build_groups, validate_and_canonicalize
+from bernsched.instances import GroupStructure, build_groups, \
+    validate_and_canonicalize
 from bernsched.numerics import SeedStream, floor_div
-from bernsched.timegrid import GridError, TimeGrid, build_grid, \
-    compute_thresholds
+from bernsched.timegrid import GridError, Thresholds, TimeGrid, build_grid
 
 
 def is_stretched_endpoint(grid, t):
@@ -325,7 +326,7 @@ class EnumeratedGrid(TimeGrid):
     on the enumerated intervals."""
 
     def __init__(self, inst, groups):
-        ps = compute_thresholds(inst, groups).p_star
+        ps = fraction_grid(inst, groups).thresholds.p_star
         eps, stretch = inst.epsilon, 1 + 5 * inst.epsilon
         points, labels = [Fraction(0)], [None]
         for h in range(groups.gamma - 1, 0, -1):
@@ -377,6 +378,146 @@ class EnumeratedGrid(TimeGrid):
                    if self.labels[k] != self.labels[k - 1]]
         return sorted({k for c in [*changes, len(self.points)]
                        for k in range(max(0, c - 2), c + 3)})
+
+
+def fraction_grid(inst, groups):
+    """Reference for the grid's construction: the thresholds and endpoint
+    runs computed in ``Fraction`` arithmetic, the unit as the lcm of the
+    denominators of every run start and step, their stretched images and
+    the sizes, and each table converted to that unit; or the GridError that
+    construction raises."""
+    eps, gamma, reps = inst.epsilon, groups.gamma, groups.reps
+    counts = [len(g) for g in groups.groups]
+    p_star = []
+    for h in range(gamma):
+        corr = Fraction(0)
+        for k in range(h + 1, gamma - 1):
+            tail_types = sum(counts[i] for i in range(k + 1, gamma))
+            corr += (tail_types + 3) * reps[k]
+        p_star.append(reps[h] + (1 + eps) * eps * corr)
+    for h in range(1, gamma):
+        if not p_star[h - 1] > p_star[h]:
+            raise GridError("thresholds not strictly decreasing across groups")
+    stretch = 1 + 5 * eps
+    p_circ = [stretch * p for p in p_star]
+
+    runs, point, label = [], Fraction(0), None
+    for h in range(gamma - 1, 0, -1):
+        step = eps * reps[h]
+        if not (point < p_star[h] < p_star[h - 1] - step):
+            raise GridError(f"no room for group-{h} endpoints between thresholds")
+        count = -floor_div(p_star[h] + step - p_star[h - 1], step)
+        runs += [(point, p_star[h] - point, 1, label),
+                 (p_star[h], step, count, h)]
+        last = p_star[h] + (count - 1) * step
+        point, label = last + (p_star[h - 1] - last) / 2, h
+    runs += [(point, p_star[0] - point, 1, label),
+             (p_star[0], eps * reps[0], None, 0)]
+
+    plain = [x for run in runs for x in run[:2]]
+    unit = lcm(*(x.denominator for x in [
+        *plain, *(stretch * x for x in plain), *(t.size for t in inst.types)]))
+
+    def units(x):
+        x *= unit
+        assert x.denominator == 1
+        return x.numerator
+
+    starts = [units(stretch * run[0]) for run in runs]
+    stretched = [(s, units(stretch * run[1]), end)
+                 for s, run, end in zip(starts, runs, (*starts[1:], inf))]
+    p_circ_units = [units(p) for p in p_circ]
+    for pc in p_circ_units:
+        start, step, _end = stretched[bisect_right(starts, pc) - 1]
+        if (pc - start) % step:
+            raise GridError(f"threshold {Fraction(pc, unit)} is not a "
+                            "stretched endpoint")
+    pmaxs = [units(p) for p in groups.pmaxs]
+    return SimpleNamespace(
+        unit=unit,
+        sizes=tuple(units(t.size) for t in inst.types),
+        runs=tuple((units(s), units(d), c, g) for s, d, c, g in runs),
+        stretched=tuple(stretched),
+        steps=tuple(units(eps * r) for r in reps),
+        pmaxs=tuple(pmaxs),
+        p_circ=tuple(p_circ_units),
+        base_cap=starts[1] - pmaxs[-1],
+        thresholds=Thresholds(tuple(p_star), tuple(p_circ)),
+        prefix=tuple(run[0] for run in runs[:-1]),
+        tail_start=runs[-1][0],
+        tail_step=runs[-1][1],
+    )
+
+
+@st.composite
+def fractional_instances(draw, max_groups=4):
+    """eps = 1/E for E from 2 to 30 and 1 to ``max_groups`` groups of 1 to
+    3 fractional sizes: within a group each size is a factor 1 + a/(4E)
+    (a <= 8) or 1 + a/4 < E^2 above the last, and each group's representative is E^2 (1 + b/8) times
+    the largest size of the group below it."""
+    e = draw(st.integers(2, 30))
+    size = Fraction(draw(st.integers(1, 60)), draw(st.integers(1, 12)))
+    raw = []
+    for h in range(draw(st.integers(1, max_groups))):
+        if h:
+            size *= e * e * (1 + Fraction(draw(st.integers(0, 16)), 8))
+        for i in range(draw(st.integers(1, 3))):
+            if i:
+                size *= 1 + draw(st.one_of(
+                    st.integers(1, 8).map(lambda a: Fraction(a, 4 * e)),
+                    st.integers(1, 4 * e * e - 5).map(lambda a: Fraction(a, 4))))
+            raw.append((size, [0.5]))
+    return validate_and_canonicalize(1, Fraction(1, e), raw)
+
+
+@st.composite
+def grid_inputs(draw):
+    """A fractional instance with its own groups, or with any partition of
+    its types into 1 to 4 runs of consecutive types, which need not be
+    separated and so may leave no room for a group's endpoints."""
+    inst = draw(fractional_instances())
+    if draw(st.booleans()):
+        return inst, build_groups(inst)
+    n = inst.n_types
+    cuts = draw(st.lists(st.integers(1, n - 1), max_size=3, unique=True)) \
+        if n > 1 else []
+    bounds = [0, *sorted(cuts), n]
+    groups = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+    return inst, GroupStructure(
+        groups=groups, reps=tuple(inst.types[g[-1]].size for g in groups),
+        pmaxs=tuple(inst.types[g[0]].size for g in groups))
+
+
+@given(grid_inputs())
+@example((validate_and_canonicalize(1, "1/2", [(10, [0.5]),
+                                               (Fraction(99, 10), [0.5])]),
+          GroupStructure(((0,), (1,)), (10, Fraction(99, 10)),
+                         (10, Fraction(99, 10)))))
+@settings(max_examples=300, deadline=None)
+def test_construction_matches_fraction_reference(instance):
+    inst, groups = instance
+    try:
+        want = fraction_grid(inst, groups)
+    except GridError as exc:
+        with pytest.raises(GridError) as got:
+            TimeGrid(inst, groups)
+        assert str(got.value) == str(exc)
+        return
+    grid = TimeGrid(inst, groups)
+    assert grid.unit == want.unit
+    assert grid.sizes == want.sizes
+    assert grid.runs == want.runs
+    assert grid._stretched == want.stretched
+    assert grid._steps == want.steps
+    assert grid._pmaxs == want.pmaxs
+    assert grid._p_circ == want.p_circ
+    assert grid._base_cap == want.base_cap
+    assert grid.thresholds == want.thresholds
+    assert grid.prefix == want.prefix
+    assert (grid.tail_start, grid.tail_step) == (want.tail_start, want.tail_step)
+    for value in (*want.prefix, want.tail_start, want.tail_step,
+                  *want.thresholds.p_star, *want.thresholds.p_circ):
+        assert type(value) is Fraction
 
 
 @st.composite
