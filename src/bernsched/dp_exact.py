@@ -67,12 +67,14 @@ class DecisionTable(Mapping):
     the interned profiles (integer times in units of 1/``unit``) and
     ``nid`` is the jobs-left counts in mixed radix, type j with radix
     ``counts[j] + 1``.  Length, ``values`` and iteration read the arrays;
-    the dicts that lookups need are built on the first ``get``.  Lookups
-    take the ``Fraction`` profiles of replay and convert them with integer
-    arithmetic; a time off the unit, a profile never interned or counts of
-    no state are a missing key.  Iteration decodes the states, with
-    ``Fraction`` profiles, in an order that depends on the traversal: sort
-    them where the order matters."""
+    the dicts that lookups need are built on the first lookup.
+    ``integer_get`` takes integer times in units of 1/``unit``, as the
+    table kernel of ``policies`` reads them; ``get`` takes the ``Fraction``
+    profiles of replay and converts them with integer arithmetic before
+    the same lookup.  A time off the unit, a profile never interned or
+    counts of no state are a missing key.  Iteration decodes the states,
+    with ``Fraction`` profiles, in an order that depends on the traversal:
+    sort them where the order matters."""
 
     def __init__(self, keys, codes, unit: int, profiles: list, index: dict,
                  counts: tuple):
@@ -84,7 +86,7 @@ class DecisionTable(Mapping):
     @cached_property
     def _lookup(self):
         """``(state -> decision, counts -> nid)``, built on the first
-        ``get``; counts that no state has are missing from the second."""
+        lookup; counts that no state has are missing from the second."""
         nids = _unique(self.keys % self._radix).tolist()
         return (dict(zip(self.keys.tolist(), self.values())),
                 {_decode(nid, self._strides, self.counts): nid for nid in nids})
@@ -98,8 +100,14 @@ class DecisionTable(Mapping):
             if r:
                 return default
             times.append(a * k)
+        return self.integer_get((tuple(times), nu), default)
+
+    def integer_get(self, key, default=None):
+        """The decision at ``(times, nu)``, the times integers in units of
+        1/``unit``."""
+        times, nu = key
         decided, nids = self._lookup
-        pid, nid = self._index.get(tuple(times)), nids.get(nu)
+        pid, nid = self._index.get(times), nids.get(nu)
         if pid is None or nid is None:
             return default
         return decided.get(pid * self._radix + nid, default)

@@ -29,8 +29,10 @@ on integer times:
   denominators (``Instance.unit``);
 * the table kernel, for ``ExactTablePolicy`` and
   ``StratifiedTablePolicy``, in the unit of the rule the table's solver
-  ran.  Each row walks the table's states; each distinct state is read
-  once, and all rows take each step together.
+  ran.  Each distinct outcome vector of a block walks the table's states
+  once, all of them taking each step together; each distinct state is
+  read once, on integer times where the table is a solver's
+  ``DecisionTable``.
 
 Replay is the per-realization reference and the fallback.  Any other
 policy, a case that neither kernel takes (totals that could exceed
@@ -64,7 +66,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dp_exact import STATE_CAP, ExactRule, SolverCapError
+from .dp_exact import STATE_CAP, DecisionTable, ExactRule, SolverCapError
 from .dp_stratified import GridRule
 from .instances import Instance
 from .numerics import uniform_block
@@ -258,18 +260,40 @@ def _trial_blocks(inst: Instance, trials: int, seed: int):
         yield uniform_block(seed, start, rows, len(qs)) < qs
 
 
+def _per_distinct_row(cost, outcomes):
+    """``cost`` of every row of a boolean matrix, from one call of
+    ``cost`` on the distinct rows in order of first occurrence.
+
+    Rows are grouped by an int64 code of their bits; 1 << 63 overflows
+    int64, so rows of more than 62 columns are grouped by their
+    ``np.packbits`` bytes, each row one void scalar."""
+    if outcomes.shape[1] <= 62:
+        codes = outcomes @ (1 << np.arange(outcomes.shape[1], dtype=np.int64))
+    else:
+        packed = np.packbits(outcomes, axis=1)
+        codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _codes, first, inverse = np.unique(codes, return_index=True,
+                                       return_inverse=True)
+    order = np.argsort(first)
+    costs = np.empty(len(first))
+    costs[order] = cost(outcomes[first[order]])
+    return costs[inverse]
+
+
+def _replay_rows(policy, inst: Instance, outcomes):
+    """Each row's total completion time as a float, by one ``replay`` per
+    row in row order."""
+    jobs = inst.job_ids()
+    return np.array([float(replay(policy, inst, dict(zip(jobs, row)))
+                           .total_cost) for row in outcomes.tolist()])
+
+
 def _replay_costs(policy, inst: Instance, outcomes):
     """Each row's total completion time as a float, by ``replay``: one
     replay per distinct row, in order of first occurrence, so a failing
     row raises what replaying the rows in order raises first."""
-    jobs = inst.job_ids()
-    distinct, first, inverse = np.unique(
-        outcomes, axis=0, return_index=True, return_inverse=True)
-    costs = np.empty(len(distinct))
-    for u in np.argsort(first):
-        real = dict(zip(jobs, distinct[u].tolist()))
-        costs[u] = float(replay(policy, inst, real).total_cost)
-    return costs[inverse.reshape(-1)]
+    return _per_distinct_row(lambda rows: _replay_rows(policy, inst, rows),
+                             outcomes)
 
 
 def _queue_weights(ctl):
@@ -338,19 +362,24 @@ def _table_kernel(policy, inst: Instance):
     time plus, when the job is long, its size; the long child comes from
     the rule's ``after_long`` and the short child keeps the profile.  An
     idle state stands for the state its ``after_idle`` advance leads to.
-    Each distinct state is read once, through the table's ``get`` on the
-    ``Fraction`` profile replay would ask for, and kept under an int id;
-    then all rows take each of their N steps together.  Totals are int64
-    in units and divided once by the unit, which is replay's correctly
-    rounded float while they stay within 2**53.
+    Each distinct state is read once and kept under an int id: through
+    the table's ``integer_get`` where it is a ``DecisionTable`` in the
+    rule's unit (a solver's table always is), and otherwise through its
+    ``get`` on the ``Fraction`` profile replay would ask for.  Only the
+    block's distinct rows walk (``_per_distinct_row``), all of them
+    taking each of their N steps together, and each row takes its
+    distinct row's cost.  Totals are int64 in units and divided once by
+    the unit, which is replay's correctly rounded float while they stay
+    within 2**53.
 
-    A block replays instead when one of its rows meets a state the kernel
-    cannot step as replay does: a missing state, a decision other than
-    ``("start", j)`` with type-j jobs left or ``("idle",)``, an idle in an
-    exact table, an idle that does not progress, or a time that lets a
-    total exceed 2**53.  So replay's first error and its results stand
-    unchanged.  (On the grid, a second idle in a row never progresses: the
-    first one's target is already in the idle group's Q-set.)
+    The distinct rows replay instead, in order of first occurrence, when
+    one of them meets a state the kernel cannot step as replay does: a
+    missing state, a decision other than ``("start", j)`` with type-j
+    jobs left or ``("idle",)``, an idle in an exact table, an idle that
+    does not progress, or a time that lets a total exceed 2**53.  So
+    replay's first error and its results stand unchanged.  (On the grid,
+    a second idle in a row never progresses: the first one's target is
+    already in the idle group's Q-set.)
     """
     if type(policy) is ExactTablePolicy:
         rule = ExactRule(inst)
@@ -367,6 +396,13 @@ def _table_kernel(policy, inst: Instance):
     starts = {("start", j): j for j in range(inst.n_types)}
     keys, ids = [], {}  # state id -> (times, nu), and back
     steps = {}  # state id -> (column, time, size, long child, short child)
+    table = policy.table
+    if isinstance(table, DecisionTable) and table.unit == unit:
+        read = table.integer_get
+    else:
+        def read(key):
+            times, nu = key
+            return table.get((tuple(Fraction(t, unit) for t in times), nu))
 
     def state_id(times, nu):
         key = (times, nu)
@@ -378,8 +414,7 @@ def _table_kernel(policy, inst: Instance):
 
     def decide(times, nu):
         """The type the state starts, or None where it idles."""
-        profile = tuple(Fraction(t, unit) for t in times)
-        decision = policy.table.get((profile, nu))
+        decision = read((times, nu))
         if decision == ("idle",):
             return None
         j = starts.get(decision)
@@ -426,12 +461,12 @@ def _table_kernel(policy, inst: Instance):
             sid = np.where(is_long, long_child, short_child)
         return total / unit
 
-    def totals(outcomes):
+    def distinct_totals(outcomes):
         try:
             return walk(outcomes)
         except _Fallback:
-            return _replay_costs(policy, inst, outcomes)
-    return totals
+            return _replay_rows(policy, inst, outcomes)
+    return lambda outcomes: _per_distinct_row(distinct_totals, outcomes)
 
 
 def _running_sum(start: float, terms) -> float:

@@ -322,8 +322,11 @@ class TestDecisionTable:
             nus = list(box) + [counts + (0,), counts + (1,), counts[:-1],
                                counts[1:], ()]
             for profile in {profile for profile, _nu in plain}:
+                times = tuple(int(t * table.unit) for t in profile)
                 for nu in nus:
                     assert table.get((profile, nu)) == plain.get((profile, nu))
+                    assert table.integer_get((times, nu)) == plain.get(
+                        (profile, nu))
             (profile, nu), _decision = next(iter(plain.items()))
             for bad in ((-1,) + nu[1:], (counts[0] + 1,) + nu[1:], nu + (0,)):
                 assert_missing(table, plain, profile, bad)

@@ -201,10 +201,9 @@ def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 
 
-def _run_experiments():
-    path = Path(__file__).resolve().parent.parent / "scripts" / \
-        "run_experiments.py"
-    spec = importlib.util.spec_from_file_location("run_experiments", path)
+def _script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -217,7 +216,7 @@ class TestRunExperiments:
     ], ids=["all-skipped", "some-skipped"])
     def test_overall_max_ignores_cells_without_ratio(
             self, tmp_path, capsys, monkeypatch, ratios, printed):
-        script = _run_experiments()
+        script = _script("run_experiments")
         cells = iter(ratios)
 
         def rows_of_one_cell(instances):
@@ -234,3 +233,24 @@ class TestRunExperiments:
                              parse_constant=_reject_constant)
         assert written["overall_max_ratio"] == (
             None if printed == "nan" else float(printed))
+
+
+class TestMcConvergence:
+    def test_mean_without_spread_must_be_the_truth(self, monkeypatch, capsys):
+        script = _script("mc_convergence")
+        argv = ["--count", "1", "--trials", "10"]
+        assert script.main(argv) == 0
+
+        def off_by_one(policy, inst, trials, seed):
+            return script.expected_cost_exact(policy, inst) + 1.0, 0.0
+
+        monkeypatch.setattr(script, "expected_cost_mc", off_by_one)
+        assert script.main(argv) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "worst deviation: inf standard errors"
+
+        def exact(policy, inst, trials, seed):
+            return script.expected_cost_exact(policy, inst), 0.0
+
+        monkeypatch.setattr(script, "expected_cost_mc", exact)
+        assert script.main(argv) == 0

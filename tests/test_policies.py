@@ -2,12 +2,13 @@ import math
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernsched import policies
-from bernsched.dp_exact import SolverCapError, solve_exact
+from bernsched.dp_exact import DecisionTable, SolverCapError, solve_exact
 from bernsched.dp_stratified import solve_stratified
 from bernsched.harness import ExperimentSpec, generate, prepare
 from bernsched.instances import validate_and_canonicalize
@@ -661,6 +662,84 @@ class TestTableKernel:
         other = make(1, [(13, [0.5, 0.5]), (1, [0.25, 0.93])])
         assert policies._table_kernel(policy, other) is None
         assert policies._table_kernel(SeptPolicy(), inst) is None
+
+
+class TestIntegerReads:
+    """The table kernel reads a solver's table on integer states; a
+    ``Fraction``-keyed dict of the same decisions is read through ``get``
+    and gives the same bits."""
+
+    # expected_cost_exact, and expected_cost_mc's (mean, stderr) at 2,000
+    # trials and seed 7, as float.hex, pinned from reads through ``get``
+    want = {
+        "exact": ("0x1.e054000000000p+9", "0x1.dac6b851eb852p+9",
+                  "0x1.48262ae1408a8p+3"),
+        "stratified": ("0x1.ed70d719c060fp+9", "0x1.e6df71e046329p+9",
+                       "0x1.6f225cf5fe997p+3"),
+    }
+
+    @staticmethod
+    def _no_get(*args):
+        raise AssertionError("DecisionTable.get called")
+
+    @staticmethod
+    def _bits(policy, inst):
+        mean, stderr = expected_cost_mc(policy, inst, 2000, 7)
+        return (expected_cost_exact(policy, inst).hex(), mean.hex(),
+                stderr.hex())
+
+    def test_solver_tables_bypass_get(self):
+        inst, = generate(ExperimentSpec(n_types=2, jobs_per_type=3,
+                                        machines=2, count=1, seed=1))
+        cases = zip(("exact", "stratified"), _table_cases(inst))
+        for name, (policy, case_inst) in cases:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(DecisionTable, "get", self._no_get)
+                assert self._bits(policy, case_inst) == self.want[name], name
+            policy.table = dict(policy.table.items())
+            assert self._bits(policy, case_inst) == self.want[name], name
+
+
+class TestPerDistinctRow:
+    """``_per_distinct_row`` calls the cost function once, on the distinct
+    rows in order of first occurrence, and gives each row its cost."""
+
+    @pytest.mark.parametrize("columns", [st.integers(1, 62),
+                                         st.integers(63, 70)],
+                             ids=["int-code", "packbits"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_one_call_on_distinct_rows(self, columns, data):
+        width = data.draw(columns)
+        row = st.lists(st.booleans(), min_size=width, max_size=width)
+        pool = data.draw(st.lists(row, min_size=1, max_size=6))
+        picks = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                   max_size=30))
+        outcomes = np.array(picks, dtype=bool)
+
+        def cost(rows):
+            return np.array([float(int("".join("01"[b] for b in r), 2) % 10007)
+                             for r in rows.tolist()])
+
+        calls = []
+
+        def counted(rows):
+            calls.append(rows.tolist())
+            return cost(rows)
+
+        got = policies._per_distinct_row(counted, outcomes)
+        first = [list(r) for r in dict.fromkeys(map(tuple, picks))]
+        assert calls == [first]
+        assert got.tolist() == cost(outcomes).tolist()
+
+    def test_wide_rows_equal_per_trial_replay(self, monkeypatch):
+        # 70 columns group by packbits; no benchmark input is that wide
+        qs = [(0.25, 0.5, 0.75)[k % 3] for k in range(70)]
+        inst = make(2, [(3, qs)])
+        policy = ExactTablePolicy(solve_exact(inst))
+        # the reference replays through this module's own binding
+        monkeypatch.setattr(policies, "replay", _no_replay)
+        _assert_mc_equals_per_trial(policy, inst, 200, 5)
 
 
 # -- exact values over reached states against enumeration --------------------
