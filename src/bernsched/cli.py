@@ -78,6 +78,16 @@ def dump_policy(table, kind: str, path: str):
         fh.write("\n")
 
 
+def _decision(value):
+    """A dumped decision: "idle", or a type index as a JSON integer (not a
+    float or a boolean, which ``int`` would quietly turn into one)."""
+    if value == "idle":
+        return ("idle",)
+    if type(value) is not int:
+        raise ValueError(f"decision {value!r} is not 'idle' or a type index")
+    return ("start", value)
+
+
 def load_policy_file(path: str):
     try:
         with open(path) as fh:
@@ -85,8 +95,7 @@ def load_policy_file(path: str):
         kind = data["kind"]
         if kind not in ("exact", "stratified"):
             raise ReplayError(f"unknown policy kind {kind!r} in {path}")
-        table = {str_to_state(s): ("idle",) if value == "idle"
-                 else ("start", int(value))
+        table = {str_to_state(s): _decision(value)
                  for s, value in data["decisions"].items()}
     except OSError as exc:
         raise ReplayError(f"cannot read policy file: {exc}") from exc

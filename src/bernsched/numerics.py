@@ -22,6 +22,8 @@ lanes of one uint64 array and words 1 and 3 as a second, so each numpy
 call of a round serves both of the round's multiplications; the 128-bit
 products' high words come from 32-bit halves in three carry steps, and
 the first round, on the counter (b, 0, 0, 0), is computed on Python ints.
+A small pass holds its round operands at the lanes' own shape, a large
+one broadcasts them (``_PHILOX_SAME_SHAPE``).
 """
 
 from __future__ import annotations
@@ -88,6 +90,10 @@ _PHILOX_ROUNDS = 10
 #: Philox output blocks per pass of ``uniform_block``: enough to amortize
 #: numpy's per-call cost, few enough that the temporaries stay in cache.
 _PHILOX_PASS = 1 << 14
+#: Most lane elements (2 x blocks x rows; 2,048 trials of up to four
+#: draws) of a pass whose round operands have the lanes' shape, so numpy
+#: skips broadcasting; (2, 1, 1) operands cost less in larger passes.
+_PHILOX_SAME_SHAPE = 1 << 12
 
 
 def _stream_key(master_seed: int, stream_index: int):
@@ -121,27 +127,33 @@ class SeedStream:
         return f"SeedStream({self.master_seed}, {self.stream_index})"
 
 
-def _philox_words(seed: int, first: int, rows: int, blocks: int):
-    """The first ``blocks`` four-word output blocks of the streams
-    first .. first+rows-1, as a (rows x 4*blocks) uint64 matrix.
+def _philox_draws(seed: int, first: int, rows: int, blocks: int):
+    """The draws of the first ``blocks`` four-word output blocks of the
+    streams first .. first+rows-1, as a (rows x 4*blocks) float64 matrix:
+    word w gives the draw (w >> 11) * 2**-53.
 
     Words 0 and 2 are the lanes of the (2 x blocks x rows) array ``x``,
-    words 1 and 3 those of ``y``; the multipliers and the key words
-    broadcast per lane.  Rows are the inner axis, so the per-row key word
-    broadcasts along an outer one.  The first round maps the counter
-    (b, 0, 0, 0) to (k0, 0, hi(M0 b) ^ k1, lo(M0 b)).
+    words 1 and 3 those of ``y``.  The multipliers, the Weyl increments
+    and the key words have the lanes' shape when the lanes hold at most
+    ``_PHILOX_SAME_SHAPE`` elements; otherwise the multipliers and
+    increments broadcast per lane, and the key, per lane and row, along
+    the blocks.  The first round maps the counter (b, 0, 0, 0) to
+    (k0, 0, hi(M0 b) ^ k1, lo(M0 b)).
     """
     low32, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
-    m = np.array(_PHILOX_M, dtype=np.uint64).reshape(2, 1, 1)
+    lanes = (2, blocks, rows)
+    shape = lanes if 2 * blocks * rows <= _PHILOX_SAME_SHAPE else (2, 1, 1)
+    m, weyl = (np.empty(shape, dtype=np.uint64) for _ in range(2))
+    m[0], m[1] = _PHILOX_M
+    weyl[0], weyl[1] = _PHILOX_W
     m_hi, m_lo = m >> shift, m & low32
-    weyl = np.array(_PHILOX_W, dtype=np.uint64).reshape(2, 1, 1)
-    key = np.empty((2, 1, rows), dtype=np.uint64)
+    key = np.empty((2, shape[1], rows), dtype=np.uint64)
     key[0] = seed
     key[1] = np.arange(rows, dtype=np.uint64) + np.uint64(first)
     # the first round: (hi, lo) of M0 b for each block's counter b
     hi_lo = [divmod(_PHILOX_M[0] * b, 1 << 64) for b in range(1, blocks + 1)]
     hi_lo = np.array(hi_lo, dtype=np.uint64).reshape(blocks, 2)
-    x = np.empty((2, blocks, rows), dtype=np.uint64)
+    x = np.empty(lanes, dtype=np.uint64)
     y = np.empty_like(x)
     x[0], y[0] = seed, 0
     np.bitwise_xor(key[1], hi_lo[:, :1], out=x[1])
@@ -172,10 +184,13 @@ def _philox_words(seed: int, first: int, rows: int, blocks: int):
         x ^= key
         y, y_next = y_next, y
     del y_next, x_hi, t, u  # free the round buffers before the output
-    words = np.empty((rows, blocks, 2, 2), dtype=np.uint64)
-    by_lane = words.transpose(2, 1, 0, 3)
-    by_lane[..., 0], by_lane[..., 1] = x, y
-    return words.reshape(rows, 4 * blocks)
+    x >>= np.uint64(11)
+    y >>= np.uint64(11)
+    draws = np.empty((rows, blocks, 2, 2))
+    by_lane = draws.transpose(2, 1, 0, 3)
+    np.multiply(x, 2.0**-53, out=by_lane[..., 0])  # exact: x < 2**53
+    np.multiply(y, 2.0**-53, out=by_lane[..., 1])
+    return draws.reshape(rows, 4 * blocks)
 
 
 def uniform_block(master_seed: int, first_index: int, rows: int, draws: int):
@@ -195,7 +210,6 @@ def uniform_block(master_seed: int, first_index: int, rows: int, draws: int):
     step = max(1, _PHILOX_PASS // max(blocks, 1))
     out = np.empty((rows, draws))
     for r in range(0, rows, step):
-        words = _philox_words(seed, first + r, min(step, rows - r), blocks)
-        np.multiply(words[:, :draws] >> np.uint64(11), 2.0**-53,
-                    out=out[r:r + len(words)])
+        n = min(step, rows - r)
+        out[r:r + n] = _philox_draws(seed, first + r, n, blocks)[:, :draws]
     return out

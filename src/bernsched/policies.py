@@ -26,7 +26,8 @@ on integer times:
 
 * the fixed-order kernel, for ``ListPolicy``, ``SeptPolicy`` and
   ``FixedAssignmentPolicy``, in units of 1/L, L the lcm of the size
-  denominators (``Instance.unit``);
+  denominators (``Instance.unit``); list policies run on sorted
+  availability lanes;
 * the table kernel, for ``ExactTablePolicy`` and
   ``StratifiedTablePolicy``, in the unit of the rule the table's solver
   ran.  Each distinct outcome vector of a block walks the table's states
@@ -311,6 +312,11 @@ def _fixed_order_kernel(policy, inst: Instance):
     row's total completion time as a float; None for any other policy,
     for a list that does not cover the instance's jobs, and where a total
     in units of 1/L could exceed 2**53, beyond which float64 is not exact.
+
+    A list policy keeps min(m, N) availability lanes in ascending order:
+    a job starts on lane 0 and ``np.minimum``/``np.maximum`` pairs move
+    its completion up.  A total depends only on the multiset of
+    availabilities, so replay's lowest-index tie rule cannot change it.
     """
     if type(policy) not in (ListPolicy, SeptPolicy, FixedAssignmentPolicy):
         return None
@@ -332,15 +338,18 @@ def _fixed_order_kernel(policy, inst: Instance):
         return None  # replay raises on the exhausted list
 
     def totals(outcomes):
-        rows = np.arange(len(outcomes))
-        avail = np.zeros((len(outcomes), inst.machines), dtype=np.int64)
+        lanes = [np.zeros(len(outcomes), dtype=np.int64)
+                 for _ in range(min(inst.machines, len(jobs)))]
+        spare = np.empty(len(outcomes), dtype=np.int64)
         total = np.zeros(len(outcomes), dtype=np.int64)
         for k in order:
-            # argmin picks the lowest machine index on ties, as replay does
-            i = avail.argmin(axis=1)
-            done = avail[rows, i] + outcomes[:, k] * sizes[k]
-            avail[rows, i] = done
-            total += done
+            # the job runs on the earliest lane, then rises to its place
+            lanes[0] += outcomes[:, k] * sizes[k]
+            total += lanes[0]
+            for i in range(1, len(lanes)):
+                np.minimum(lanes[i - 1], lanes[i], out=spare)
+                np.maximum(lanes[i - 1], lanes[i], out=lanes[i])
+                lanes[i - 1], spare = spare, lanes[i - 1]
         return total / unit
     return totals
 

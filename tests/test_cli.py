@@ -269,6 +269,27 @@ def test_typed_errors_exit_1(capsys, tmp_path, monkeypatch):
         "error: ReplayError: unknown policy 'bogus'\n"
 
 
+@pytest.mark.parametrize("value", [0.4, 1.0, False, True, "1", "0"])
+def test_policy_file_decision_is_an_integer(capsys, tmp_path, value):
+    # int() would load each of these as a start of type 0 or 1, and the
+    # replay would price some other policy than the file's
+    path = str(tmp_path / "inst.json")
+    policy = tmp_path / "pol.json"
+    inst = validate_and_canonicalize(1, "1/13", [(169, [0.5]), (1, [1.0])])
+    save_instance(inst, path)
+    run(capsys, "solve-exact", "--instance", path,
+        "--dump-policy", str(policy))
+    dump = json.loads(policy.read_text())
+    assert dump["decisions"]["[0]|[1,1]"] == 1
+    dump["decisions"]["[0]|[1,1]"] = value
+    policy.write_text(json.dumps(dump))
+    assert main(["simulate", "--instance", path, "--policy",
+                 f"file:{policy}", "--enumerate"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ReplayError: malformed policy file ")
+
+
 def test_dump_does_not_depend_on_the_traversal(tmp_path):
     # the two traversals decide the states in different orders; the dump
     # sorts them by state string, so both write the same bytes

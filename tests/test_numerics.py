@@ -104,14 +104,18 @@ def test_uniform_block_is_numpy_philox(seed, first, rows, draws, per_pass):
     # pins numpy's Philox4x64-10 and its random(): 1-9 draws cross the
     # four-word output blocks, passes of 1-3 blocks split the rows one to
     # three at a time, and larger ones leave lane arrays of several rows
-    # and blocks, the last one short
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(numerics, "_PHILOX_PASS", per_pass)
-        block = uniform_block(seed, first, rows, draws)
-    assert block.shape == (rows, draws)
-    for r in range(rows):
-        want = SeedStream(seed, first + r).generator().random(draws)
-        assert block[r].tolist() == want.tolist()
+    # and blocks, the last one short.  Each shape runs with both operand
+    # layouts: (2, 1, 1) operands in every pass (bound 0) and operands at
+    # the lanes' shape in every pass (bound 2**62)
+    want = [SeedStream(seed, first + r).generator().random(draws).tolist()
+            for r in range(rows)]
+    for same_shape in (0, 2**62):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_PHILOX_PASS", per_pass)
+            mp.setattr(numerics, "_PHILOX_SAME_SHAPE", same_shape)
+            block = uniform_block(seed, first, rows, draws)
+        assert block.shape == (rows, draws)
+        assert block.tolist() == want, same_shape
 
 
 #: SHA-256 of ``uniform_block(*args).tobytes()``: the rows x draws shapes

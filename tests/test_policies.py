@@ -153,6 +153,61 @@ class TestMonteCarlo:
             assert (mean.hex(), stderr.hex()) == want[name], name
 
 
+def _criterion11_instance(k):
+    """Instance k of acceptance criterion 11: up to three jobs of sizes
+    1-9 on up to two machines, drawn from ``SeedStream(121212, k)``."""
+    rng = SeedStream(121212, k).generator()
+    n_jobs = int(rng.integers(1, 4))
+    m = int(rng.integers(1, 3))
+    by_size = {}
+    for _ in range(n_jobs):
+        p = (1, 2, 3, 5, 9)[int(rng.integers(0, 5))]
+        q = (0.25, 0.5, 0.75, 1.0)[int(rng.integers(0, 4))]
+        by_size.setdefault(p, []).append(q)
+    return make(m, list(by_size.items()))
+
+
+class TestWorkloadBits:
+    """(mean, stderr) as float.hex of SEPT, fixed assignment and the list
+    of the jobs in reverse ``job_ids`` order at 2,000 trials, seed k, on
+    criterion 11's instance k: Monte-Carlo at the shapes of one sampling
+    pass, pinned from the kernels with (2, 1, 1) Philox operands and an
+    argmin over machines."""
+
+    want = {
+        0: (("0x1.890624dd2f1aap+1", "0x1.155c9040421c9p-5"),
+            ("0x1.a1eb851eb851fp+1", "0x1.1d13792a38f6cp-5"),
+            ("0x1.a1eb851eb851fp+1", "0x1.1d13792a38f6cp-5")),
+        1: (("0x1.1e5e353f7ced9p+3", "0x1.2e9a4e97df33ap-3"),
+            ("0x1.30c49ba5e353fp+3", "0x1.3ac7a2a1557c0p-3"),
+            ("0x1.1e5e353f7ced9p+3", "0x1.2e9a4e97df33ap-3")),
+        2: (("0x1.0000000000000p+0", "0x0.0p+0"),) * 3,
+        3: (("0x1.619999999999ap+2", "0x1.42784c6581555p-6"),) * 3,
+        4: (("0x1.3bc6a7ef9db23p+2", "0x1.12c52df1d6e30p-4"),
+            ("0x1.3bc6a7ef9db23p+2", "0x1.12c52df1d6e30p-4"),
+            ("0x1.5de353f7ced91p+2", "0x1.12c52df1d6e34p-5")),
+        5: (("0x1.3f0a3d70a3d71p+1", "0x1.ca0f2715ce715p-5"),) * 3,
+        6: (("0x1.8d70a3d70a3d7p+4", "0x1.c109575b5732cp-3"),
+            ("0x1.8d70a3d70a3d7p+4", "0x1.c109575b5732cp-3"),
+            ("0x1.b0b851eb851ecp+4", "0x1.9c0b35e91a667p-3")),
+        7: (("0x1.b77ced916872bp+1", "0x1.71aaf2333e6ebp-5"),
+            ("0x1.e90624dd2f1aap+1", "0x1.a694bc23fe235p-5"),
+            ("0x1.b77ced916872bp+1", "0x1.71aaf2333e6ebp-5")),
+        8: (("0x1.26872b020c49cp+1", "0x1.d0bd8bb214e34p-6"),) * 3,
+        9: (("0x1.8010624dd2f1bp+3", "0x1.3d246d4773706p-5"),) * 3,
+    }
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_golden_bits(self, k):
+        inst = _criterion11_instance(k)
+        cases = (SeptPolicy(), FixedAssignmentPolicy(),
+                 ListPolicy(inst.job_ids()[::-1]))
+        got = tuple(tuple(x.hex() for x in expected_cost_mc(policy, inst,
+                                                            2000, k))
+                    for policy in cases)
+        assert got == self.want[k]
+
+
 class TestSept:
     def test_order_on_example(self, example_35):
         order = sept_order(example_35)
@@ -301,14 +356,23 @@ def _scalar_mc(policy, inst, trials, seed):
     return mean, math.sqrt(var / trials)
 
 
-# equal and non-integer sizes, non-dyadic q, and m below and above N
+# equal and non-integer sizes, non-dyadic q, and m from 1 to 8, below and
+# above N; the second kind of job list has 2-6 jobs of one size with q = 1
+# (and up to two with q = 0.5), so the list kernel's lanes meet ties
+fixed_order_sizes = st.sampled_from([Fraction(5, 13), 1, Fraction(3, 2), 4])
+fixed_order_jobs = st.lists(
+    st.tuples(fixed_order_sizes,
+              st.sampled_from([0.1, 0.25, 0.5, 0.93, 1.0])),
+    min_size=1, max_size=6)
 fixed_order_instances = st.builds(
     lambda m, jobs: make(m, [(p, [q for p2, q in jobs if p2 == p])
                              for p in {p for p, _q in jobs}]),
-    st.integers(1, 5),
-    st.lists(st.tuples(st.sampled_from([Fraction(5, 13), 1, Fraction(3, 2), 4]),
-                       st.sampled_from([0.1, 0.25, 0.5, 0.93, 1.0])),
-             min_size=1, max_size=6),
+    st.integers(1, 8),
+    st.one_of(fixed_order_jobs,
+              st.builds(lambda p, n, rest: [(p, 1.0)] * n + rest,
+                        fixed_order_sizes, st.integers(2, 6),
+                        st.lists(st.tuples(fixed_order_sizes,
+                                           st.just(0.5)), max_size=2))),
 )
 
 
