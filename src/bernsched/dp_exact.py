@@ -22,10 +22,13 @@ interned profile's index times the number of count vectors NU, plus the
 counts in mixed radix.  The core asks the rule about a profile once, not
 once per state.
 
-Two traversals compute the same ``Solution``, depth first on an explicit
-stack (``_solve_dfs``) or level by level in numpy (``_solve_levels``);
-``solve_core`` picks one from NU.  Neither recurses, so the job count does
-not meet the recursion limit.
+Every type may start at time 0, so each of the NU - 1 count vectors with
+jobs left is a state at the zero profile: ``solve_core`` raises the state
+cap's error before any work when there are more of them than the cap
+allows.  Otherwise two traversals compute the same ``Solution``, depth
+first on an explicit stack (``_solve_dfs``) or level by level in numpy
+(``_solve_levels``), and NU alone picks one.  Neither recurses, so the
+job count does not meet the recursion limit.
 
 ``brute_force_oracle`` deliberately shares none of this: machine loads stay
 unsorted and jobs keep their identities, so it serves as an independent
@@ -36,6 +39,7 @@ non-idling one is itself a property under test.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
@@ -66,15 +70,16 @@ class DecisionTable(Mapping):
     (``("start", j)``) or the type count (``("idle",)``).  ``pid`` indexes
     the interned profiles (integer times in units of 1/``unit``) and
     ``nid`` is the jobs-left counts in mixed radix, type j with radix
-    ``counts[j] + 1``.  Length, ``values`` and iteration read the arrays;
-    the dicts that lookups need are built on the first lookup.
+    ``counts[j] + 1``.  Length, ``values`` and iteration read the arrays.
     ``integer_get`` takes integer times in units of 1/``unit``, as the
-    table kernel of ``policies`` reads them; ``get`` takes the ``Fraction``
-    profiles of replay and converts them with integer arithmetic before
-    the same lookup.  A time off the unit, a profile never interned or
-    counts of no state are a missing key.  Iteration decodes the states,
-    with ``Fraction`` profiles, in an order that depends on the traversal:
-    sort them where the order matters."""
+    table kernel of ``policies`` reads them: it computes the state from
+    the profile's pid and the counts' mixed-radix number, and finds it by
+    one binary search over the keys, sorted once on the first lookup.
+    ``get`` takes the ``Fraction`` profiles of replay and converts them
+    with integer arithmetic before the same lookup.  A time off the unit,
+    a profile never interned or counts of no state are a missing key.
+    Iteration decodes the states, with ``Fraction`` profiles, in an order
+    that depends on the traversal: sort them where the order matters."""
 
     def __init__(self, keys, codes, unit: int, profiles: list, index: dict,
                  counts: tuple):
@@ -84,12 +89,11 @@ class DecisionTable(Mapping):
         self._decisions = _decisions(len(counts))
 
     @cached_property
-    def _lookup(self):
-        """``(state -> decision, counts -> nid)``, built on the first
-        lookup; counts that no state has are missing from the second."""
-        nids = _unique(self.keys % self._radix).tolist()
-        return (dict(zip(self.keys.tolist(), self.values())),
-                {_decode(nid, self._strides, self.counts): nid for nid in nids})
+    def _sorted(self):
+        """The keys in ascending order and their codes, as lists for
+        ``bisect`` (three times faster than ``searchsorted`` on one int)."""
+        order = self.keys.argsort()
+        return self.keys[order].tolist(), self.codes[order].tolist()
 
     def get(self, key, default=None):
         profile, nu = key
@@ -106,11 +110,19 @@ class DecisionTable(Mapping):
         """The decision at ``(times, nu)``, the times integers in units of
         1/``unit``."""
         times, nu = key
-        decided, nids = self._lookup
-        pid, nid = self._index.get(times), nids.get(nu)
-        if pid is None or nid is None:
+        pid = self._index.get(times)
+        if pid is None or len(nu) != len(self.counts):
             return default
-        return decided.get(pid * self._radix + nid, default)
+        state = pid * self._radix
+        for c, s, top in zip(nu, self._strides, self.counts):
+            if not 0 <= c <= top:
+                return default
+            state += c * s
+        keys, codes = self._sorted
+        i = bisect_left(keys, state)
+        if i == len(keys) or keys[i] != state:
+            return default
+        return self._decisions[codes[i]]
 
     def __getitem__(self, key):
         decision = self.get(key)
@@ -202,30 +214,30 @@ def solve_core(inst: Instance, rule, state_cap: int):
     ``allowed(t)`` (the types that may start at time t, jobs left or not),
     ``after_long(profile, j)``, ``idle_group(nu)`` (an int from 0 to the
     type count - 1) and ``after_idle(profile, h)``, all on integer times.
-    The core starts only allowed types with jobs left; when there is none
-    it advances the profile to ``after_idle(profile, idle_group(nu))``,
-    which must raise the earliest time, or the core raises ``GridError``.
+    ``allowed(0)`` must hold every type, as it does for ``ExactRule`` and
+    for ``GridRule`` (0 is in every Q_h).  The core starts only allowed
+    types with jobs left; when there is none it advances the profile to
+    ``after_idle(profile, idle_group(nu))``, which must raise the earliest
+    time, or the core raises ``GridError``.
 
-    Two traversals compute the same ``Solution``, and the core picks one by
-    NU, before the solve.  Below ``LEVELS_MIN_NU`` count vectors, and above
-    ``state_cap + 1``, ``_solve_dfs`` walks the states depth first, an
-    edge costing int additions and a dict lookup.  Otherwise
+    Only ``state_cap`` limits a solve, whatever its job count: past that
+    many states the core raises ``SolverCapError``, and before any work
+    when the NU - 1 count vectors with jobs left, each a state at the zero
+    profile, are more.  Otherwise NU alone picks one of two traversals
+    that compute the same ``Solution``.  Below ``LEVELS_MIN_NU`` count
+    vectors ``_solve_dfs`` walks the states depth first, an edge costing
+    int additions and a dict lookup.  From there on
     ``_solve_levels`` evaluates one level (states with as many jobs left)
     at a time as numpy arrays, in int64 where a bound proves the level's
     costs fit and in exact Python ints elsewhere.  A level costs about
-    0.1 ms of numpy calls whatever its size, so on small solves the
+    0.05 ms of numpy calls whatever its size, so on small solves the
     depth-first walk is faster (README.md gives the measured crossover).
-    Both hand the ``DecisionTable`` a key array and a code array.  Only
-    ``state_cap`` limits a solve, whatever its job count: past that many
-    states the core raises ``SolverCapError``.
+    Both hand the ``DecisionTable`` a key array and a code array.
     """
     _strides, radix = _mixed_radix(inst.counts)
-    # the level traversal allocates tables of NU rows up front; with more
-    # count vectors than the state cap allows states (the exact rule
-    # reaches them all) the depth-first one meets the cap in bounded memory,
-    # and the level path's int64 keys pid * NU + nid cannot overflow short
-    # of 2**63 / NU interned profiles (4.6e12 at the default cap)
-    if LEVELS_MIN_NU <= radix <= state_cap + 1:
+    if radix - 1 > state_cap:
+        raise SolverCapError(f"state cap exceeded ({state_cap + 1} states)")
+    if radix >= LEVELS_MIN_NU:
         return _solve_levels(inst, rule, state_cap)
     return _solve_dfs(inst, rule, state_cap)
 

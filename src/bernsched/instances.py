@@ -1,10 +1,12 @@
 """Instance model: validation, canonical ordering, grouping and rounding.
 
-An instance consists of m identical machines and N Bernoulli jobs.  A job
-of type j has processing time p_j (its "size") with probability q and 0
-otherwise.  Types are kept in strictly decreasing size order and the jobs
-of a type in non-decreasing order of probability; every operation below
-preserves (or restores) that canonical form.
+An instance consists of m identical machines and N Bernoulli jobs, with
+m at most N: a job runs on one machine, so machines beyond the job count
+are dropped when an instance is built.  A job of type j has processing
+time p_j (its "size") with probability q and 0 otherwise.  Types are
+kept in strictly decreasing size order and the jobs of a type in
+non-decreasing order of probability; every operation below preserves (or
+restores) that canonical form.
 
 Sizes are ``Fraction`` values at the interface.  An instance also caches
 an integer view of itself: its sizes in units of 1/L, L the lcm of their
@@ -130,7 +132,8 @@ def validate_and_canonicalize(machines, epsilon, raw_types) -> Instance:
 
     Duplicate sizes are merged into one type and a size without jobs is
     dropped; types are sorted by size descending and probabilities
-    ascending within each type.
+    ascending within each type.  At most one machine per job is kept: no
+    policy uses more, and each would lengthen every profile of a solve.
     """
     if machines < 1:
         raise InstanceError("need at least one machine")
@@ -154,7 +157,8 @@ def validate_and_canonicalize(machines, epsilon, raw_types) -> Instance:
     )
     if not types:
         raise InstanceError("empty job list")
-    return Instance(machines=machines, epsilon=eps, types=types)
+    n_jobs = sum(t.count for t in types)
+    return Instance(machines=min(machines, n_jobs), epsilon=eps, types=types)
 
 
 def build_groups(inst: Instance) -> GroupStructure:

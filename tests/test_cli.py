@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,8 @@ from bernsched.cli import dump_policy, main, state_to_str, str_to_state
 from bernsched.dp_exact import ExactRule, _solve_dfs, _solve_levels, solve_exact
 from bernsched.instances import load_instance, save_instance, \
     validate_and_canonicalize
+from bernsched.policies import FixedAssignmentPolicy, SeptPolicy, \
+    expected_cost_reached
 
 
 @pytest.fixture()
@@ -305,3 +308,38 @@ def test_dump_does_not_depend_on_the_traversal(tmp_path):
     assert dumps[0] == dumps[1]
     keys = list(json.loads(dumps[0])["decisions"])
     assert keys == sorted(keys) and len(keys) > 1
+
+
+def test_machines_beyond_the_jobs_are_dropped(capsys, tmp_path):
+    # a job runs on one machine, so 10**9 machines for two jobs load as
+    # two, and every command gives the two-machine values: both jobs start
+    # at 0, for 169 * 0.5 + 1 * 0.25 = 84.75
+    raw = {"epsilon": "1/13", "types": [{"size": "169", "jobs": [0.5]},
+                                        {"size": "1", "jobs": [0.25]}]}
+    paths = []
+    for machines in (10 ** 9, 2):
+        paths.append(str(tmp_path / f"m{machines}.json"))
+        with open(paths[-1], "w") as fh:
+            json.dump({"machines": machines, **raw}, fh)
+    many, two = map(load_instance, paths)
+    assert many.machines == 2 and many == two
+    for policy in (SeptPolicy(), FixedAssignmentPolicy()):
+        assert expected_cost_reached(policy, many) == Fraction(339, 4)
+
+    json_out = str(tmp_path / "rows.json")
+    code, _out = run(capsys, "compare", "--instances", *paths,
+                     "--json-out", json_out)
+    assert code == 0
+    rows = json.loads(open(json_out).read())["rows"]
+    for row in rows:
+        del row["instance_id"], row["exact_seconds"], row["stratified_seconds"]
+    assert rows[0] == rows[1]
+    assert rows[0]["machines"] == 2 and rows[0]["skipped"] == ""
+    assert rows[0]["exact_value"] == rows[0]["sept_value"] == 84.75
+
+    for policy in ("exact", "stratified", "sept", "fixed"):
+        outs = [json.loads(run(capsys, "simulate", "--instance", path,
+                               "--policy", policy, "--enumerate")[1])
+                for path in paths]
+        assert outs[0] == outs[1]
+    assert outs[0]["mean"] == 84.75

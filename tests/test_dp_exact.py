@@ -255,14 +255,15 @@ class TestSolution:
             assert "diagnostics" in vars(sol) and sol.diagnostics is d
             assert d == expected
             assert sol.states == len(sol.policy)
-            # read from the arrays, equal to the figures of the lookup dict
-            assert "_lookup" not in vars(sol.policy)
+            # read from the arrays, equal to the figures of the sorted keys
+            # that lookups search
+            assert "_sorted" not in vars(sol.policy)
             table = sol.policy
-            decided, _nids = table._lookup
-            pids = {state // table._radix for state in decided}
+            keys, _codes = table._sorted
+            pids = {state // table._radix for state in keys}
             by_time = Counter(table._profiles[pid][0] for pid in pids)
             assert d == Diagnostics(len(by_time), max(by_time.values()),
-                                    len(decided))
+                                    len(keys))
         assert exact.diagnostics.states == exact.states
 
 
@@ -331,9 +332,9 @@ class TestDecisionTable:
             for bad in ((-1,) + nu[1:], (counts[0] + 1,) + nu[1:], nu + (0,)):
                 assert_missing(table, plain, profile, bad)
 
-    def test_lookup_dict_built_on_first_get(self, separated_4x3x2):
+    def test_keys_sorted_on_first_get(self, separated_4x3x2):
         # the digests are the sha256 of the sorted state=decision lines,
-        # read through get, that the dict-backed table of the previous
+        # read through get, that the dict-backed table of an earlier
         # version gave: the exact solve and both traversals of the grid one
         inst, rounded, grid = separated_4x3x2
         exact = "020b9503181638a8ac3b2ede9a60fd4cda2c51add2ca629d1adf41a896edb6ee"
@@ -349,11 +350,35 @@ class TestDecisionTable:
             assert len(table) == sol.states == sol.diagnostics.states
             assert len(list(table.values())) == len(table)
             keys = list(table)
-            assert "_lookup" not in vars(table)
+            assert "_sorted" not in vars(table)
             lines = sorted(f"{cli.state_to_str(key)}={table.get(key)}\n"
                            for key in keys)
-            assert "_lookup" in vars(table)
+            assert "_sorted" in vars(table)
+            sorted_keys, _codes = table._sorted
+            assert sorted_keys == sorted(table.keys.tolist())
             assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(instances, separated))
+    @example(make(1, [(169, [0.25, 0.5]), (1, [0.25, 0.25])]))  # idles
+    def test_every_count_vector_at_the_zero_profile(self, inst):
+        # every type may start at 0, so each count vector with jobs left is
+        # a state at the zero profile: NU - 1 states at least, the fact that
+        # solve_core's up-front cap check rests on
+        rounded, groups, grid, _ = prepare(inst)
+        for sol, rule, evaluated in (
+                (solve_exact(inst), ExactRule(inst), inst),
+                (solve_stratified(rounded, groups, grid), GridRule(grid),
+                 rounded)):
+            counts = evaluated.counts
+            assert tuple(rule.allowed(0)) == tuple(range(len(counts)))
+            zero = (0,) * evaluated.machines
+            nus = set(itertools.product(*(range(c + 1) for c in counts)))
+            nus.discard((0,) * len(counts))
+            at_zero = {nu for (times, nu), _d in sol.policy.integer_items()
+                       if times == zero}
+            assert at_zero == nus
+            assert sol.states >= len(nus) == sol.policy._radix - 1
 
     def test_interned_profile_never_reached_with_jobs_left(self):
         # the long outcome of the only job leads to profile (3,) with no
@@ -586,19 +611,32 @@ class TestTraversals:
         assert len(calls) == 8 * len(set(calls)) == 8 * (1 + 8 + 28)
 
     # ids that do not change when LEVELS_MIN_NU moves
-    @pytest.mark.parametrize("nu, cap, levels", [
-        (LEVELS_MIN_NU - 1, 10 ** 6, False),
-        (LEVELS_MIN_NU, 10 ** 6, True),
-        (LEVELS_MIN_NU, LEVELS_MIN_NU - 1, True),
-        # more count vectors than states allowed: no NU-row tables
-        (LEVELS_MIN_NU, LEVELS_MIN_NU - 2, False)],
+    @pytest.mark.parametrize("nu, cap, expected", [
+        (LEVELS_MIN_NU - 1, 10 ** 6, ["_solve_dfs"]),
+        (LEVELS_MIN_NU, 10 ** 6, ["_solve_levels"]),
+        (LEVELS_MIN_NU, LEVELS_MIN_NU - 1, ["_solve_levels"]),
+        # more count vectors with jobs left than states allowed: each is a
+        # state at the zero profile, so the cap error comes before any work
+        (LEVELS_MIN_NU, LEVELS_MIN_NU - 2, None)],
         ids=["below", "at", "at-cap-edge", "above-cap"])
-    def test_picks_by_count_vectors(self, monkeypatch, nu, cap, levels):
-        # one type with nu - 1 jobs has nu count vectors
+    def test_picks_by_count_vectors(self, monkeypatch, nu, cap, expected):
+        # one type with nu - 1 jobs has nu count vectors; the traversals
+        # are stubs, and the rule records any attribute asked of it
         called = []
         for name in ("_solve_dfs", "_solve_levels"):
             monkeypatch.setattr(dp_exact, name,
                                 lambda *args, name=name: called.append(name))
+
+        class Untouched:
+            def __getattr__(self, name):
+                called.append(f"rule.{name}")
+
         inst = make(1, [(1, [0.5] * (nu - 1))])
-        solve_core(inst, ExactRule(inst), cap)
-        assert called == ["_solve_levels" if levels else "_solve_dfs"]
+        if expected is None:
+            with pytest.raises(SolverCapError, match=rf"^state cap exceeded "
+                                                     rf"\({cap + 1} states\)$"):
+                solve_core(inst, Untouched(), cap)
+            assert called == []
+        else:
+            solve_core(inst, Untouched(), cap)
+            assert called == expected

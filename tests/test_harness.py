@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bernsched import harness
+from bernsched import dp_exact, harness
 from bernsched.dp_exact import SolverCapError
 from bernsched.harness import (
     ComparisonRow,
@@ -77,6 +77,23 @@ class TestCompare:
         assert rows[0].skipped.startswith(
             "SolverCapError: state cap exceeded (")
         assert rows[0].skipped.endswith(" states)")
+
+    def test_cap_skip_before_any_solve(self, monkeypatch):
+        # 21 one-job types have 2**21 - 1 count vectors with jobs left, each
+        # a state at the zero profile: more than the default cap allows, so
+        # the row is skipped before either traversal runs, with the reason
+        # the depth-first walk used to reach the cap with
+        def no_traversal(*args):
+            raise AssertionError("a traversal ran")
+
+        for name in ("_solve_dfs", "_solve_levels"):
+            monkeypatch.setattr(dp_exact, name, no_traversal)
+        inst = validate_and_canonicalize(
+            1, "1/13", [(169 ** k, [0.5]) for k in range(21)])
+        row, = compare([inst])
+        assert row.skipped == "SolverCapError: state cap exceeded " \
+                              "(2000001 states)"
+        assert (row.n_types, row.exact_states) == (21, 0)
 
     def test_grid_error_marks_skipped(self, monkeypatch):
         def no_grid(inst, groups):

@@ -241,6 +241,7 @@ def test_canonical_invariants(inst):
     assert len(set(sizes)) == len(sizes)
     for t in inst.types:
         assert list(t.qs) == sorted(t.qs)
+    assert 1 <= inst.machines <= inst.total_jobs  # one machine per job at most
 
 
 @given(instances())
