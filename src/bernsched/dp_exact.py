@@ -26,9 +26,11 @@ Every type may start at time 0, so each of the NU - 1 count vectors with
 jobs left is a state at the zero profile: ``solve_core`` raises the state
 cap's error before any work when there are more of them than the cap
 allows.  Otherwise two traversals compute the same ``Solution``, depth
-first on an explicit stack (``_solve_dfs``) or level by level in numpy
-(``_solve_levels``), and NU alone picks one.  Neither recurses, so the
-job count does not meet the recursion limit.
+first as a memoized recursion (``_solve_dfs``) or level by level in numpy
+(``_solve_levels``), and NU alone picks one.  The recursion only takes
+solves of at most 34 jobs, at most 69 frames deep (``solve_core``); the
+level traversal does not recurse, so its job count does not meet the
+recursion limit.
 
 ``brute_force_oracle`` deliberately shares none of this: machine loads stay
 unsorted and jobs keep their identities, so it serves as an independent
@@ -201,7 +203,8 @@ def _decode(nid, strides, counts):
 
 
 #: ``solve_core`` traverses level by level when the instance has at least
-#: this many count vectors, and depth first below that (README.md).
+#: this many count vectors, and depth first below that (README.md), where
+#: a solve has at most 34 jobs and recurses at most 69 frames deep.
 LEVELS_MIN_NU = 36
 
 
@@ -218,20 +221,26 @@ def solve_core(inst: Instance, rule, state_cap: int):
     for ``GridRule`` (0 is in every Q_h).  The core starts only allowed
     types with jobs left; when there is none it advances the profile to
     ``after_idle(profile, idle_group(nu))``, which must raise the earliest
-    time, or the core raises ``GridError``.
+    time and lead to a state that starts a job, or the core raises
+    ``GridError``.  Both shipped rules meet this: ``ExactRule`` never
+    idles, and ``GridRule``'s target lies in Q_h, h the group of the
+    smallest-size type with jobs left, so that type may start there.
 
     Only ``state_cap`` limits a solve, whatever its job count: past that
     many states the core raises ``SolverCapError``, and before any work
     when the NU - 1 count vectors with jobs left, each a state at the zero
     profile, are more.  Otherwise NU alone picks one of two traversals
     that compute the same ``Solution``.  Below ``LEVELS_MIN_NU`` count
-    vectors ``_solve_dfs`` walks the states depth first, an edge costing
-    int additions and a dict lookup.  From there on
-    ``_solve_levels`` evaluates one level (states with as many jobs left)
-    at a time as numpy arrays, in int64 where a bound proves the level's
-    costs fit and in exact Python ints elsewhere.  A level costs about
-    0.05 ms of numpy calls whatever its size, so on small solves the
-    depth-first walk is faster (README.md gives the measured crossover).
+    vectors ``_solve_dfs`` recurses depth first, an edge costing int
+    additions and a dict lookup.  There N <= NU - 1 <= 34 (NU is the
+    product of the c_j + 1), and each frame starts a job or idles to a
+    state that starts one, so the recursion is at most 2N + 1 <= 69
+    frames deep.  From ``LEVELS_MIN_NU`` on ``_solve_levels`` evaluates
+    one level (states with as many jobs left) at a time as numpy arrays,
+    in int64 where a bound proves the level's costs fit and in exact
+    Python ints elsewhere.  A level costs about 0.05 ms of numpy calls
+    whatever its size, so on small solves the depth-first recursion is
+    faster (README.md gives the measured crossover).
     Both hand the ``DecisionTable`` a key array and a code array.
     """
     _strides, radix = _mixed_radix(inst.counts)
@@ -275,87 +284,60 @@ def _stalled(profile, unit):
 
 
 def _solve_dfs(inst: Instance, rule, state_cap: int) -> Solution:
-    """``solve_core`` depth first: per ``nid`` it computes once, for each
-    type with jobs left, the counts without one of its jobs and that job's
-    q numerator, so an edge is two int additions and a dict lookup per
-    child."""
+    """``solve_core`` as the memoized recursion ``cost(key, r)``, r the
+    jobs left.  ``steps`` holds per ``nid`` each type's counts less one of
+    its jobs and that job's q numerator, and ``edges`` per ``pid`` the
+    allowed types' long children, so an edge is int additions and a dict
+    lookup per child.  A frame starts a job, one fewer for its children,
+    or idles to a state that starts one: at most 2N + 1 frames."""
     den, power, qnum = _numerators(inst)
-    counts = inst.counts
+    counts, n = inst.counts, inst.n_types
     strides, radix = _mixed_radix(counts)
     sizes, allowed, after_long = rule.sizes, rule.allowed, rule.after_long
-    n = inst.n_types
     profiles, index, intern = _interner()
+    steps = [[(nid - s, qnum[j][c]) if c else None for j, (s, c)
+              in enumerate(zip(strides, _decode(nid, strides, counts)))]
+             for nid in range(radix)]
     edges = {}  # pid -> per allowed type: (type, long child pid * radix)
-    steps = {}  # nid -> per type: (nid less one job of it, its q numerator)
-    value = {}  # state -> cost numerator; states without jobs cost nothing
-    cost = value.get
-    keys, codes = [], []  # the table: each state and its decision's code
-    top = intern((0,) * inst.machines) * radix + radix - 1
-    # frames (state, jobs left, moves): moves is None until the state is
-    # expanded, then a list of (type, q numerator, long state, short
-    # state), or the state an idle advance leads to
-    stack = [(top, inst.total_jobs, None)]
-    while stack:
-        key, r, moves = stack.pop()
-        if moves is None:
-            if key in value:
-                continue
-            pid, nid = divmod(key, radix)
-            profile = profiles[pid]
-            edge = edges.get(pid)
-            if edge is None:
-                edge = edges[pid] = [
-                    (j, intern(after_long(profile, j)) * radix)
-                    for j in allowed(profile[0])]
-            step = steps.get(nid)
-            if step is None:
-                nu = _decode(nid, strides, counts)
-                step = steps[nid] = [(nid - s, qnum[j][c]) if c else None
-                                     for j, (s, c) in enumerate(zip(strides, nu))]
-            base = key - nid
-            moves = []
-            for j, long_base in edge:
-                move = step[j]
-                if move is not None:
-                    nid2, a = move
-                    moves.append((j, a, long_base + nid2, base + nid2))
-            if moves:
-                stack.append((key, r, moves))
-                if r > 1:
-                    for _j, _a, long_key, short_key in moves:
-                        if long_key not in value:
-                            stack.append((long_key, r - 1, None))
-                        if short_key not in value:
-                            stack.append((short_key, r - 1, None))
-                continue
-            h = rule.idle_group(_decode(nid, strides, counts))
-            after = intern(rule.after_idle(profile, h))
-            if profiles[after][0] <= profile[0]:
-                raise _stalled(profile, rule.unit)
-            moves = after * radix + nid
-            stack.append((key, r, moves))
-            if moves not in value:
-                stack.append((moves, r, None))
-            continue
+    value, codes = {}, []  # per state: cost numerator, decision's code
 
-        if len(value) > state_cap:
-            raise SolverCapError(f"state cap exceeded ({len(value)} states)")
-        if isinstance(moves, list):
-            below = power[r - 1]
-            best = None
-            for j, a, long_key, short_key in moves:
-                v = a * (cost(long_key, 0) + sizes[j] * below) \
-                    + (den - a) * cost(short_key, 0)
+    def edge(pid):
+        if pid not in edges:
+            t = profiles[pid]
+            edges[pid] = [(j, intern(after_long(t, j)) * radix)
+                          for j in allowed(t[0])]
+        return edges[pid]
+
+    def cost(key, r):  # states without jobs cost nothing
+        if key in value or not r:
+            return value.get(key, 0)
+        pid, nid = divmod(key, radix)
+        profile, step, best = profiles[pid], steps[nid], None
+        for j, long in edge(pid):
+            if step[j]:
+                nid2, a = step[j]
+                v = (a * (cost(long + nid2, r - 1) + sizes[j] * power[r - 1])
+                     + (den - a) * cost(key - nid + nid2, r - 1))
                 if best is None or v < best:
                     best, choice = v, j
-            value[key] = best + profiles[key // radix][0] * power[r]
+        if best is None:  # the idle advance's target must start a job
+            h = rule.idle_group(_decode(nid, strides, counts))
+            after = intern(rule.after_idle(profile, h))
+            if profiles[after][0] <= profile[0] or not any(
+                    step[j] for j, _ in edge(after)):
+                raise _stalled(profile, rule.unit)
+            best, choice = cost(after * radix + nid, r), n
         else:
-            value[key], choice = value[moves], n
-        keys.append(key)
+            best += profile[0] * power[r]
+        if len(value) > state_cap:
+            raise SolverCapError(f"state cap exceeded ({len(value)} states)")
+        value[key] = best
         codes.append(choice)
+        return best
 
-    return Solution(value[top] / (power[-1] * rule.unit),
-                    DecisionTable(np.array(keys, np.int64),
+    top = intern((0,) * inst.machines) * radix + radix - 1
+    return Solution(cost(top, inst.total_jobs) / (power[-1] * rule.unit),
+                    DecisionTable(np.fromiter(value, np.int64, len(value)),
                                   np.array(codes, np.min_scalar_type(n)),
                                   rule.unit, profiles, index, counts))
 
@@ -374,9 +356,10 @@ def _solve_levels(inst: Instance, rule, state_cap: int) -> Solution:
     each per-state array with one row per type and one column per state.
 
     The forward pass builds each level as a sorted, unique int64 array of
-    keys: the children of the level above, then the targets of its idle
-    advances, asked of the rule once per distinct (profile, idle group),
-    until no new target appears.  It keeps each level's moves that take
+    keys in two rounds: the children of the level above, then the targets
+    of their idle advances, asked of the rule once per distinct (profile,
+    idle group).  One check then raises the stall ``GridError`` if a
+    target idles too.  It keeps each level's moves that take
     gathers to find (which types each state may start, and their long
     children) in key order; pid, nid and the short children come from the
     keys by arithmetic.  The backward pass, from one job left up, finds
@@ -455,38 +438,38 @@ def _solve_levels(inst: Instance, rule, state_cap: int) -> Solution:
 
     for r in range(jobs, 0, -1):
         check_cap()
-        fresh, chunks, children, idle, targets = keys, [], [], [], []
-        while len(fresh):
+        fresh, chunks, children = keys, [], []
+        frm = to = np.empty(0, np.int64)  # idle states, their targets
+        for second in (False, True):  # the level's keys, then new targets
             pid, nid, ok, long, short = moves(fresh)
             chunks.append((fresh, ok, long))
             if r > 1:
                 children += (long[ok], short[ok])
             stuck = ~ok.any(axis=0)
-            if not stuck.any():
+            if second or not stuck.any():
                 break
-            idle.append(fresh[stuck])
-            targets.append(advance(pid[stuck], nid[stuck]))
-            fresh = _unique(targets[-1])
+            frm, to = fresh[stuck], advance(pid[stuck], nid[stuck])
+            fresh = _unique(to)
             # the targets not in the level yet
             fresh = fresh[keys[np.searchsorted(keys, fresh) % len(keys)]
                           != fresh]
-            if len(fresh):
-                keys = np.sort(np.concatenate((keys, fresh)))
-                check_cap()
+            if not len(fresh):
+                break
+            keys = np.sort(np.concatenate((keys, fresh)))
+            check_cap()
         total += len(keys)
-        frm = to = np.empty(0, np.int64)
-        if idle:  # an advance to an idle state takes its final target
-            frm = keys.searchsorted(np.concatenate(idle))
-            to = keys.searchsorted(np.concatenate(targets))
-            link = np.arange(len(keys))
-            link[frm] = to
-            while (link[to] != to).any():
-                to = link[to]
         if len(chunks) > 1:  # each chunk's moves, in key order
             order = np.concatenate([chunk[0] for chunk in chunks]).argsort()
             chunks = [[np.concatenate(parts, axis=-1)[..., order]
                        for parts in zip(*chunks)]]
-        levels.append((keys, frm, to, chunks[0][1:]))
+        ok, long = chunks[0][1:]
+        if len(frm):  # every idle advance's target must start a job
+            frm, to = keys.searchsorted(frm), keys.searchsorted(to)
+            stalled = ~ok[:, to].any(axis=0)
+            if stalled.any():
+                raise _stalled(profiles[keys[frm[stalled][0]] // radix],
+                               rule.unit)
+        levels.append((keys, frm, to, (ok, long)))
         if r > 1:
             keys = _unique(np.concatenate(children))
 

@@ -64,6 +64,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -289,14 +290,6 @@ def _replay_rows(policy, inst: Instance, outcomes):
                            .total_cost) for row in outcomes.tolist()])
 
 
-def _replay_costs(policy, inst: Instance, outcomes):
-    """Each row's total completion time as a float, by ``replay``: one
-    replay per distinct row, in order of first occurrence, so a failing
-    row raises what replaying the rows in order raises first."""
-    return _per_distinct_row(lambda rows: _replay_rows(policy, inst, rows),
-                             outcomes)
-
-
 def _queue_weights(ctl):
     """(job, weight) per job of a bound fixed assignment: a machine runs its
     queue back to back, so a job's size counts once for itself and once for
@@ -385,10 +378,11 @@ def _table_kernel(policy, inst: Instance):
     one of them meets a state the kernel cannot step as replay does: a
     missing state, a decision other than ``("start", j)`` with type-j
     jobs left or ``("idle",)``, an idle in an exact table, an idle that
-    does not progress, or a time that lets a total exceed 2**53.  So
-    replay's first error and its results stand unchanged.  (On the grid,
-    a second idle in a row never progresses: the first one's target is
-    already in the idle group's Q-set.)
+    does not progress, an idle whose target idles too, or a time that
+    lets a total exceed 2**53.  So replay's first error and its results
+    stand unchanged.  (On the grid replay raises at a second idle in a
+    row, as it does not progress: the first one's target is already in
+    the idle group's Q-set.)
     """
     if type(policy) is ExactTablePolicy:
         rule = ExactRule(inst)
@@ -433,11 +427,12 @@ def _table_kernel(policy, inst: Instance):
 
     def describe(sid):
         times, nu = keys[sid]
-        while (j := decide(times, nu)) is None:
+        j = decide(times, nu)
+        if j is None:  # the state the idle advance leads to must start
             if rule.after_idle is None:
                 raise _Fallback
             after = rule.after_idle(times, rule.idle_group(nu))
-            if after[0] <= times[0]:
+            if after[0] <= times[0] or (j := decide(after, nu)) is None:
                 raise _Fallback
             times = after
         t = times[0]
@@ -488,13 +483,14 @@ def _cost_function(policy, inst: Instance):
     time.  The fixed-order policies and the two table policies each have a
     numpy kernel that steps all rows together on integer times; any other
     policy, and a case that neither kernel takes, is replayed once per
-    distinct row.  A table kernel also replays a block that meets a state
-    it cannot step as replay does.  So ``replay`` stays the reference for
-    every result and every error."""
+    distinct row, in order of first occurrence, so a failing row raises
+    what replaying the rows in order raises first.  A table kernel also
+    replays a block that meets a state it cannot step as replay does.  So
+    ``replay`` stays the reference for every result and every error."""
     kernel = _fixed_order_kernel(policy, inst) or _table_kernel(policy, inst)
     if kernel is not None:
         return kernel
-    return lambda outcomes: _replay_costs(policy, inst, outcomes)
+    return partial(_per_distinct_row, partial(_replay_rows, policy, inst))
 
 
 def expected_cost_exact(policy, inst: Instance) -> float:

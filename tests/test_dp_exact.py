@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import itertools
+import sys
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -553,11 +555,11 @@ class TestTraversals:
         assert set(calls) == set(idle)
 
     def test_chained_idle_advances(self):
-        # no shipped rule idles twice in a row, but the core allows it: two
-        # advances of one unit lead from time 0 to 2, where the job may
-        # start
+        # an idle advance must lead to a state that starts a job: two
+        # advances of one unit would lead from time 0 to 2, where the job
+        # may start, but the first one's target at time 1 idles again
         class ChainRule:
-            unit, sizes = 1, (1,)
+            unit, sizes, calls = 1, (1,), 0
 
             def allowed(self, t):
                 return (0,) if t >= 2 else ()
@@ -569,13 +571,15 @@ class TestTraversals:
                 return 0
 
             def after_idle(self, profile, h):
+                self.calls += 1
                 return tuple(max(x, profile[0] + 1) for x in profile)
 
-        inst = make(2, [(1, [0.5, 0.25])])
-        dfs = _solve_dfs(inst, ChainRule(), 100)
-        assert_same_solution(dfs, _solve_levels(inst, ChainRule(), 100))
-        decided = dict(dfs.policy.integer_items())
-        assert decided[(0, 0), (2,)] == decided[(1, 1), (2,)] == ("idle",)
+        for solve in (_solve_dfs, _solve_levels):
+            rule = ChainRule()
+            with pytest.raises(GridError,
+                               match=r"^idle advance stalled at 0/1$"):
+                solve(make(2, [(1, [0.5, 0.25])]), rule, 100)
+            assert rule.calls == 1
 
     def test_same_cap_error(self):
         inst = make(2, [(3, [0.5, 0.25]), (1, [0.75, 0.5]), (2, [0.5])])
@@ -640,3 +644,34 @@ class TestTraversals:
         else:
             solve_core(inst, Untouched(), cap)
             assert called == expected
+
+
+class TestRecursionDepth:
+    """Each frame of ``_solve_dfs`` starts a job or idles to a state that
+    starts one, so a solve with N jobs recurses at most 2N + 1 frames
+    deep, and ``solve_core`` sends it at most LEVELS_MIN_NU - 2 jobs."""
+
+    #: frames above and below the recursion: ``solve_core``, the
+    #: traversal, and the rule's calls from the deepest frame
+    MARGIN = 12
+
+    # the most jobs below LEVELS_MIN_NU count vectors are one type's
+    # LEVELS_MIN_NU - 2; sixteen jobs of size 169 = eps**-2 and one of
+    # size 1 on two machines have 34 count vectors, and their grid idles
+    @pytest.mark.parametrize("raw, grid, idles", [
+        ([(1, [0.5] * (LEVELS_MIN_NU - 2))], False, False),
+        ([(1, [0.5] * (LEVELS_MIN_NU - 2))], True, False),
+        ([(169, [0.5] * 16), (1, [0.5])], True, True)],
+        ids=["exact", "grid", "idles"])
+    def test_deepest_depth_first_solves(self, raw, grid, idles):
+        inst, rule = rules(make(2, raw))[grid]
+        assert dp_exact._mixed_radix(inst.counts)[1] < LEVELS_MIN_NU
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 2 * inst.total_jobs
+                              + 1 + self.MARGIN)
+        try:
+            sol = solve_core(inst, rule(), 10 ** 6)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert_same_solution(sol, _solve_levels(inst, rule(), 10 ** 6))
+        assert (("idle",) in set(sol.policy.values())) == idles

@@ -678,6 +678,28 @@ class TestTableKernel:
         with pytest.raises(ReplayError, match="does not progress"):
             expected_cost_exact(policy, inst)
 
+    def test_idle_target_that_idles_replays(self):
+        # a big job first: when it is long, a small job later leads to the
+        # idle state at 235 or 236, whose advance targets 252.  Marked
+        # idle, that target idles a second time in a row: replay raises,
+        # as the target is already in the idle group's Q-set
+        policy, inst = _idling_cases()[1]
+        table = dict(policy.table.items())
+        idle, target = ((Fraction(235),), (1, 0)), ((Fraction(252),), (1, 0))
+        assert (table[idle], table[target]) == (("idle",), ("start", 0))
+        table[(Fraction(0),), inst.counts] = ("start", 0)
+        table[target] = ("idle",)
+        policy.table = table
+        # the first ten trials of seed 2 never reach the idle state, so
+        # they have replay's results; the first forty do, so its error
+        for trials, reached in ((10, False), (40, True)):
+            want = _outcome(_scalar_mc, policy, inst, trials, 2)
+            assert (want[0] is ReplayError) == reached
+            _assert_table_outcomes_equal_replay(policy, inst, trials, 2)
+        with pytest.raises(ReplayError,
+                           match=r"^advance to 252 does not progress$"):
+            expected_cost_exact(policy, inst)
+
     def test_start_of_exhausted_type_replays(self):
         policy, inst = _idling_cases()[0]
         table = dict(policy.table.items())
