@@ -19,10 +19,9 @@ outcomes of jobs already started.
 ``expected_cost_exact`` and ``expected_cost_mc`` run one loop over
 blocks of outcome vectors (rows of a boolean matrix, one column per job
 in ``job_ids`` order): every realization in enumeration order, or the
-Monte-Carlo trials in order, where trial i draws its outcomes from its
-own stream ``SeedStream(seed, i)`` and ``numerics.uniform_block`` draws
-a whole block of streams at once.  Two numpy kernels take a whole block
-on integer times:
+Monte-Carlo trials in order, all drawn from one stream
+``SeedStream(seed)``, a block of trials in one numpy call.  Two numpy
+kernels take a whole block on integer times:
 
 * the fixed-order kernel, for ``ListPolicy``, ``SeptPolicy`` and
   ``FixedAssignmentPolicy``, in units of 1/L, L the lcm of the size
@@ -44,10 +43,10 @@ first occurrence, and each cost is scattered back to its rows.  Either
 way the results and errors are per-realization replay's to the bit: the
 probabilities are multiplied in the same order, each cost is the
 correctly rounded float of its exact total, and the sums run in
-sequence in the same order.  ``replay`` with ``enumerate_realizations``
-or ``sample_realization`` on ``SeedStream(seed, i).generator()`` is
-that reference.  Enumeration branches on at most ``MAX_ENUMERATED``
-stochastic jobs.
+sequence in the same order.  ``replay`` with ``enumerate_realizations``,
+or with successive ``sample_realization`` calls on one
+``SeedStream(seed).generator()``, is that reference.  Enumeration
+branches on at most ``MAX_ENUMERATED`` stochastic jobs.
 
 ``expected_cost_reached`` needs no enumeration, so that limit does not
 apply to it.  It prices the list, SEPT and fixed-assignment policies
@@ -71,7 +70,7 @@ import numpy as np
 from .dp_exact import STATE_CAP, DecisionTable, ExactRule, SolverCapError
 from .dp_stratified import GridRule
 from .instances import Instance
-from .numerics import uniform_block
+from .numerics import SeedStream
 from .timegrid import TimeGrid
 
 
@@ -254,12 +253,15 @@ def _outcome_blocks(inst: Instance):
 
 def _trial_blocks(inst: Instance, trials: int, seed: int):
     """Outcome matrices of trials 0..trials-1 in blocks of at most
-    ``_BLOCK`` rows; trial i draws from ``SeedStream(seed, i)`` exactly
-    what ``sample_realization`` draws."""
+    ``_BLOCK`` rows, all drawn from one ``SeedStream(seed)``: trial i
+    takes the stream's draws iN .. iN+N-1, N the number of jobs, which is
+    what the (i+1)-th ``sample_realization`` call on the stream draws.
+    So a run of trials is a prefix of any longer run, whatever
+    ``_BLOCK`` is."""
     qs = np.array([inst.job_q(job) for job in inst.job_ids()])
+    rng = SeedStream(seed).generator()
     for start in range(0, trials, _BLOCK):
-        rows = min(trials - start, _BLOCK)
-        yield uniform_block(seed, start, rows, len(qs)) < qs
+        yield rng.random((min(trials - start, _BLOCK), len(qs))) < qs
 
 
 def _per_distinct_row(cost, outcomes):
@@ -502,20 +504,27 @@ def expected_cost_exact(policy, inst: Instance) -> float:
 
 
 def expected_cost_mc(policy, inst: Instance, trials: int, seed: int):
-    """(mean, stderr) over independent seeded substreams, one per trial."""
+    """(mean, stderr) over ``trials`` trials drawn in order from one
+    seeded stream (``_trial_blocks``).  The sums are taken of the costs
+    less the first trial's, so that the variance does not cancel away
+    on large means (Chan, Golub and LeVeque, 1983)."""
     if trials < 1:
         raise ReplayError("need at least one trial")
     costs = _cost_function(policy, inst)
-    total = 0.0
-    total_sq = 0.0
+    first = None
+    shifted = 0.0
+    shifted_sq = 0.0
     for outcomes in _trial_blocks(inst, trials, seed):
         block = costs(outcomes)
-        total = _running_sum(total, block)
-        total_sq = _running_sum(total_sq, block * block)
-    mean = total / trials
+        if first is None:
+            first = block[0]
+        block = block - first
+        shifted = _running_sum(shifted, block)
+        shifted_sq = _running_sum(shifted_sq, block * block)
+    mean = float(first + shifted / trials)
     if trials == 1:
         return mean, 0.0
-    var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
+    var = max(0.0, (shifted_sq - shifted * shifted / trials) / (trials - 1))
     return mean, math.sqrt(var / trials)
 
 

@@ -134,16 +134,48 @@ class TestMonteCarlo:
         with pytest.raises(ReplayError):
             expected_cost_mc(SeptPolicy(), example_35, trials=0, seed=0)
 
+    @pytest.mark.parametrize("block", [policies._BLOCK, 5, 1])
+    def test_one_stream_per_call(self, block, monkeypatch):
+        # trial i is the (i+1)-th sample_realization on one stream, in
+        # blocks of any size, so fewer trials are a prefix of more
+        inst = make(2, [(3, [0.25, 0.75]), (1, [0.5, 0.93, 1.0])])
+        monkeypatch.setattr(policies, "_BLOCK", block)
+        rng = SeedStream(11).generator()
+        want = [list(sample_realization(inst, rng).values())
+                for _ in range(23)]
+        for trials in (23, 7, 1):
+            rows = np.vstack(list(policies._trial_blocks(inst, trials, 11)))
+            assert rows.tolist() == want[:trials]
+
+    @pytest.mark.parametrize("e", [30, 40, 50])
+    def test_stderr_on_large_means(self, e):
+        # costs 2**e + 2 and 2**e, each in about half the trials, have a
+        # sample variance near 1, which sums of squares near 2**(2e)
+        # cannot hold; sums about the first trial's cost keep it
+        inst = make(1, [(2**e, [1.0]), (1, [0.5])])
+        trials, seed = 2000, 3
+        rng = SeedStream(seed).generator()
+        costs = [replay(SeptPolicy(), inst, sample_realization(inst, rng))
+                 .total_cost for _ in range(trials)]
+        mean = sum(costs) / trials
+        var = sum((c - mean) ** 2 for c in costs) / (trials - 1)
+        want = math.sqrt(var / trials)
+        got_mean, got = expected_cost_mc(SeptPolicy(), inst, trials, seed)
+        assert got == pytest.approx(want, rel=1e-9)
+        truth = expected_cost_exact(SeptPolicy(), inst)
+        assert truth == 2**e + 1
+        assert abs(got_mean - truth) <= 4 * got
+
     def test_golden_bits(self):
-        # (mean, stderr) as float.hex, pinned from the earlier one-lane
-        # sampler; 20,000 trials are two trial blocks
+        # (mean, stderr) as float.hex, pinned from the one-stream sampler;
+        # 20,000 trials are two trial blocks
         inst, = generate(ExperimentSpec(n_types=2, jobs_per_type=3,
                                         machines=2, count=1, seed=1))
         (exact, _), (stratified, rounded) = _table_cases(inst)
         want = {
-            "sept": ("0x1.de252a3055326p+9", "0x1.a720908b283b1p+1"),
-            "exact": ("0x1.dde4bfb15b574p+9", "0x1.a7e6f8bfec583p+1"),
-            "stratified": ("0x1.eab6036ad8ffdp+9", "0x1.dae7134cc8156p+1"),
+            "sept": ("0x1.e1aee7d566cf4p+9", "0x1.ad23b5952c7fdp+1"),
+            "exact": ("0x1.e174e219652bdp+9", "0x1.adef2f5c919b4p+1"),
+            "stratified": ("0x1.eed736d5e3828p+9", "0x1.e23c14aee1d74p+1"),
         }
         cases = {"sept": (SeptPolicy(), inst), "exact": (exact, inst),
                  "stratified": (stratified, rounded)}
@@ -171,30 +203,29 @@ class TestWorkloadBits:
     """(mean, stderr) as float.hex of SEPT, fixed assignment and the list
     of the jobs in reverse ``job_ids`` order at 2,000 trials, seed k, on
     criterion 11's instance k: Monte-Carlo at the shapes of one sampling
-    pass, pinned from the kernels with (2, 1, 1) Philox operands and an
-    argmin over machines."""
+    pass, pinned from the one-stream sampler."""
 
     want = {
-        0: (("0x1.890624dd2f1aap+1", "0x1.155c9040421c9p-5"),
-            ("0x1.a1eb851eb851fp+1", "0x1.1d13792a38f6cp-5"),
-            ("0x1.a1eb851eb851fp+1", "0x1.1d13792a38f6cp-5")),
-        1: (("0x1.1e5e353f7ced9p+3", "0x1.2e9a4e97df33ap-3"),
-            ("0x1.30c49ba5e353fp+3", "0x1.3ac7a2a1557c0p-3"),
-            ("0x1.1e5e353f7ced9p+3", "0x1.2e9a4e97df33ap-3")),
+        0: (("0x1.83020c49ba5e3p+1", "0x1.142c882eea8ffp-5"),
+            ("0x1.99cac083126e9p+1", "0x1.1c6f5463ddb18p-5"),
+            ("0x1.99cac083126e9p+1", "0x1.1c6f5463ddb18p-5")),
+        1: (("0x1.1df7ced916872p+3", "0x1.26cab03055507p-3"),
+            ("0x1.3353f7ced9168p+3", "0x1.3739e79f75a4ap-3"),
+            ("0x1.1df7ced916872p+3", "0x1.26cab03055507p-3")),
         2: (("0x1.0000000000000p+0", "0x0.0p+0"),) * 3,
-        3: (("0x1.619999999999ap+2", "0x1.42784c6581555p-6"),) * 3,
-        4: (("0x1.3bc6a7ef9db23p+2", "0x1.12c52df1d6e30p-4"),
-            ("0x1.3bc6a7ef9db23p+2", "0x1.12c52df1d6e30p-4"),
-            ("0x1.5de353f7ced91p+2", "0x1.12c52df1d6e34p-5")),
-        5: (("0x1.3f0a3d70a3d71p+1", "0x1.ca0f2715ce715p-5"),) * 3,
-        6: (("0x1.8d70a3d70a3d7p+4", "0x1.c109575b5732cp-3"),
-            ("0x1.8d70a3d70a3d7p+4", "0x1.c109575b5732cp-3"),
-            ("0x1.b0b851eb851ecp+4", "0x1.9c0b35e91a667p-3")),
-        7: (("0x1.b77ced916872bp+1", "0x1.71aaf2333e6ebp-5"),
-            ("0x1.e90624dd2f1aap+1", "0x1.a694bc23fe235p-5"),
-            ("0x1.b77ced916872bp+1", "0x1.71aaf2333e6ebp-5")),
-        8: (("0x1.26872b020c49cp+1", "0x1.d0bd8bb214e34p-6"),) * 3,
-        9: (("0x1.8010624dd2f1bp+3", "0x1.3d246d4773706p-5"),) * 3,
+        3: (("0x1.5ed916872b021p+2", "0x1.3974103bcfbe0p-6"),) * 3,
+        4: (("0x1.46e978d4fdf3cp+2", "0x1.12a899effd2cdp-4"),
+            ("0x1.46e978d4fdf3cp+2", "0x1.12a899effd2cdp-4"),
+            ("0x1.6374bc6a7ef9ep+2", "0x1.12a899effd2cdp-5")),
+        5: (("0x1.4947ae147ae14p+1", "0x1.c9de5c5143873p-5"),) * 3,
+        6: (("0x1.853b645a1cac0p+4", "0x1.c5a0fb9a3b49cp-3"),
+            ("0x1.853b645a1cac0p+4", "0x1.c5a0fb9a3b49cp-3"),
+            ("0x1.aa3d70a3d70a4p+4", "0x1.a4800efebadf6p-3")),
+        7: (("0x1.b2b020c49ba5ep+1", "0x1.78ef3748761a7p-5"),
+            ("0x1.e45a1cac08312p+1", "0x1.afa963e116b68p-5"),
+            ("0x1.b2b020c49ba5ep+1", "0x1.78ef3748761a7p-5")),
+        8: (("0x1.2189374bc6a7fp+1", "0x1.d977147aa8343p-6"),) * 3,
+        9: (("0x1.82e147ae147aep+3", "0x1.333e7a1e238c6p-5"),) * 3,
     }
 
     @pytest.mark.parametrize("k", range(10))
@@ -343,16 +374,18 @@ def _scalar_exact(policy, inst):
 
 
 def _scalar_mc(policy, inst, trials, seed):
-    total = total_sq = 0.0
-    for i in range(trials):
-        real = sample_realization(inst, SeedStream(seed, i).generator())
-        cost = float(replay(policy, inst, real).total_cost)
-        total += cost
-        total_sq += cost * cost
-    mean = total / trials
+    rng = SeedStream(seed).generator()
+    costs = [float(replay(policy, inst, sample_realization(inst, rng))
+                   .total_cost) for _ in range(trials)]
+    first = costs[0]
+    shifted = shifted_sq = 0.0
+    for cost in costs:
+        shifted += cost - first
+        shifted_sq += (cost - first) * (cost - first)
+    mean = first + shifted / trials
     if trials == 1:
         return mean, 0.0
-    var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
+    var = max(0.0, (shifted_sq - shifted * shifted / trials) / (trials - 1))
     return mean, math.sqrt(var / trials)
 
 
@@ -433,10 +466,9 @@ class TestFixedOrderKernel:
             return replay(*args)
 
         # one replay per distinct outcome vector among the 30 trials
-        distinct = len({
-            tuple(sample_realization(inst, SeedStream(2, i).generator())
-                  .values())
-            for i in range(30)})
+        rng = SeedStream(2).generator()
+        distinct = len({tuple(sample_realization(inst, rng).values())
+                        for _ in range(30)})
         monkeypatch.setattr(policies, "replay", counting_replay)
         for policy in (SeptPolicy(), FixedAssignmentPolicy()):
             calls.clear()
@@ -520,8 +552,9 @@ class TestReplayMonteCarlo:
         policy.table = {root: policy.table[root]}
         seed, trials = 1, 40
         rows, errors = [], []
-        for i in range(trials):
-            real = sample_realization(inst, SeedStream(seed, i).generator())
+        rng = SeedStream(seed).generator()
+        for _ in range(trials):
+            real = sample_realization(inst, rng)
             rows.append(tuple(real.values()))
             with pytest.raises(ReplayError) as exc:
                 replay(policy, inst, real)
@@ -690,9 +723,9 @@ class TestTableKernel:
         table[(Fraction(0),), inst.counts] = ("start", 0)
         table[target] = ("idle",)
         policy.table = table
-        # the first ten trials of seed 2 never reach the idle state, so
+        # the first three trials of seed 2 never reach the idle state, so
         # they have replay's results; the first forty do, so its error
-        for trials, reached in ((10, False), (40, True)):
+        for trials, reached in ((3, False), (40, True)):
             want = _outcome(_scalar_mc, policy, inst, trials, 2)
             assert (want[0] is ReplayError) == reached
             _assert_table_outcomes_equal_replay(policy, inst, trials, 2)
@@ -755,13 +788,14 @@ class TestIntegerReads:
     ``Fraction``-keyed dict of the same decisions is read through ``get``
     and gives the same bits."""
 
-    # expected_cost_exact, and expected_cost_mc's (mean, stderr) at 2,000
-    # trials and seed 7, as float.hex, pinned from reads through ``get``
+    # expected_cost_exact, pinned from reads through ``get``, and
+    # expected_cost_mc's (mean, stderr) at 2,000 trials and seed 7, pinned
+    # from the one-stream sampler, as float.hex
     want = {
-        "exact": ("0x1.e054000000000p+9", "0x1.dac6b851eb852p+9",
-                  "0x1.48262ae1408a8p+3"),
-        "stratified": ("0x1.ed70d719c060fp+9", "0x1.e6df71e046329p+9",
-                       "0x1.6f225cf5fe997p+3"),
+        "exact": ("0x1.e054000000000p+9", "0x1.e3d48b4395810p+9",
+                  "0x1.58bb54d887e4cp+3"),
+        "stratified": ("0x1.ed70d719c060fp+9", "0x1.f1be607c7ac87p+9",
+                       "0x1.82fdc996a1553p+3"),
     }
 
     @staticmethod
