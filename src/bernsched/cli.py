@@ -272,7 +272,7 @@ def main(argv=None):
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="exact vs grid-restricted table")
-    p.add_argument("--instances", nargs="*")
+    p.add_argument("--instances", nargs="+")
     _add_spec_options(p)
     p.add_argument("--csv")
     p.add_argument("--json-out")

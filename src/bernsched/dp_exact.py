@@ -1,4 +1,4 @@
-"""Optimal policies by dynamic programming, plus two slow oracles.
+"""Optimal policies by dynamic programming.
 
 A state is a sorted machine-availability profile with per-type counts of
 unscheduled jobs.  At the earliest available time t the policy starts the
@@ -32,11 +32,9 @@ solves of at most 34 jobs, at most 69 frames deep (``solve_core``); the
 level traversal does not recurse, so its job count does not meet the
 recursion limit.
 
-``brute_force_oracle`` deliberately shares none of this: machine loads stay
-unsorted and jobs keep their identities, so it serves as an independent
-check.  ``idling_oracle`` is the same expectimax where the policy may also
-defer a free machine to the next completion epoch; its value matching the
-non-idling one is itself a property under test.
+The tests check this core against two expectimax oracles
+(``tests/oracles.py``) that share none of it: machine loads stay unsorted
+and jobs keep their identities.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -539,52 +537,3 @@ def solve_exact(inst: Instance, state_cap: int = STATE_CAP) -> Solution:
     policies; every decision in the table is ``("start", j)``."""
     return solve_core(inst, ExactRule(inst), state_cap)
 
-
-def brute_force_oracle(inst: Instance) -> float:
-    """Expectimax over raw states: unsorted machine-indexed loads and
-    explicit job subsets, no within-type compression.  At most 6 jobs."""
-    return _expectimax(inst, allow_idle=False)
-
-
-def idling_oracle(inst: Instance) -> float:
-    """Expectimax where the free machine may also be deferred to the next
-    completion epoch (the next strictly larger load) instead of starting a
-    job.  Deferral is only available while some machine is ahead.  At most
-    4 jobs."""
-    return _expectimax(inst, allow_idle=True)
-
-
-def _expectimax(inst: Instance, allow_idle: bool) -> float:
-    max_jobs = 4 if allow_idle else 6  # the oracles' state space is exponential
-    if inst.total_jobs > max_jobs:
-        raise SolverCapError(f"job cap exceeded ({inst.total_jobs} jobs "
-                             f"> max_jobs {max_jobs})")
-    jobs = inst.job_ids()
-    size = {job: inst.job_size(job) for job in jobs}
-    prob = {job: inst.job_q(job) for job in jobs}
-
-    @lru_cache(maxsize=None)
-    def cost(loads, remaining):
-        if not remaining:
-            return 0.0
-        t_star = min(loads)
-        i_star = loads.index(t_star)
-        t = float(t_star)
-        best = None
-        for job in remaining:
-            rest = frozenset(remaining) - {job}
-            long_loads = loads[:i_star] + (t_star + size[job],) + loads[i_star + 1:]
-            q = prob[job]
-            v = q * (cost(long_loads, rest) + t + float(size[job])) \
-                + (1.0 - q) * (cost(loads, rest) + t)
-            if best is None or v < best:
-                best = v
-        ahead = [x for x in loads if x > t_star] if allow_idle else []
-        if ahead:
-            idle_loads = loads[:i_star] + (min(ahead),) + loads[i_star + 1:]
-            best = min(best, cost(idle_loads, remaining))
-        return best
-
-    result = cost((Fraction(0),) * inst.machines, frozenset(jobs))
-    cost.cache_clear()
-    return result

@@ -22,6 +22,7 @@ from .instances import (
     Instance,
     InstanceError,
     build_groups,
+    parse_epsilon,
     round_for_divisibility,
     validate_and_canonicalize,
 )
@@ -56,7 +57,7 @@ def generate(spec: ExperimentSpec):
     grouped: sizes cluster within small factors of each other;
     powers-of-c: every size is an exact power of spec.c.
     """
-    eps = Fraction(spec.epsilon)
+    eps = parse_epsilon(spec.epsilon)
     out = []
     for k in range(spec.count):
         rng = SeedStream(spec.seed, k).generator()

@@ -127,6 +127,15 @@ class GroupStructure:
         return [out[j] for j in sorted(out)]
 
 
+def parse_epsilon(epsilon) -> Fraction:
+    """eps from "1/E" or a Fraction; anything but 1/E with integer E >= 2
+    is a typed error."""
+    eps = parse_rat(epsilon)
+    if eps.numerator != 1 or eps.denominator < 2:
+        raise InstanceError(f"epsilon must be 1/E with integer E >= 2, got {eps}")
+    return eps
+
+
 def validate_and_canonicalize(machines, epsilon, raw_types) -> Instance:
     """Build a canonical instance from raw (size, [q...]) pairs.
 
@@ -137,9 +146,7 @@ def validate_and_canonicalize(machines, epsilon, raw_types) -> Instance:
     """
     if machines < 1:
         raise InstanceError("need at least one machine")
-    eps = parse_rat(epsilon)
-    if eps.numerator != 1 or eps.denominator < 2:
-        raise InstanceError(f"epsilon must be 1/E with integer E >= 2, got {eps}")
+    eps = parse_epsilon(epsilon)
 
     by_size = {}
     for size, qs in raw_types:
@@ -291,31 +298,6 @@ def round_to_powers_of_c(inst: Instance, c: int):
 
     out = validate_and_canonicalize(inst.machines, inst.epsilon, rounded)
     return out, scale
-
-
-def partition_sml(inst: Instance, scale):
-    """Split jobs into small / medium / large classes by normalized size.
-
-    ``scale`` is an upper-bound proxy for the optimal expected cost (the
-    harness uses SEPT's simulated cost); normalized sizes below 1/N^2 are
-    small, those at or above N^8 are large.
-    """
-    scale = Fraction(scale) if not isinstance(scale, Fraction) else scale
-    if scale <= 0:
-        raise InstanceError("normalization scale must be positive")
-    n_jobs = inst.total_jobs
-    lo = Fraction(1, n_jobs * n_jobs)
-    hi = Fraction(n_jobs) ** 8
-    small, medium, large = [], [], []
-    for job in inst.job_ids():
-        norm = inst.job_size(job) / scale
-        if norm < lo:
-            small.append(job)
-        elif norm >= hi:
-            large.append(job)
-        else:
-            medium.append(job)
-    return small, medium, large
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,10 @@ equality are bit-exact.  Inside, everything from grouping and rounding
 on works on integers instead: an instance's sizes in units of 1/L
 (``Instance.unit``), the grid's construction over one common denominator
 and its queries in ``TimeGrid.unit``, the solvers' core in the rule's
-unit.  The Fraction helpers here serve input parsing and output;
-``floor_div``, ``ceil_to_multiple_of`` and ``divides`` remain for the
-tests' Fraction references of the rounding and the grid.  Probabilities
-are ordinary floats, exact dyadic rationals that the integer view holds
-as numerators over a power of two, and reported expected costs are
-floats.
+unit.  The Fraction helpers here serve input parsing and output.
+Probabilities are ordinary floats, exact dyadic rationals that the
+integer view holds as numerators over a power of two, and reported
+expected costs are floats.
 
 Random numbers come from numpy's Philox4x64-10 counter generator, one
 stream per (master_seed, stream_index) key of two unsigned 64-bit words;
@@ -48,30 +46,6 @@ def format_rat(f: Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-def floor_div(a: Fraction, g: Fraction) -> int:
-    """Largest integer k with k*g <= a."""
-    if g <= 0:
-        raise NumericsError("floor_div by nonpositive step")
-    return (a.numerator * g.denominator) // (a.denominator * g.numerator)
-
-
-def ceil_to_multiple_of(a: Fraction, g: Fraction) -> Fraction:
-    """Smallest multiple of g that is >= a."""
-    if g <= 0:
-        raise NumericsError("ceil_to_multiple_of with nonpositive grid")
-    q, r = divmod(a.numerator * g.denominator, a.denominator * g.numerator)
-    if r:
-        q += 1
-    return q * g
-
-
-def divides(g: Fraction, a: Fraction) -> bool:
-    """True iff a is an integer multiple of g."""
-    if g == 0:
-        return a == 0
-    return (a / g).denominator == 1
 
 
 #: Stream keys and indices are unsigned 64-bit words.

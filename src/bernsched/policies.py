@@ -97,21 +97,6 @@ class Schedule:
         return by_m
 
 
-def validate_schedule(inst: Instance, sched: Schedule, realization):
-    """Feasibility: every job placed once, C = S + X, and per machine the
-    positive-length execution intervals are pairwise disjoint."""
-    assert set(sched.entries) == set(inst.job_ids())
-    for job, (_m, s, c) in sched.entries.items():
-        x = inst.job_size(job) if realization[job] else Fraction(0)
-        assert c == s + x, f"completion mismatch for {job}"
-    for mach, runs in sched.starts_by_machine().items():
-        busy_until = Fraction(0)
-        for s, c, job in runs:
-            if c > s:  # zero-length jobs may share an instant
-                assert s >= busy_until, f"overlap on machine {mach} at {job}"
-                busy_until = c
-
-
 class SimView:
     """What a controller may look at when deciding."""
 

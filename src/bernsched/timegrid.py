@@ -10,7 +10,7 @@ The grid is built on integers over one common denominator, then reduced
 to ``TimeGrid.unit``, in which the whole grid is exact; queries are
 answered on integer times in that unit.  ``Fraction`` appears only in the
 public values (thresholds, run starts, endpoints and Q-set members) and
-in thin wrappers for replay, the CLI and tests.
+in thin wrappers for replay, the CLI and the acceptance gate.
 
 Group indices here are 0-based with group 0 holding the *largest* sizes.
 """
@@ -72,9 +72,8 @@ class TimeGrid:
     the endpoint runs' starts and steps (the steps include every eps*rep_h)
     and of their stretched images.  The Q-set queries (``contains``,
     ``successor``, ``release``, ``allowed``) take and return integer times
-    in that unit; ``q_contains``, ``q_successor``, ``q_next``,
-    ``release_time`` and ``allowed_types`` wrap them on ``Fraction`` times
-    for replay, the CLI and tests.
+    in that unit; ``q_contains``, ``q_successor`` and ``release_time``
+    wrap them on ``Fraction`` times for replay and the acceptance gate.
 
     The endpoints are O(gamma) arithmetic runs ``(start, step, count,
     group)`` in units: the point 0; per group h from the smallest up, its
@@ -168,11 +167,6 @@ class TimeGrid:
     # -- public values as Fractions ---------------------------------------
 
     @cached_property
-    def stretch(self) -> Fraction:
-        """1 + 5*eps, the factor from an endpoint to its stretched image."""
-        return 1 + 5 * self.eps
-
-    @cached_property
     def thresholds(self) -> Thresholds:
         return Thresholds(
             p_star=tuple(Fraction(p, self.unit) for p in self._p_star),
@@ -202,10 +196,6 @@ class TimeGrid:
     def endpoint(self, k: int) -> Fraction:
         """k-th left endpoint l_k (l_0 = 0)."""
         return Fraction(self._point(k), self.unit)
-
-    def interval_group(self, k: int):
-        """Group label of interval [l_k, l_{k+1}); None for the initial one."""
-        return self.runs[bisect_right(self._firsts, k) - 1][3]
 
     def _interval(self, x: int):
         """(l'_k, l'_{k+1}) in units for the stretched interval [l'_k,
@@ -271,7 +261,7 @@ class TimeGrid:
     def group_of_type(self, j: int) -> int:
         return self._group_of_type[j]
 
-    # -- Fraction wrappers, for replay, the CLI and tests ------------------
+    # -- Fraction wrappers, for replay, the CLI and the acceptance gate ---
 
     def q_contains(self, h: int, t: Fraction) -> bool:
         x = floor(t * self.unit)
@@ -281,17 +271,9 @@ class TimeGrid:
         """Smallest member of Q_h that is >= t."""
         return Fraction(self.successor(h, ceil(t * self.unit)), self.unit)
 
-    def q_next(self, h: int, t: Fraction) -> Fraction:
-        """Smallest member of Q_h strictly greater than t."""
-        return Fraction(self.successor(h, floor(t * self.unit) + 1), self.unit)
-
     def release_time(self, h: int, t: Fraction) -> Fraction:
         """``release`` on a Fraction completion time."""
         return Fraction(self.release(h, ceil(t * self.unit)), self.unit)
-
-    def allowed_types(self, t: Fraction):
-        x = floor(t * self.unit)
-        return self.allowed(x) if x == t * self.unit else ()
 
     def iter_members(self, h: int, count: int):
         """First `count` members of Q_h in increasing order."""

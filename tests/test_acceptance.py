@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from bernsched.cli import main as cli_main
-from bernsched.dp_exact import brute_force_oracle, idling_oracle, solve_exact
+from bernsched.dp_exact import solve_exact
 from bernsched.dp_stratified import (
     profiles_per_timepoint_ceiling,
     sandwich_bound,
@@ -18,7 +18,6 @@ from bernsched.dp_stratified import (
 from bernsched.harness import prepare
 from bernsched.instances import (
     build_groups,
-    partition_sml,
     round_for_divisibility,
     round_to_powers_of_c,
     save_instance,
@@ -34,6 +33,11 @@ from bernsched.policies import (
     expected_cost_exact,
     expected_cost_mc,
     replay,
+)
+from oracles import (
+    brute_force_oracle,
+    idling_oracle,
+    partition_sml,
     validate_schedule,
 )
 

@@ -158,6 +158,16 @@ def test_compare_unknown_scheme(capsys):
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+def test_compare_instances_needs_a_path(capsys):
+    # an empty shell glob leaves --instances with nothing after it: that is
+    # a usage error, not a generated sweep
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--instances"])
+    assert exc.value.code == 2
+    assert "--instances: expected at least one argument" \
+        in capsys.readouterr().err
+
+
 def test_grid_dump(instance_file, capsys, tmp_path):
     code, out = run(capsys, "grid-dump", "--instance", instance_file,
                     "--members", "6")
@@ -254,9 +264,19 @@ def test_typed_errors_exit_1(capsys, tmp_path, monkeypatch):
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {kind}: ")
 
-    # so are a missing input file and an unknown policy name
+    # so are a missing input file, an unknown policy name and a malformed
+    # epsilon for the generator
     missing = str(tmp_path / "missing.json")
+    prefix = str(tmp_path / "gen_")
     for argv, kind in (
+            (["gen", "--epsilon", "abc", "--out-prefix", prefix],
+             "NumericsError"),
+            (["gen", "--epsilon", "1/0", "--out-prefix", prefix],
+             "NumericsError"),
+            (["gen", "--epsilon", "0", "--out-prefix", prefix],
+             "InstanceError"),
+            (["compare", "--epsilon", "abc"], "NumericsError"),
+            (["compare", "--epsilon", "1/0"], "NumericsError"),
             (["solve-exact", "--instance", missing], "InstanceError"),
             (["simulate", "--instance", missing, "--policy", "sept"],
              "InstanceError"),

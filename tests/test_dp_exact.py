@@ -20,8 +20,6 @@ from bernsched.dp_exact import (
     SolverCapError,
     _solve_dfs,
     _solve_levels,
-    brute_force_oracle,
-    idling_oracle,
     solve_core,
     solve_exact,
 )
@@ -37,6 +35,7 @@ from bernsched.policies import (
     expected_cost_exact,
 )
 from bernsched.timegrid import GridError
+from oracles import brute_force_oracle, idling_oracle
 
 
 def make(machines, raw, epsilon="1/13"):

@@ -9,13 +9,12 @@ from bernsched.instances import (
     build_groups,
     instance_from_dict,
     instance_to_dict,
-    partition_sml,
     partition_unchanged,
     round_for_divisibility,
     round_to_powers_of_c,
     validate_and_canonicalize,
 )
-from bernsched.numerics import ceil_to_multiple_of, divides
+from oracles import ceil_to_multiple_of, divides, partition_sml
 
 
 def make(machines, epsilon, raw):

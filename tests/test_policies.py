@@ -27,8 +27,8 @@ from bernsched.policies import (
     replay,
     sample_realization,
     sept_order,
-    validate_schedule,
 )
+from oracles import validate_schedule
 
 
 def make(machines, raw, epsilon="1/13"):

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from bernsched.harness import compare
 from bernsched.instances import GroupStructure, build_groups, \
     validate_and_canonicalize
-from bernsched.numerics import SeedStream, floor_div
+from bernsched.numerics import SeedStream
 from bernsched.timegrid import GridError, Thresholds, TimeGrid, build_grid
+from oracles import floor_div
 
 
 def is_stretched_endpoint(grid, t):
@@ -18,6 +19,13 @@ def is_stretched_endpoint(grid, t):
     lookup."""
     x = t * grid.unit
     return x.denominator == 1 and grid._interval(x.numerator)[0] == x
+
+
+def interval_labels(grid):
+    """The group label of each interval [l_k, l_{k+1}) below p_star[0],
+    expanded from the endpoint runs, then the tail's label."""
+    return (*(g for _s, _d, c, g in grid.runs[:-1] for _ in range(c)),
+            grid.runs[-1][3])
 
 
 def grid_for(machines, epsilon, raw):
@@ -81,8 +89,9 @@ class TestEndpoints:
         assert grid.tail_start == 169
         assert grid.tail_step == 13
         # stretched tail: l'_k = (18/13)(169 + 13(k-1))
-        assert grid.stretch * grid.endpoint(1) == 234
-        assert grid.stretch * grid.endpoint(2) == 252
+        stretch = 1 + 5 * grid.eps
+        assert stretch * grid.endpoint(1) == 234
+        assert stretch * grid.endpoint(2) == 252
 
     def test_two_type_tail_values(self, two_type):
         _, _, grid = two_type
@@ -92,28 +101,30 @@ class TestEndpoints:
         assert grid.tail_start == 80
         assert grid.tail_step == 10
         assert grid.endpoint(633) == 80 and grid.endpoint(634) == 90
-        assert grid.interval_group(633) == grid.interval_group(634) == 0
-        assert grid.stretch * 80 == 130
-        assert grid.stretch * 90 == Fraction(585, 4)
+        assert interval_labels(grid)[633:] == (0,)  # l_633 starts the tail
+        stretch = 1 + 5 * grid.eps
+        assert stretch * 80 == 130
+        assert stretch * 90 == Fraction(585, 4)
 
     def test_two_type_prefix_shape(self, two_type):
         _, _, grid = two_type
         # fine endpoints from p*_2 = 1 spaced 1/8, then a midpoint below 80
-        assert grid.endpoint(0) == 0 and grid.interval_group(0) is None
+        labels = interval_labels(grid)
+        assert grid.endpoint(0) == 0 and labels[0] is None
         assert grid.endpoint(1) == 1
         assert grid.endpoint(2) == Fraction(9, 8)
         assert grid.endpoint(631) == Fraction(639, 8) - Fraction(1, 8)
         assert grid.endpoint(632) == Fraction(639, 8)  # midpoint 79.875
-        assert all(grid.interval_group(k) == 1 for k in (1, 2, 631, 632))
+        assert all(labels[k] == 1 for k in (1, 2, 631, 632))
         # the stored points are the run starts below p*_1: 0, 1 and 79.875
         assert grid.prefix == (0, 1, Fraction(639, 8))
 
     def test_interval_lengths(self, three_group):
         _, groups, grid = three_group
-        eps = grid.eps
+        eps, labels = grid.eps, interval_labels(grid)
         k = 1
         while grid.endpoint(k) <= grid.tail_start:
-            h = grid.interval_group(k)
+            h = labels[k]
             length = grid.endpoint(k + 1) - grid.endpoint(k)
             assert eps * grid.reps[h] / 2 <= length <= eps * grid.reps[h]
             k += 1
@@ -172,22 +183,22 @@ class TestSuccessor:
         # past p_circ_1 = 130 the small group's points advance by eps*p_2
         t = Fraction(130)
         assert grid.q_contains(1, t)
-        nxt = grid.q_next(1, t)
-        assert nxt == t + Fraction(1, 8)
+        nxt = grid.successor(1, 130 * grid.unit + 1)
+        assert Fraction(nxt, grid.unit) == t + Fraction(1, 8)
 
     def test_no_member_skipped(self, two_type):
         _, groups, grid = two_type
         for h in range(groups.gamma):
-            t = Fraction(0)
+            x = 0
             for _ in range(200):
-                nxt = grid.q_next(h, t)
-                assert nxt > t
-                assert grid.q_contains(h, nxt)
+                nxt = grid.successor(h, x + 1)
+                assert nxt > x
+                assert grid.contains(h, nxt)
                 # midpoint between should not be a member
-                mid = (t + nxt) / 2
-                if mid > t:
-                    assert not grid.q_contains(h, mid)
-                t = nxt
+                mid = (x + nxt) // 2
+                if mid > x:
+                    assert not grid.contains(h, mid)
+                x = nxt
 
 
 class TestTransitions:
@@ -244,16 +255,16 @@ class TestTransitions:
 class TestAllowedTypes:
     def test_zero_all_types(self, three_group):
         inst, _, grid = three_group
-        assert grid.allowed_types(Fraction(0)) == (0, 1, 2)
+        assert grid.allowed(0) == (0, 1, 2)
 
     def test_two_type_shared_endpoint(self, two_type):
         _, _, grid = two_type
-        assert grid.allowed_types(Fraction(130)) == (0, 1)
+        assert grid.allowed(130 * grid.unit) == (0, 1)
 
     def test_fine_point_only_small_group(self, two_type):
         _, _, grid = two_type
-        t = Fraction(130) + Fraction(1, 8)
-        assert grid.allowed_types(t) == (1,)
+        x = (Fraction(130) + Fraction(1, 8)) * grid.unit
+        assert x.denominator == 1 and grid.allowed(x.numerator) == (1,)
 
 
 class TestNesting:
@@ -348,9 +359,6 @@ class EnumeratedGrid(TimeGrid):
         if k < len(self.points):
             return self.points[k]
         return self.tail_start + (k - len(self.points)) * self.tail_step
-
-    def interval_group(self, k):
-        return self.labels[k] if k < len(self.labels) else 0
 
     def _stretched_interval(self, t):
         if t >= self.tail_start_stretched:
@@ -546,14 +554,14 @@ def test_runs_match_enumeration(instance, data):
     assert len(grid.prefix) == 2 * groups.gamma - 1
     for k in range(len(oracle.points) + 20):
         assert grid.endpoint(k) == oracle.endpoint(k)
-        assert grid.interval_group(k) == oracle.interval_group(k)
+    assert interval_labels(grid) == (*oracle.labels, 0)
 
-    e = inst.epsilon.denominator
+    e, stretch = inst.epsilon.denominator, 1 + 5 * inst.epsilon
     hi = 3 * grid.thresholds.p_circ[0]
     dens = st.sampled_from([1, 2, e, e * e, 4 * e ** 3, 5 * e + 25])
     stretched = st.one_of(st.integers(0, len(oracle.points) + 20),
                           st.sampled_from(oracle.run_edges())).map(
-        lambda k: grid.stretch * oracle.endpoint(k))
+        lambda k: stretch * oracle.endpoint(k))
     times = st.one_of(
         st.builds(lambda x, d: Fraction(int(x * hi * d), d),
                   st.floats(0, 1), dens),
@@ -563,11 +571,11 @@ def test_runs_match_enumeration(instance, data):
         x = floor(t * grid.unit)
         assert grid._interval(x) == oracle._interval(x)
         assert is_stretched_endpoint(grid, t) == is_stretched_endpoint(oracle, t)
-        assert grid.allowed_types(t) == oracle.allowed_types(t)
+        assert grid.allowed(x) == oracle.allowed(x)
         for h in range(groups.gamma):
             assert grid.q_contains(h, t) == oracle.q_contains(h, t)
             assert grid.q_successor(h, t) == oracle.q_successor(h, t)
-            assert grid.q_next(h, t) == oracle.q_next(h, t)
+            assert grid.successor(h, x + 1) == oracle.successor(h, x + 1)
             assert grid.release_time(h, t) == oracle.release_time(h, t)
 
 
@@ -575,10 +583,10 @@ def definitional_members(oracle, h):
     """Q_h up to past 3 * p_circ[0], straight from the three rules of
     TimeGrid's docstring on the oracle's enumerated endpoints: disjoint
     progressions (first, step, last) in increasing order."""
-    hi = 3 * oracle.thresholds.p_circ[0]
+    hi, stretch = 3 * oracle.thresholds.p_circ[0], 1 + 5 * oracle.eps
     stretched = [Fraction(0)]
     while stretched[-1] < hi:
-        stretched.append(oracle.stretch * oracle.endpoint(len(stretched)))
+        stretched.append(stretch * oracle.endpoint(len(stretched)))
     eps, smallest = oracle.eps, oracle.gamma - 1
     # base grid: multiples of eps * rep below l'_1 - pmax, and 0
     base = eps * oracle.reps[smallest]
@@ -598,10 +606,10 @@ def definitional_members(oracle, h):
 def test_q_sets_match_definition(instance, data):
     inst, groups = instance
     grid, oracle = build_grid(inst, groups), EnumeratedGrid(inst, groups)
-    e, unit = inst.epsilon.denominator, grid.unit
+    e, unit, stretch = inst.epsilon.denominator, grid.unit, 1 + 5 * grid.eps
     dens = st.sampled_from([1, e, unit, 2 * unit, 3 * unit + 1, 7 * e * unit])
     marks = [*grid.thresholds.p_circ,
-             *(grid.stretch * oracle.endpoint(k) for k in oracle.run_edges())]
+             *(stretch * oracle.endpoint(k) for k in oracle.run_edges())]
     for h in range(groups.gamma):
         progs = definitional_members(oracle, h)
         lasts = [last for _first, _step, last in progs]
@@ -626,7 +634,7 @@ def test_q_sets_match_definition(instance, data):
             nxt = max(first, first + (floor((t - first) / step) + 1) * step)
             assert grid.q_contains(h, t) == (succ == t)
             assert grid.q_successor(h, t) == succ
-            assert grid.q_next(h, t) == nxt
+            assert grid.successor(h, floor(t * unit) + 1) == nxt * unit
 
 
 def test_wide_gap_prepares_in_closed_form():
