@@ -22,15 +22,9 @@ interned profile's index times the number of count vectors NU, plus the
 counts in mixed radix.  The core asks the rule about a profile once, not
 once per state.
 
-Every type may start at time 0, so each of the NU - 1 count vectors with
-jobs left is a state at the zero profile: ``solve_core`` raises the state
-cap's error before any work when there are more of them than the cap
-allows.  Otherwise two traversals compute the same ``Solution``, depth
-first as a memoized recursion (``_solve_dfs``) or level by level in numpy
-(``_solve_levels``), and NU alone picks one.  The recursion only takes
-solves of at most 34 jobs, at most 69 frames deep (``solve_core``); the
-level traversal does not recurse, so its job count does not meet the
-recursion limit.
+Two traversals compute the same ``Solution``, depth first as a memoized
+recursion (``_solve_dfs``) or level by level in numpy (``_solve_levels``);
+``solve_core`` checks the state cap up front and picks one by NU alone.
 
 The tests check this core against two expectimax oracles
 (``tests/oracles.py``) that share none of it: machine loads stay unsorted
@@ -65,28 +59,36 @@ class SolverCapError(RuntimeError):
 
 
 class DecisionTable(Mapping):
-    """A solver's decisions as two arrays: ``keys``, the core's int states
-    ``pid * NU + nid``, and ``codes``, each state's decision as a type index
-    (``("start", j)``) or the type count (``("idle",)``).  ``pid`` indexes
-    the interned profiles (integer times in units of 1/``unit``) and
-    ``nid`` is the jobs-left counts in mixed radix, type j with radix
-    ``counts[j] + 1``.  Length, ``values`` and iteration read the arrays.
-    ``integer_get`` takes integer times in units of 1/``unit``, as the
-    table kernel of ``policies`` reads them: it computes the state from
-    the profile's pid and the counts' mixed-radix number, and finds it by
-    one binary search over the keys, sorted once on the first lookup.
-    ``get`` takes the ``Fraction`` profiles of replay and converts them
-    with integer arithmetic before the same lookup.  A time off the unit,
-    a profile never interned or counts of no state are a missing key.
-    Iteration decodes the states, with ``Fraction`` profiles, in an order
-    that depends on the traversal: sort them where the order matters."""
+    """A solver's decisions as two arrays, made on first read from what the
+    solver hands over (``compare`` reads neither): ``keys``, the core's int
+    states ``pid * NU + nid``, and ``codes``, each state's decision as a
+    type index (``("start", j)``) or the type count (``("idle",)``).
+    ``pid`` indexes the interned profiles (integer times in units of
+    1/``unit``) and ``nid`` is the jobs-left counts in mixed radix, type j
+    with radix ``counts[j] + 1``.  A lookup finds the state by one binary
+    search over the keys, sorted once on the first lookup: ``integer_get``
+    on integer times, as the table kernel of ``policies`` reads them, and
+    ``get`` on the ``Fraction`` profiles of replay.  A time off the unit, a
+    profile never interned or counts of no state are a missing key.
+    Iteration decodes the states in an order that depends on the
+    traversal."""
 
     def __init__(self, keys, codes, unit: int, profiles: list, index: dict,
                  counts: tuple):
-        self.keys, self.codes, self.unit, self.counts = keys, codes, unit, counts
+        self._keys, self._codes, self.unit, self.counts = keys, codes, unit, counts
         self._profiles, self._index = profiles, index
         self._strides, self._radix = _mixed_radix(counts)
-        self._decisions = _decisions(len(counts))
+        # the decision of each code: type j's start, then idle
+        self._decisions = (*(("start", j) for j in range(len(counts))),
+                           ("idle",))
+
+    @cached_property
+    def keys(self):
+        return np.asarray(self._keys, np.int64)
+
+    @cached_property
+    def codes(self):
+        return np.asarray(self._codes, np.min_scalar_type(len(self.counts)))
 
     @cached_property
     def _sorted(self):
@@ -131,7 +133,7 @@ class DecisionTable(Mapping):
         return decision
 
     def __len__(self):
-        return len(self.keys)
+        return len(self._keys)
 
     def __iter__(self):
         return (key for key, _decision in self.items())
@@ -230,16 +232,14 @@ def solve_core(inst: Instance, rule, state_cap: int):
     profile, are more.  Otherwise NU alone picks one of two traversals
     that compute the same ``Solution``.  Below ``LEVELS_MIN_NU`` count
     vectors ``_solve_dfs`` recurses depth first, an edge costing int
-    additions and a dict lookup.  There N <= NU - 1 <= 34 (NU is the
-    product of the c_j + 1), and each frame starts a job or idles to a
-    state that starts one, so the recursion is at most 2N + 1 <= 69
+    arithmetic and a memo probe, where N <= NU - 1 <= 34 (NU is the
+    product of the c_j + 1) keeps the recursion at most 2N + 1 <= 69
     frames deep.  From ``LEVELS_MIN_NU`` on ``_solve_levels`` evaluates
     one level (states with as many jobs left) at a time as numpy arrays,
     in int64 where a bound proves the level's costs fit and in exact
     Python ints elsewhere.  A level costs about 0.05 ms of numpy calls
     whatever its size, so on small solves the depth-first recursion is
     faster (README.md gives the measured crossover).
-    Both hand the ``DecisionTable`` a key array and a code array.
     """
     _strides, radix = _mixed_radix(inst.counts)
     if radix - 1 > state_cap:
@@ -272,59 +272,65 @@ def _interner():
     return profiles, index, intern
 
 
-def _decisions(n_types):
-    """The decision of each code: type j's start, then idle (code n_types)."""
-    return tuple(("start", j) for j in range(n_types)) + (("idle",),)
-
-
 def _stalled(profile, unit):
     return GridError(f"idle advance stalled at {profile[0]}/{unit}")
 
 
 def _solve_dfs(inst: Instance, rule, state_cap: int) -> Solution:
-    """``solve_core`` as the memoized recursion ``cost(key, r)``, r the
-    jobs left.  ``steps`` holds per ``nid`` each type's counts less one of
-    its jobs and that job's q numerator, and ``edges`` per ``pid`` the
-    allowed types' long children, so an edge is int additions and a dict
-    lookup per child.  A frame starts a job, one fewer for its children,
-    or idles to a state that starts one: at most 2N + 1 frames."""
+    """``solve_core`` as the memoized recursion ``cost(key, r)`` over the
+    states not in the memo, r > 0 the jobs left.  ``steps`` holds per
+    ``nid`` (type, stride, q numerator) of each type with jobs left, and
+    ``longs`` per ``pid`` each type's long child pid * radix: None where
+    the rule does not allow it, -1 until a state with two jobs or more
+    asks.  An edge is int arithmetic and a memo probe per child.  A frame
+    starts a job or idles to a state that starts one: at most 2N + 1."""
     den, power, qnum = _numerators(inst)
     counts, n = inst.counts, inst.n_types
     strides, radix = _mixed_radix(counts)
     sizes, allowed, after_long = rule.sizes, rule.allowed, rule.after_long
     profiles, index, intern = _interner()
-    steps = [[(nid - s, qnum[j][c]) if c else None for j, (s, c)
-              in enumerate(zip(strides, _decode(nid, strides, counts)))]
-             for nid in range(radix)]
-    edges = {}  # pid -> per allowed type: (type, long child pid * radix)
+    steps = [()]  # type j's digit varies slower than type j - 1's
+    for j, row in enumerate(qnum):  # a > 0 where jobs are left
+        steps = [step + ((j, strides[j], a),) if a else step
+                 for a in row for step in steps]
+    longs, idled = {}, {}  # (pid, idle group) -> the advance's target pid
     value, codes = {}, []  # per state: cost numerator, decision's code
 
-    def edge(pid):
-        if pid not in edges:
-            t = profiles[pid]
-            edges[pid] = [(j, intern(after_long(t, j)) * radix)
-                          for j in allowed(t[0])]
-        return edges[pid]
+    def moves(pid):
+        types = allowed(profiles[pid][0])
+        kids = longs[pid] = [-1 if j in types else None for j in range(n)]
+        return kids
 
-    def cost(key, r):  # states without jobs cost nothing
-        if key in value or not r:
-            return value.get(key, 0)
+    def cost(key, r):
         pid, nid = divmod(key, radix)
-        profile, step, best = profiles[pid], steps[nid], None
-        for j, long in edge(pid):
-            if step[j]:
-                nid2, a = step[j]
-                v = (a * (cost(long + nid2, r - 1) + sizes[j] * power[r - 1])
-                     + (den - a) * cost(key - nid + nid2, r - 1))
-                if best is None or v < best:
-                    best, choice = v, j
+        profile, kids, best = profiles[pid], longs.get(pid) or moves(pid), None
+        for j, s, a in steps[nid]:
+            long, short = kids[j], key - s
+            if long is None:
+                continue
+            if r > 1:
+                if long < 0:
+                    kids[j] = long = intern(after_long(profile, j)) * radix
+                long += nid - s
+                v = (a * ((value[long] if long in value else cost(long, r - 1))
+                          + sizes[j] * power[r - 1])
+                     + (den - a) * (value[short] if short in value
+                                    else cost(short, r - 1)))
+            else:  # both children are without jobs
+                v = a * sizes[j]
+            if best is None or v < best:
+                best, choice = v, j
         if best is None:  # the idle advance's target must start a job
             h = rule.idle_group(_decode(nid, strides, counts))
-            after = intern(rule.after_idle(profile, h))
-            if profiles[after][0] <= profile[0] or not any(
-                    step[j] for j, _ in edge(after)):
+            if (pid, h) not in idled:
+                idled[pid, h] = intern(rule.after_idle(profile, h))
+            after = idled[pid, h]
+            target = longs.get(after) or moves(after)
+            if profiles[after][0] <= profile[0] or all(
+                    target[j] is None for j, _s, _a in steps[nid]):
                 raise _stalled(profile, rule.unit)
-            best, choice = cost(after * radix + nid, r), n
+            choice, after = n, after * radix + nid
+            best = value[after] if after in value else cost(after, r)
         else:
             best += profile[0] * power[r]
         if len(value) > state_cap:
@@ -335,9 +341,8 @@ def _solve_dfs(inst: Instance, rule, state_cap: int) -> Solution:
 
     top = intern((0,) * inst.machines) * radix + radix - 1
     return Solution(cost(top, inst.total_jobs) / (power[-1] * rule.unit),
-                    DecisionTable(np.fromiter(value, np.int64, len(value)),
-                                  np.array(codes, np.min_scalar_type(n)),
-                                  rule.unit, profiles, index, counts))
+                    DecisionTable(list(value), codes, rule.unit, profiles,
+                                  index, counts))
 
 
 def _unique(keys):

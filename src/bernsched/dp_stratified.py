@@ -42,28 +42,39 @@ def profiles_per_timepoint_ceiling(inst: Instance, groups: GroupStructure) -> in
     return out
 
 
+class _Memo(dict):
+    """``fn``'s answers, each asked once: a missing key gets ``fn(key)``."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 class GridRule:
     """A type may start at t when its group's Q-set holds t.  A long job of
     group h frees its machine at ``grid.release(h, completion)``; when no
     allowed type has jobs left, ``after_idle(profile, h)``, h the counts'
     ``idle_group``, raises every machine below the next Q_h point to it.
     Times are integers in units of 1/``grid.unit``, and each grid query is
-    answered once per (group, time)."""
+    answered once per (group, time) in the rule's life."""
 
     def __init__(self, grid: TimeGrid):
         self.unit, self.sizes = grid.unit, grid.sizes
         self.group = tuple(map(grid.group_of_type, range(len(self.sizes))))
         self.idle_group = grid.idle_group
-        self.allowed = lru_cache(maxsize=None)(grid.allowed)
-        self._release = lru_cache(maxsize=None)(grid.release)
-        self._advance = lru_cache(maxsize=None)(grid.successor)
+        self.allowed = _Memo(grid.allowed).__getitem__
+        self._release = _Memo(lambda key: grid.release(*key))
+        self._advance = _Memo(lambda key: grid.successor(*key))
 
     def after_long(self, profile, j):
-        s = self._release(self.group[j], profile[0] + self.sizes[j])
+        s = self._release[self.group[j], profile[0] + self.sizes[j]]
         return tuple(sorted(profile[1:] + (s,)))
 
     def after_idle(self, profile, h):
-        target = self._advance(h, profile[0])
+        target = self._advance[h, profile[0]]
         return tuple(target if x < target else x for x in profile)
 
 

@@ -55,9 +55,11 @@ def generate(spec: ExperimentSpec):
 
     separated: consecutive sizes obey p_{j+1} <= eps^2 p_j (asserted);
     grouped: sizes cluster within small factors of each other;
-    powers-of-c: every size is an exact power of spec.c.
+    powers-of-c: every size is an exact power of spec.c >= 2.
     """
     eps = parse_epsilon(spec.epsilon)
+    if spec.scheme == "powers-of-c" and spec.c < 2:
+        raise InstanceError("c must be at least 2")
     out = []
     for k in range(spec.count):
         rng = SeedStream(spec.seed, k).generator()
@@ -156,12 +158,8 @@ def compare(instances, *, state_cap: int = STATE_CAP):
     skipped row whose reason starts with the exception's type name."""
     rows = []
     for idx, inst in enumerate(instances):
-        row = ComparisonRow(
-            instance_id=f"i{idx:04d}",
-            n_types=inst.n_types,
-            total_jobs=inst.total_jobs,
-            machines=inst.machines,
-        )
+        row = ComparisonRow(instance_id=f"i{idx:04d}", n_types=inst.n_types,
+                            total_jobs=inst.total_jobs, machines=inst.machines)
         row.bound = float(sandwich_bound(inst.n_types, inst.epsilon))
         try:
             t0 = time.perf_counter()

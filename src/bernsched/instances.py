@@ -120,11 +120,8 @@ class GroupStructure:
         return len(self.groups)
 
     def group_of_map(self) -> list:
-        out = {}
-        for h, g in enumerate(self.groups):
-            for j in g:
-                out[j] = h
-        return [out[j] for j in sorted(out)]
+        """Each type's group index (groups are contiguous, in type order)."""
+        return [h for h, g in enumerate(self.groups) for _j in g]
 
 
 def parse_epsilon(epsilon) -> Fraction:
@@ -173,7 +170,8 @@ def build_groups(inst: Instance) -> GroupStructure:
 
     The next type joins the current group iff its size exceeds eps^2 times
     the previous type's size; otherwise a new group starts.  With eps = 1/E
-    that is E^2 * p_{j+1} > p_j, compared on the integer sizes.
+    that is E^2 * p_{j+1} > p_j, compared on the integer sizes.  Sizes
+    descend, so every pair across a group boundary is eps^2-separated.
     """
     sizes, e2 = inst.int_sizes, inst.epsilon.denominator ** 2
     groups = []
@@ -188,21 +186,7 @@ def build_groups(inst: Instance) -> GroupStructure:
 
     reps = tuple(inst.types[g[-1]].size for g in groups)  # sizes descend in j
     pmaxs = tuple(inst.types[g[0]].size for g in groups)
-    gs = GroupStructure(groups=tuple(groups), reps=reps, pmaxs=pmaxs)
-    _check_separation(inst, gs)
-    return gs
-
-
-def _check_separation(inst: Instance, gs: GroupStructure):
-    sizes, e2 = inst.int_sizes, inst.epsilon.denominator ** 2
-    for h in range(1, gs.gamma):
-        for j in gs.groups[h - 1]:
-            for jp in gs.groups[h]:
-                if sizes[j] < e2 * sizes[jp]:
-                    raise InstanceError(
-                        f"groups {h - 1},{h} not eps^-2 separated "
-                        f"({inst.types[j].size} vs {inst.types[jp].size})"
-                    )
+    return GroupStructure(groups=tuple(groups), reps=reps, pmaxs=pmaxs)
 
 
 def round_for_divisibility(inst: Instance, groups: GroupStructure):
@@ -259,13 +243,9 @@ def round_for_divisibility(inst: Instance, groups: GroupStructure):
 def partition_unchanged(inst_before, groups_before, inst_after, groups_after) -> bool:
     """Check that rounding preserved the partition: same number of groups
     and each group still covers the same number of jobs."""
-    if groups_before.gamma != groups_after.gamma:
-        return False
-    counts_before = [sum(inst_before.types[j].count for j in g)
-                     for g in groups_before.groups]
-    counts_after = [sum(inst_after.types[j].count for j in g)
-                    for g in groups_after.groups]
-    return counts_before == counts_after
+    def jobs(inst, groups):
+        return [sum(inst.types[j].count for j in g) for g in groups.groups]
+    return jobs(inst_before, groups_before) == jobs(inst_after, groups_after)
 
 
 def round_to_powers_of_c(inst: Instance, c: int):
@@ -282,7 +262,6 @@ def round_to_powers_of_c(inst: Instance, c: int):
     scale = Fraction(1)
     if pmin < c:
         # smallest integer power of c making pmin >= c
-        scale = Fraction(1)
         while pmin * scale < c:
             scale *= c
 

@@ -104,6 +104,7 @@ class TimeGrid:
         self.gamma = groups.gamma
         self.reps = groups.reps
         self.pmaxs = groups.pmaxs
+        self._groups = groups.groups
         self._group_of_type = tuple(groups.group_of_map())
 
         # numerators over M = 2 L E^3, from sizes in units of 1/L
@@ -139,6 +140,8 @@ class TimeGrid:
         self._fine_from = (inf, *self._p_circ[:-1])
         # the base grid lies below l'_1 = starts[1]
         self._base_cap = starts[1] - self._pmaxs[-1]
+        self._by_group = tuple(zip(self._groups, self._fine_from, self._steps,
+                                   self._pmaxs))
 
         for pc in self._p_circ:
             if self._interval(pc)[0] != pc:
@@ -213,12 +216,7 @@ class TimeGrid:
         """Whether Q_h holds the time x (in units)."""
         if x < 0:
             raise GridError("negative time")
-        if x < self._stretched_starts[1]:
-            return x == 0 or (x < self._base_cap and x % self._steps[-1] == 0)
-        lk, lk1 = self._interval(x)
-        if lk < self._fine_from[h]:
-            return x == lk
-        return (x - lk) % self._steps[h] == 0 and x < lk1 - self._pmaxs[h]
+        return self._groups[h][0] in self.allowed(x)
 
     def successor(self, h: int, x: int) -> int:
         """Smallest member of Q_h that is >= x (total: the sets are
@@ -249,9 +247,18 @@ class TimeGrid:
         return self.successor(h, max(self._p_circ[h], x))
 
     def allowed(self, x: int):
-        """Type indices j whose group's Q-set holds x (one query per group)."""
-        holds = [self.contains(h, x) for h in range(self.gamma)]
-        return tuple(j for j, h in enumerate(self._group_of_type) if holds[h])
+        """Type indices j whose group's Q-set holds x >= 0, from one
+        interval lookup for all groups."""
+        if x < self._stretched_starts[1]:  # the base grid, in every Q_h
+            base = x == 0 or (x < self._base_cap and x % self._steps[-1] == 0)
+            return sum(self._groups, ()) if base else ()
+        lk, lk1 = self._interval(x)
+        types = ()
+        for group, fine_from, step, pmax in self._by_group:
+            if (x == lk if lk < fine_from else
+                    (x - lk) % step == 0 and x < lk1 - pmax):
+                types += group
+        return types
 
     def idle_group(self, nu) -> int:
         """Group whose Q-set an idle advance moves to: that of the

@@ -275,6 +275,10 @@ def test_typed_errors_exit_1(capsys, tmp_path, monkeypatch):
              "NumericsError"),
             (["gen", "--epsilon", "0", "--out-prefix", prefix],
              "InstanceError"),
+            (["gen", "--scheme", "powers-of-c", "--c", "1", "--types", "3",
+              "--out-prefix", prefix], "InstanceError"),
+            (["gen", "--scheme", "powers-of-c", "--c", "-3",
+              "--out-prefix", prefix], "InstanceError"),
             (["compare", "--epsilon", "abc"], "NumericsError"),
             (["compare", "--epsilon", "1/0"], "NumericsError"),
             (["solve-exact", "--instance", missing], "InstanceError"),

@@ -515,6 +515,12 @@ class TestTraversals:
     @example(make(1, [(169, [0.25, 0.5]), (1, [0.25, 0.25])]))  # idles
     @example(make(2, [(2 ** 50, [0.25, 0.5]), (3 * 2 ** 50, [0.25, 0.25]),
                       (5 * 2 ** 50, [0.25])]))  # past int64
+    # the widegap benchmark's shape: one machine, two types of two jobs,
+    # size ratios 845 and 16,900; and the same on two machines
+    @example(make(1, [(845 * 3, [0.25, 0.5]), (3, [0.75, 0.25])]))
+    @example(make(1, [(16900 * 2, [0.5, 0.75]), (2, [0.25, 0.25])]))
+    @example(make(2, [(845 * 3, [0.25, 0.5]), (3, [0.75, 0.25])]))
+    @example(make(2, [(16900 * 2, [0.5, 0.75]), (2, [0.25, 0.25])]))
     def test_identical_solutions(self, inst):
         for evaluated, rule in rules(inst):
             assert_same_solution(_solve_dfs(evaluated, rule(), 10 ** 6),
@@ -552,6 +558,35 @@ class TestTraversals:
         assert len(idle) == 2442
         assert len(calls) == len(set(calls)) == len(set(idle)) == 530
         assert set(calls) == set(idle)
+
+        # the depth-first traversal too, on separated 2x3x1 (16 count
+        # vectors), whose grid solve idles at 6 (profile, group) pairs;
+        # and both ask after_long at most once per (profile, type)
+        small = generate(ExperimentSpec(n_types=2, jobs_per_type=3,
+                                        scheme="separated", count=1,
+                                        seed=1))[0]
+        small_rounded, _groups, small_grid, _ = prepare(small)
+        assert dp_exact._mixed_radix(small_rounded.counts)[1] < LEVELS_MIN_NU
+        longs = []
+
+        class CountingLong(Counting):
+            def after_long(self, profile, j):
+                longs.append((profile, j))
+                return super().after_long(profile, j)
+
+        for solve, evaluated, on in (
+                (_solve_dfs, small_rounded, small_grid),
+                (_solve_levels, small_rounded, small_grid),
+                (_solve_levels, rounded, grid)):
+            calls.clear()
+            longs.clear()
+            table = solve(evaluated, CountingLong(on), 10 ** 6).policy
+            idle = {(times, on.idle_group(nu)) for (times, nu), d
+                    in table.integer_items() if d == ("idle",)}
+            assert len(calls) == len(set(calls)) and set(calls) == idle
+            assert len(longs) == len(set(longs))
+            if evaluated is small_rounded:
+                assert len(idle) == 6
 
     def test_chained_idle_advances(self):
         # an idle advance must lead to a state that starts a job: two

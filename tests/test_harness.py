@@ -40,6 +40,14 @@ class TestGenerate:
                     x /= 169
                 assert x == 1
 
+    @pytest.mark.parametrize("c", [1, 0, -3])
+    def test_powers_scheme_needs_c_at_least_2(self, c):
+        # c = 1 would make every size 1 and merge the types into one;
+        # a negative c would fail on a negative size
+        spec = ExperimentSpec(n_types=3, scheme="powers-of-c", c=c, count=2)
+        with pytest.raises(InstanceError, match="^c must be at least 2$"):
+            generate(spec)
+
     def test_seed_determinism(self):
         spec = ExperimentSpec(count=4, seed=9)
         assert generate(spec) == generate(spec)
