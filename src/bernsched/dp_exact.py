@@ -60,7 +60,7 @@ class SolverCapError(RuntimeError):
 
 class DecisionTable(Mapping):
     """A solver's decisions as two arrays, made on first read from what the
-    solver hands over (``compare`` reads neither): ``keys``, the core's int
+    solver hands over (``compare`` reads neither): ``state_keys``, the int
     states ``pid * NU + nid``, and ``codes``, each state's decision as a
     type index (``("start", j)``) or the type count (``("idle",)``).
     ``pid`` indexes the interned profiles (integer times in units of
@@ -83,7 +83,7 @@ class DecisionTable(Mapping):
                            ("idle",))
 
     @cached_property
-    def keys(self):
+    def state_keys(self):
         return np.asarray(self._keys, np.int64)
 
     @cached_property
@@ -94,19 +94,22 @@ class DecisionTable(Mapping):
     def _sorted(self):
         """The keys in ascending order and their codes, as lists for
         ``bisect`` (three times faster than ``searchsorted`` on one int)."""
-        order = self.keys.argsort()
-        return self.keys[order].tolist(), self.codes[order].tolist()
+        order = self.state_keys.argsort()
+        return self.state_keys[order].tolist(), self.codes[order].tolist()
 
     def get(self, key, default=None):
-        profile, nu = key
         unit, times = self.unit, []
-        for t in profile:
-            a, b = t.as_integer_ratio()
-            k, r = divmod(unit, b)
-            if r:
-                return default
-            times.append(a * k)
-        return self.integer_get((tuple(times), nu), default)
+        try:  # a key that is not a (profile, counts) pair is missing
+            profile, nu = key
+            for t in profile:
+                a, b = t.as_integer_ratio()
+                k, r = divmod(unit, b)
+                if r:
+                    return default
+                times.append(a * k)
+            return self.integer_get((tuple(times), nu), default)
+        except (AttributeError, TypeError, ValueError):
+            return default
 
     def integer_get(self, key, default=None):
         """The decision at ``(times, nu)``, the times integers in units of
@@ -142,7 +145,7 @@ class DecisionTable(Mapping):
         """``((times, nu), decision)`` per state, the times integers in
         units of 1/``unit``."""
         nus = {}
-        for state, decision in zip(self.keys.tolist(), self.values()):
+        for state, decision in zip(self.state_keys.tolist(), self.values()):
             pid, nid = divmod(state, self._radix)
             nu = nus.get(nid)
             if nu is None:
@@ -182,7 +185,7 @@ class Solution:
     def diagnostics(self):
         """Distinct earliest times and most profiles at one, on first read."""
         table = self.policy
-        pids = _unique(table.keys // table._radix).tolist()
+        pids = _unique(table.state_keys // table._radix).tolist()
         by_time = Counter(table._profiles[pid][0] for pid in pids)
         return Diagnostics(len(by_time), max(by_time.values()), len(table))
 
@@ -359,21 +362,21 @@ def _solve_levels(inst: Instance, rule, state_cap: int) -> Solution:
     each per-state array with one row per type and one column per state.
 
     The forward pass builds each level as a sorted, unique int64 array of
-    keys in two rounds: the children of the level above, then the targets
-    of their idle advances, asked of the rule once per distinct (profile,
-    idle group).  One check then raises the stall ``GridError`` if a
-    target idles too.  It keeps each level's moves that take
-    gathers to find (which types each state may start, and their long
-    children) in key order; pid, nid and the short children come from the
-    keys by arithmetic.  The backward pass, from one job left up, finds
-    the children's costs by ``searchsorted`` in the level below (a type's
-    short children, ``key - s_j``, come ascending) and evaluates every
-    candidate at once; an impossible move costs a sentinel above every
-    candidate, so ``argmin`` picks the lowest type on ties, as
-    ``_solve_dfs`` does.  Level r computes in int64 when its sentinel,
-    D**r * (r+1) * t_max + 1 with t_max the latest time of any profile (or
-    a larger size), is below 2**62, and in Python ints (``dtype=object``)
-    from the first level where it is not.
+    keys, the children of the level above, and takes their moves in one pass.
+    When states have no move, the targets of their idle advances, asked of the
+    rule once per distinct (profile, idle group), join the keys, the moves are
+    taken once more and a check raises the stall ``GridError`` if a target
+    idles too.  It keeps each level's moves that take gathers to find (which
+    types each state may start, and their long children) in key order; pid,
+    nid and the short children come from the keys by arithmetic.  The backward
+    pass, from one job left up, finds the children's costs by ``searchsorted``
+    in the level below (a type's short children, ``key - s_j``, come
+    ascending) and evaluates every candidate at once; an impossible move costs
+    a sentinel above every candidate, so ``argmin`` picks the lowest type on
+    ties, as ``_solve_dfs`` does.  Level r computes in int64 when its
+    sentinel, D**r * (r+1) * t_max + 1 with t_max the latest time of any
+    profile (or a larger size), is below 2**62, and in Python ints
+    (``dtype=object``) from the first level where it is not.
     """
     den, power, qnum = _numerators(inst)
     counts, n, jobs = inst.counts, inst.n_types, inst.total_jobs
@@ -441,40 +444,24 @@ def _solve_levels(inst: Instance, rule, state_cap: int) -> Solution:
 
     for r in range(jobs, 0, -1):
         check_cap()
-        fresh, chunks, children = keys, [], []
+        pid, nid, ok, long, short = moves(keys)
+        stuck = ~ok.any(axis=0)
         frm = to = np.empty(0, np.int64)  # idle states, their targets
-        for second in (False, True):  # the level's keys, then new targets
-            pid, nid, ok, long, short = moves(fresh)
-            chunks.append((fresh, ok, long))
-            if r > 1:
-                children += (long[ok], short[ok])
-            stuck = ~ok.any(axis=0)
-            if second or not stuck.any():
-                break
-            frm, to = fresh[stuck], advance(pid[stuck], nid[stuck])
-            fresh = _unique(to)
-            # the targets not in the level yet
-            fresh = fresh[keys[np.searchsorted(keys, fresh) % len(keys)]
-                          != fresh]
-            if not len(fresh):
-                break
-            keys = np.sort(np.concatenate((keys, fresh)))
+        if stuck.any():
+            frm, to = keys[stuck], advance(pid[stuck], nid[stuck])
+            keys = _unique(np.concatenate((keys, to)))
             check_cap()
-        total += len(keys)
-        if len(chunks) > 1:  # each chunk's moves, in key order
-            order = np.concatenate([chunk[0] for chunk in chunks]).argsort()
-            chunks = [[np.concatenate(parts, axis=-1)[..., order]
-                       for parts in zip(*chunks)]]
-        ok, long = chunks[0][1:]
-        if len(frm):  # every idle advance's target must start a job
+            _pid, _nid, ok, long, short = moves(keys)
+            # every idle advance's target must start a job
             frm, to = keys.searchsorted(frm), keys.searchsorted(to)
             stalled = ~ok[:, to].any(axis=0)
             if stalled.any():
                 raise _stalled(profiles[keys[frm[stalled][0]] // radix],
                                rule.unit)
+        total += len(keys)
         levels.append((keys, frm, to, (ok, long)))
         if r > 1:
-            keys = _unique(np.concatenate(children))
+            keys = _unique(np.concatenate((long[ok], short[ok])))
 
     t_max = max(max(rule.sizes), max(p[-1] for p in profiles))
     # above every cost of its level: no sum or product there overflows it

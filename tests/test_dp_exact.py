@@ -333,6 +333,22 @@ class TestDecisionTable:
             for bad in ((-1,) + nu[1:], (counts[0] + 1,) + nu[1:], nu + (0,)):
                 assert_missing(table, plain, profile, bad)
 
+    @pytest.mark.parametrize("solve", [_solve_dfs, _solve_levels])
+    def test_reads_as_a_dict_does(self, solve):
+        # keys() is the Mapping's view, and a key that is not a (profile,
+        # counts) pair is missing, as it is from a dict
+        inst = make(1, [(169, [0.25, 0.5]), (1, [0.25, 0.25])])  # idles
+        for evaluated, rule in rules(inst):
+            table = solve(evaluated, rule(), 10 ** 6).policy
+            assert dict(table) == dict(table.items())
+            assert list(table.keys()) == list(table)
+            assert len(table.keys()) == len(table) > 0
+            for bad in (5, "x", None, (), ("a", "b"), ((0,), 5)):
+                assert bad not in table
+                assert table.get(bad) is None and table.get(bad, 7) == 7
+                with pytest.raises(KeyError):
+                    table[bad]
+
     def test_keys_sorted_on_first_get(self, separated_4x3x2):
         # the digests are the sha256 of the sorted state=decision lines,
         # read through get, that the dict-backed table of an earlier
@@ -356,7 +372,7 @@ class TestDecisionTable:
                            for key in keys)
             assert "_sorted" in vars(table)
             sorted_keys, _codes = table._sorted
-            assert sorted_keys == sorted(table.keys.tolist())
+            assert sorted_keys == sorted(table.state_keys.tolist())
             assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
 
     @settings(max_examples=40, deadline=None)
@@ -570,21 +586,32 @@ class TestTraversals:
         longs = []
 
         class CountingLong(Counting):
+            def __init__(self, grid):
+                super().__init__(grid)
+                allowed = self.allowed  # GridRule's is an instance attribute
+                self.allowed = lambda t: asked.append(t) or allowed(t)
+
             def after_long(self, profile, j):
                 longs.append((profile, j))
                 return super().after_long(profile, j)
 
+        asked = []
         for solve, evaluated, on in (
                 (_solve_dfs, small_rounded, small_grid),
                 (_solve_levels, small_rounded, small_grid),
                 (_solve_levels, rounded, grid)):
             calls.clear()
             longs.clear()
+            asked.clear()
             table = solve(evaluated, CountingLong(on), 10 ** 6).policy
             idle = {(times, on.idle_group(nu)) for (times, nu), d
                     in table.integer_items() if d == ("idle",)}
             assert len(calls) == len(set(calls)) and set(calls) == idle
             assert len(longs) == len(set(longs))
+            # the rule is asked which types start once per profile of a
+            # state, however many of its states a level holds
+            assert len(asked) == len({times for (times, _nu), _d
+                                      in table.integer_items()})
             if evaluated is small_rounded:
                 assert len(idle) == 6
 
