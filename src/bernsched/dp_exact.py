@@ -206,9 +206,11 @@ def _decode(nid, strides, counts):
 
 
 #: ``solve_core`` traverses level by level when the instance has at least
-#: this many count vectors, and depth first below that (README.md), where
-#: a solve has at most 34 jobs and recurses at most 69 frames deep.
-LEVELS_MIN_NU = 36
+#: this many count vectors, and depth first below that, where depth first
+#: is faster on all but a few solves as the benchmark times them (README.md
+#: gives the measured crossover) and a solve has at most 47 jobs and
+#: recurses at most 95 frames deep.
+LEVELS_MIN_NU = 49
 
 
 def solve_core(inst: Instance, rule, state_cap: int):
@@ -235,8 +237,8 @@ def solve_core(inst: Instance, rule, state_cap: int):
     profile, are more.  Otherwise NU alone picks one of two traversals
     that compute the same ``Solution``.  Below ``LEVELS_MIN_NU`` count
     vectors ``_solve_dfs`` recurses depth first, an edge costing int
-    arithmetic and a memo probe, where N <= NU - 1 <= 34 (NU is the
-    product of the c_j + 1) keeps the recursion at most 2N + 1 <= 69
+    arithmetic and a memo probe, where N <= NU - 1 <= 47 (NU is the
+    product of the c_j + 1) keeps the recursion at most 2N + 1 <= 95
     frames deep.  From ``LEVELS_MIN_NU`` on ``_solve_levels`` evaluates
     one level (states with as many jobs left) at a time as numpy arrays,
     in int64 where a bound proves the level's costs fit and in exact

@@ -60,6 +60,8 @@ def generate(spec: ExperimentSpec):
     eps = parse_epsilon(spec.epsilon)
     if spec.scheme == "powers-of-c" and spec.c < 2:
         raise InstanceError("c must be at least 2")
+    if spec.count < 0:
+        raise InstanceError("count must not be negative")
     out = []
     for k in range(spec.count):
         rng = SeedStream(spec.seed, k).generator()

@@ -264,8 +264,8 @@ def test_typed_errors_exit_1(capsys, tmp_path, monkeypatch):
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {kind}: ")
 
-    # so are a missing input file, an unknown policy name and a malformed
-    # epsilon for the generator
+    # so are a missing input file, an unknown policy name, and a malformed
+    # epsilon or a negative count for the generator
     missing = str(tmp_path / "missing.json")
     prefix = str(tmp_path / "gen_")
     for argv, kind in (
@@ -279,6 +279,9 @@ def test_typed_errors_exit_1(capsys, tmp_path, monkeypatch):
               "--out-prefix", prefix], "InstanceError"),
             (["gen", "--scheme", "powers-of-c", "--c", "-3",
               "--out-prefix", prefix], "InstanceError"),
+            (["gen", "--count", "-1", "--out-prefix", prefix],
+             "InstanceError"),
+            (["compare", "--count", "-3"], "InstanceError"),
             (["compare", "--epsilon", "abc"], "NumericsError"),
             (["compare", "--epsilon", "1/0"], "NumericsError"),
             (["solve-exact", "--instance", missing], "InstanceError"),

@@ -30,9 +30,11 @@ from bernsched.numerics import SeedStream
 from bernsched.policies import (
     ExactTablePolicy,
     ReplayError,
+    SeptPolicy,
     SimView,
     StratifiedTablePolicy,
     expected_cost_exact,
+    expected_cost_reached,
 )
 from bernsched.timegrid import GridError
 from oracles import brute_force_oracle, idling_oracle
@@ -537,6 +539,16 @@ class TestTraversals:
     @example(make(1, [(16900 * 2, [0.5, 0.75]), (2, [0.25, 0.25])]))
     @example(make(2, [(845 * 3, [0.25, 0.5]), (3, [0.75, 0.25])]))
     @example(make(2, [(16900 * 2, [0.5, 0.75]), (2, [0.25, 0.25])]))
+    # from 36 to 48 count vectors, below LEVELS_MIN_NU: the sweep's 2x5x2
+    # (36), types of 5 and 6 jobs on three machines (42), of 3, 3 and 2
+    # jobs (48), and one type of 47 jobs, the most jobs depth first takes
+    @example(make(2, [(169 * 3, [0.25, 0.5, 0.75, 0.5, 0.25]),
+                      (2, [0.5, 0.75, 0.25, 0.25, 0.5])]))
+    @example(make(3, [(13 * 5, [0.75, 0.25, 0.5, 0.5, 0.25]),
+                      (4, [0.5, 0.25, 0.75, 0.25, 1.0, 0.5])]))
+    @example(make(2, [(169 * 2, [0.5, 0.25, 0.75]), (13, [0.25, 0.5, 0.5]),
+                      (1, [0.75, 0.25])]))
+    @example(make(2, [(3, [0.25, 0.5, 0.75, 1.0] * 11 + [0.5, 0.25, 0.75])]))
     def test_identical_solutions(self, inst):
         for evaluated, rule in rules(inst):
             assert_same_solution(_solve_dfs(evaluated, rule(), 10 ** 6),
@@ -710,19 +722,21 @@ class TestTraversals:
 class TestRecursionDepth:
     """Each frame of ``_solve_dfs`` starts a job or idles to a state that
     starts one, so a solve with N jobs recurses at most 2N + 1 frames
-    deep, and ``solve_core`` sends it at most LEVELS_MIN_NU - 2 jobs."""
+    deep, and ``solve_core`` sends it at most LEVELS_MIN_NU - 2 = 47 jobs,
+    at most 95 frames."""
 
     #: frames above and below the recursion: ``solve_core``, the
     #: traversal, and the rule's calls from the deepest frame
     MARGIN = 12
 
     # the most jobs below LEVELS_MIN_NU count vectors are one type's
-    # LEVELS_MIN_NU - 2; sixteen jobs of size 169 = eps**-2 and one of
-    # size 1 on two machines have 34 count vectors, and their grid idles
+    # LEVELS_MIN_NU - 2; twenty-three jobs of size 169 = eps**-2 and one of
+    # size 1 on two machines have 48 count vectors, the most jobs an
+    # instance whose grid idles takes depth first
     @pytest.mark.parametrize("raw, grid, idles", [
         ([(1, [0.5] * (LEVELS_MIN_NU - 2))], False, False),
         ([(1, [0.5] * (LEVELS_MIN_NU - 2))], True, False),
-        ([(169, [0.5] * 16), (1, [0.5])], True, True)],
+        ([(169, [0.5] * 23), (1, [0.5])], True, True)],
         ids=["exact", "grid", "idles"])
     def test_deepest_depth_first_solves(self, raw, grid, idles):
         inst, rule = rules(make(2, raw))[grid]
@@ -736,3 +750,33 @@ class TestRecursionDepth:
             sys.setrecursionlimit(limit)
         assert_same_solution(sol, _solve_levels(inst, rule(), 10 ** 6))
         assert (("idle",) in set(sol.policy.values())) == idles
+
+
+class TestOneMachine:
+    """On one machine no policy beats SEPT, so the exact value is SEPT's
+    expected cost to the float bit under either traversal, far past the
+    brute-force oracle's reach: one type of 47 jobs, the most depth first
+    takes, and two and three types with 36 to 48 count vectors."""
+
+    @staticmethod
+    def seeded(k, n_types):
+        rng = SeedStream(505, k).generator()
+        counts = (0,)
+        while not 36 <= dp_exact._mixed_radix(counts)[1] <= 48:
+            counts = [int(c) for c in rng.integers(1, 24, n_types)]
+        sizes = rng.permutation(
+            ["1", "2", "3", "5/3", "7/2", "13/3", "9", "169"])[:n_types]
+        qs = (0.25, 0.5, 0.75, 1.0)
+        return make(1, [(Fraction(str(p)),
+                         [qs[int(i)] for i in rng.integers(0, 4, c)])
+                        for p, c in zip(sizes, counts)])
+
+    @pytest.mark.parametrize("solve", [_solve_dfs, _solve_levels])
+    def test_exact_is_sept(self, solve):
+        cases = [make(1, [(3, [0.25, 0.5, 0.75, 1.0] * 11
+                           + [0.5, 0.25, 0.75])])]
+        cases += [self.seeded(k, n) for n in (2, 3) for k in range(8)]
+        for inst in cases:
+            want = float(expected_cost_reached(SeptPolicy(), inst))
+            got = solve(inst, ExactRule(inst), 10 ** 6).value
+            assert repr(got) == repr(want), inst.counts

@@ -48,6 +48,13 @@ class TestGenerate:
         with pytest.raises(InstanceError, match="^c must be at least 2$"):
             generate(spec)
 
+    def test_count_must_not_be_negative(self):
+        # a negative count used to read as no instances; 0 still is none
+        with pytest.raises(InstanceError,
+                           match="^count must not be negative$"):
+            generate(ExperimentSpec(count=-1))
+        assert generate(ExperimentSpec(count=0)) == []
+
     def test_seed_determinism(self):
         spec = ExperimentSpec(count=4, seed=9)
         assert generate(spec) == generate(spec)
