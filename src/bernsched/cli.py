@@ -4,7 +4,8 @@ Subcommands: gen, solve-exact, solve-stratified, simulate, compare,
 grid-dump, round.  All numeric times print as exact "num/den" strings;
 JSON outputs follow the documented schemas.  Exit code is nonzero on any
 invariant violation; a typed error (replay, solver cap, grid, instance,
-numerics) prints "error: <Type>: <message>" to stderr and exits 1.
+numerics) or an output file that cannot be written (``OSError``) prints
+"error: <Type>: <message>" to stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -198,8 +199,8 @@ def cmd_compare(args):
     try:
         rows = compare(instances)
     except BoundViolation as exc:
-        save_instance(exc.instance, "bound_violation_instance.json")
         print(f"BOUND VIOLATION: {exc}", file=sys.stderr)
+        save_instance(exc.instance, "bound_violation_instance.json")
         print("offending instance saved to bound_violation_instance.json",
               file=sys.stderr)
         raise SystemExit(1)
@@ -295,7 +296,7 @@ def main(argv=None):
     try:
         args.func(args)
     except (ReplayError, SolverCapError, GridError, InstanceError,
-            NumericsError) as exc:
+            NumericsError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -277,6 +277,17 @@ def _interner():
     return profiles, index, intern
 
 
+class _Memo(dict):
+    """``fn``'s answers, each asked once: a missing key gets ``fn(key)``."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def _stalled(profile, unit):
     return GridError(f"idle advance stalled at {profile[0]}/{unit}")
 

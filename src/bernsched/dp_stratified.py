@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .dp_exact import STATE_CAP, Solution, solve_core
+from .dp_exact import STATE_CAP, Solution, _Memo, solve_core
 from .instances import GroupStructure, Instance
 from .timegrid import TimeGrid
 
@@ -40,17 +40,6 @@ def profiles_per_timepoint_ceiling(inst: Instance, groups: GroupStructure) -> in
     for g in groups.groups:
         out *= comb(e ** (2 * len(g)) + m, m)
     return out
-
-
-class _Memo(dict):
-    """``fn``'s answers, each asked once: a missing key gets ``fn(key)``."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
 
 
 class GridRule:

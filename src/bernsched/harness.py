@@ -141,10 +141,9 @@ ComparisonRow.FIELDS = tuple(f.name for f in fields(ComparisonRow))
 
 
 class BoundViolation(RuntimeError):
-    def __init__(self, row, inst):
-        super().__init__(
-            f"ratio {row.ratio} outside [1, {row.bound}] on {row.instance_id}"
-        )
+    def __init__(self, row, inst, message=None):
+        super().__init__(message or f"ratio {row.ratio} outside "
+                         f"[1, {row.bound}] on {row.instance_id}")
         self.row = row
         self.instance = inst
 
@@ -154,7 +153,12 @@ def compare(instances, *, state_cap: int = STATE_CAP):
     against the analytic bound, and the exact expected costs of the SEPT
     and fixed-assignment baselines over the states they reach.  A ratio
     outside [1 - 1e-9, bound + 1e-9] aborts with the offending instance
-    attached, before the baselines run.  ``state_cap`` is the one guard,
+    attached, before the baselines run, and so does an exact value above
+    SEPT's.  SEPT starts each job at the earliest free time and a type's
+    lowest q first, so it lies in the exact DP's class; both values are
+    correctly rounded floats of exact rationals, so the ceiling needs no
+    tolerance.  Fixed assignment may idle a machine while jobs wait, so
+    it is reported and not checked.  ``state_cap`` is the one guard,
     whatever the job count: an instance whose solves or baselines reach
     more states, or that raises GridError or InstanceError, becomes a
     skipped row whose reason starts with the exception's type name."""
@@ -182,6 +186,10 @@ def compare(instances, *, state_cap: int = STATE_CAP):
                 raise BoundViolation(row, inst)
             row.sept_value = float(
                 expected_cost_reached(SeptPolicy(), inst, state_cap))
+            if not row.exact_value <= row.sept_value:
+                raise BoundViolation(row, inst, (
+                    f"exact {row.exact_value} above SEPT {row.sept_value} "
+                    f"on {row.instance_id}"))
             row.fixed_value = float(
                 expected_cost_reached(FixedAssignmentPolicy(), inst, state_cap))
         except (SolverCapError, GridError, InstanceError) as exc:

@@ -4,7 +4,7 @@ Every policy — DP-extracted tables and built-in heuristics alike — binds
 to an instance and yields a controller with the same two-method surface:
 
   decide(view)   -> ("start", job_id) | ("advance", time) | ("retire",)
-  release(job, start, completion, is_long) -> next available time
+  release(job, completion, is_long) -> next available time
 
 so the simulator below is single-sourced.  Every policy binds to itself,
 except SEPT, which binds to the list policy of its order; the fixed
@@ -67,7 +67,8 @@ from functools import partial
 
 import numpy as np
 
-from .dp_exact import STATE_CAP, DecisionTable, ExactRule, SolverCapError
+from .dp_exact import (STATE_CAP, DecisionTable, ExactRule, SolverCapError,
+                       _interner, _Memo)
 from .dp_stratified import GridRule
 from .instances import Instance
 from .numerics import SeedStream
@@ -148,11 +149,10 @@ def replay(policy, inst: Instance, realization) -> Schedule:
             if job not in remaining:
                 raise ReplayError(f"policy started unavailable job {job}")
             is_long = bool(realization[job])
-            start = t_star
-            completion = start + (inst.job_size(job) if is_long else Fraction(0))
-            entries[job] = (i_star, start, completion)
+            completion = t_star + (inst.job_size(job) if is_long else Fraction(0))
+            entries[job] = (i_star, t_star, completion)
             remaining.discard(job)
-            avail[i_star] = ctl.release(job, start, completion, is_long)
+            avail[i_star] = ctl.release(job, completion, is_long)
         elif kind == "advance":
             target = decision[1]
             if target <= t_star:
@@ -384,8 +384,7 @@ def _table_kernel(policy, inst: Instance):
         return None
     column = {job: k for k, job in enumerate(inst.job_ids())}
     starts = {("start", j): j for j in range(inst.n_types)}
-    keys, ids = [], {}  # state id -> (times, nu), and back
-    steps = {}  # state id -> (column, time, size, long child, short child)
+    keys, _ids, state_id = _interner()  # state id -> (times, nu), and back
     table = policy.table
     if isinstance(table, DecisionTable) and table.unit == unit:
         read = table.integer_get
@@ -393,14 +392,6 @@ def _table_kernel(policy, inst: Instance):
         def read(key):
             times, nu = key
             return table.get((tuple(Fraction(t, unit) for t in times), nu))
-
-    def state_id(times, nu):
-        key = (times, nu)
-        sid = ids.get(key)
-        if sid is None:
-            sid = ids[key] = len(keys)
-            keys.append(key)
-        return sid
 
     def decide(times, nu):
         """The type the state starts, or None where it idles."""
@@ -427,26 +418,21 @@ def _table_kernel(policy, inst: Instance):
             raise _Fallback
         less = nu[:j] + (nu[j] - 1,) + nu[j + 1:]
         return (column[j, counts[j] - nu[j]], t, sizes[j],
-                state_id(rule.after_long(times, j), less),
-                state_id(times, less))
+                state_id((rule.after_long(times, j), less)),
+                state_id((times, less)))
 
-    def step_table(sids):
-        out = []
-        for sid in sids:
-            step = steps.get(sid)
-            if step is None:
-                step = steps[sid] = describe(sid)
-            out.append(step)
-        return np.array(out, dtype=np.int64)
+    # state id -> (column, time, size, long child, short child)
+    steps = _Memo(describe)
 
     def walk(outcomes):
         rows = np.arange(len(outcomes))
-        sid = np.full(len(outcomes), state_id((0,) * inst.machines, counts))
+        sid = np.full(len(outcomes), state_id(((0,) * inst.machines, counts)))
         total = np.zeros(len(outcomes), dtype=np.int64)
         for _ in range(n_jobs):
             distinct, inverse = np.unique(sid, return_inverse=True)
-            col, t, size, long_child, short_child = \
-                step_table(distinct.tolist())[inverse.reshape(-1)].T
+            col, t, size, long_child, short_child = np.array(
+                [steps[s] for s in distinct.tolist()],
+                dtype=np.int64)[inverse.reshape(-1)].T
             is_long = outcomes[rows, col]
             total += t + is_long * size
             sid = np.where(is_long, long_child, short_child)
@@ -580,19 +566,8 @@ class Policy:
     def bind(self, inst: Instance):
         return self
 
-    def release(self, job, start, completion, is_long):
+    def release(self, job, completion, is_long):
         return completion
-
-
-def _lookup(table, view):
-    """The decision at the view's state.  ``table`` is a solver's
-    ``DecisionTable`` or the ``Fraction``-keyed dict that
-    ``cli.load_policy_file`` returns; both answer ``get``."""
-    key = (view.sorted_profile(), view.counts())
-    decision = table.get(key)
-    if decision is None:
-        raise ReplayError(f"state {key} missing from policy table")
-    return decision
 
 
 class ListPolicy(Policy):
@@ -647,8 +622,10 @@ class FixedAssignmentPolicy(Policy):
 
 
 class ExactTablePolicy(Policy):
-    """Replays a solver's table; an ``("idle",)`` entry is a ReplayError,
-    as the exact class never idles."""
+    """Replays a table that answers ``get``: a solver's ``DecisionTable``
+    or the ``Fraction``-keyed dict that ``cli.load_policy_file`` returns.
+    An ``("idle",)`` entry is a ReplayError, as the exact class never
+    idles."""
 
     name = "exact"
 
@@ -656,7 +633,10 @@ class ExactTablePolicy(Policy):
         self.table = solution.policy
 
     def decide(self, view):
-        decision = _lookup(self.table, view)
+        key = (view.sorted_profile(), view.counts())
+        decision = self.table.get(key)
+        if decision is None:
+            raise ReplayError(f"state {key} missing from policy table")
         if decision[0] == "idle":
             return ("advance", self.idle_target(view))
         return ("start", view.next_of_type(decision[1]))
@@ -680,7 +660,7 @@ class StratifiedTablePolicy(ExactTablePolicy):
         h = self.grid.idle_group(view.counts())
         return self.grid.q_successor(h, view.t_star)
 
-    def release(self, job, start, completion, is_long):
+    def release(self, job, completion, is_long):
         if not is_long:
             return completion
         return self.grid.release_time(self.grid.group_of_type(job[0]),

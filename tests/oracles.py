@@ -5,8 +5,9 @@ core: machine loads stay unsorted and jobs keep their identities, so they
 serve as an independent check of ``solve_exact``.  ``idling_oracle`` is
 the same expectimax where the policy may also defer a free machine to the
 next completion epoch; its value matching the non-idling one is itself a
-property under test.  The ``Fraction`` helpers are the references for the
-integer rounding and grid construction; ``partition_sml`` and
+property under test, which ``deferring_oracle`` checks past the 4 jobs
+``idling_oracle`` takes.  The ``Fraction`` helpers are the references for
+the integer rounding and grid construction; ``partition_sml`` and
 ``validate_schedule`` check the rounding's postconditions and replayed
 schedules.
 
@@ -16,6 +17,7 @@ this directory on ``sys.path``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -101,6 +103,46 @@ def idling_oracle(inst: Instance) -> float:
     job.  Deferral is only available while some machine is ahead.  At most
     4 jobs."""
     return _expectimax(inst, allow_idle=True)
+
+
+def deferring_oracle(inst: Instance) -> float:
+    """The optimum over policies that at the earliest availability t start
+    any remaining job or defer that machine to the next later availability,
+    ``idling_oracle``'s idle choice, without its 4-job cap.
+
+    A memoized DP over (sorted profile, sorted tuple of the remaining
+    jobs' (size, q)), times integers in units of 1/unit: jobs keep their
+    sizes and probabilities, not their type, and it shares nothing with
+    the solvers' core.  A deferral to any other time is not covered.  Its
+    states grow exponentially: 8 jobs on 3 machines take up to 0.14 s, and
+    10 jobs 0.2-2.1 s."""
+    unit = math.lcm(*(inst.job_size(job).denominator
+                      for job in inst.job_ids()))
+    jobs = tuple(sorted((int(inst.job_size(job) * unit), inst.job_q(job))
+                        for job in inst.job_ids()))  # times in 1/unit
+
+    @lru_cache(maxsize=None)
+    def cost(profile, remaining):
+        if not remaining:
+            return 0.0
+        t = profile[0]
+        best = None
+        for k, (p, q) in enumerate(remaining):
+            if k and remaining[k - 1] == (p, q):
+                continue  # an equal job was priced already
+            rest = remaining[:k] + remaining[k + 1:]
+            long = tuple(sorted(profile[1:] + (t + p,)))
+            v = (q * (cost(long, rest) + (t + p))
+                 + (1.0 - q) * (cost(profile, rest) + t))
+            if best is None or v < best:
+                best = v
+        later = [x for x in profile if x > t]
+        if later:
+            deferred = tuple(sorted(profile[1:] + (min(later),)))
+            best = min(best, cost(deferred, remaining))
+        return best
+
+    return cost((0,) * inst.machines, jobs) / unit
 
 
 def _expectimax(inst: Instance, allow_idle: bool) -> float:

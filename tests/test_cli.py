@@ -6,6 +6,7 @@ import pytest
 from bernsched import cli
 from bernsched.cli import dump_policy, main, state_to_str, str_to_state
 from bernsched.dp_exact import ExactRule, _solve_dfs, _solve_levels, solve_exact
+from bernsched.harness import BoundViolation, ComparisonRow
 from bernsched.instances import load_instance, save_instance, \
     validate_and_canonicalize
 from bernsched.policies import FixedAssignmentPolicy, SeptPolicy, \
@@ -297,6 +298,46 @@ def test_typed_errors_exit_1(capsys, tmp_path, monkeypatch):
     assert main(["simulate", "--instance", path, "--policy", "bogus"]) == 1
     assert capsys.readouterr().err == \
         "error: ReplayError: unknown policy 'bogus'\n"
+
+
+def test_unwritable_outputs_exit_1(capsys, tmp_path, instance_file):
+    # an output path into a missing directory is one typed error line,
+    # not a traceback
+    missing = tmp_path / "missing"
+    for option, argv in (
+            ("--json-out", ["compare", "--count", "1"]),
+            ("--csv", ["compare", "--count", "1"]),
+            ("--out-prefix", ["gen", "--count", "1"]),
+            ("--dump-policy", ["solve-exact", "--instance", instance_file]),
+            ("--dump-policy", ["solve-stratified", "--instance",
+                               instance_file]),
+            ("--diagnostics", ["solve-stratified", "--instance",
+                               instance_file]),
+            ("--out", ["round", "--instance", instance_file])):
+        assert main([*argv, option, str(missing / "out")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: FileNotFoundError: ")
+    assert not missing.exists()
+
+
+def test_bound_violation_reported_before_its_instance_is_saved(
+        capsys, tmp_path, monkeypatch):
+    # the violation line comes first, so an instance file that cannot be
+    # written does not hide it
+    inst = validate_and_canonicalize(1, "1/13", [(169, [1.0, 1.0])])
+
+    def violated(instances):
+        raise BoundViolation(ComparisonRow("i0000"), inst, "planted")
+
+    monkeypatch.setattr(cli, "compare", violated)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bound_violation_instance.json").mkdir()
+    assert main(["compare", "--count", "1"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "BOUND VIOLATION: planted"
+    assert lines[1].startswith("error: IsADirectoryError: ")
+    assert len(lines) == 2
 
 
 @pytest.mark.parametrize("value", [0.4, 1.0, False, True, "1", "0"])

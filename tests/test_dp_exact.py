@@ -37,7 +37,7 @@ from bernsched.policies import (
     expected_cost_reached,
 )
 from bernsched.timegrid import GridError
-from oracles import brute_force_oracle, idling_oracle
+from oracles import brute_force_oracle, deferring_oracle, idling_oracle
 
 
 def make(machines, raw, epsilon="1/13"):
@@ -152,6 +152,25 @@ class TestIdling:
             assert idling_oracle(inst) == pytest.approx(
                 brute_force_oracle(inst), abs=1e-9
             ), f"idling helped on seed {k}"
+
+    # past idling_oracle's 4 jobs: deferring the earliest machine to the
+    # next availability never beats the exact DP
+    @settings(max_examples=80, deadline=None)
+    @given(machines=st.integers(2, 3),
+           sizes=st.lists(st.sampled_from((1, 2, 3, 5, 9, 40, 169)),
+                          min_size=2, max_size=3, unique=True),
+           picks=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(
+               (0.1, 0.25, 0.5, 0.75, 0.9, 1.0))), min_size=5, max_size=8))
+    @example(machines=2, sizes=[169, 9, 1],
+             picks=[(0, 0.5), (0, 0.5), (0, 0.25), (1, 0.75), (1, 0.75),
+                    (1, 1.0), (2, 0.5), (2, 0.5), (2, 0.9), (2, 0.9)])
+    def test_deferring_never_helps(self, machines, sizes, picks):
+        by_size = {}
+        for k, q in picks:
+            by_size.setdefault(sizes[k % len(sizes)], []).append(q)
+        inst = make(machines, list(by_size.items()))
+        assert deferring_oracle(inst) == pytest.approx(
+            solve_exact(inst).value, rel=1e-12)
 
 
 class TestProperties:

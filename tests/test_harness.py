@@ -17,6 +17,7 @@ from bernsched.harness import (
     report,
 )
 from bernsched.instances import InstanceError, validate_and_canonicalize
+from bernsched.policies import SeptPolicy
 from bernsched.timegrid import GridError
 
 
@@ -172,6 +173,31 @@ class TestCompare:
         inst = validate_and_canonicalize(1, "1/13", [(169, [1.0, 1.0])])
         with pytest.raises(harness.BoundViolation):
             compare([inst])
+
+    @pytest.mark.parametrize("sept", [1.0, math.nextafter(507.0, 0)],
+                             ids=["far", "one-ulp"])
+    def test_exact_above_sept_raises(self, monkeypatch, sept):
+        # SEPT lies in the exact DP's class, so a SEPT price below the
+        # exact value, by however little, is a violation of the ceiling
+        def cheap_sept(policy, inst, state_cap):
+            assert isinstance(policy, SeptPolicy)
+            return Fraction(sept)
+
+        monkeypatch.setattr(harness, "expected_cost_reached", cheap_sept)
+        inst = validate_and_canonicalize(1, "1/13", [(169, [1.0, 1.0])])
+        with pytest.raises(harness.BoundViolation) as caught:
+            compare([inst])
+        assert str(caught.value) == f"exact 507.0 above SEPT {sept} on i0000"
+        assert caught.value.instance == inst
+        assert caught.value.row.sept_value == sept
+
+    def test_exact_equal_to_sept_passes(self):
+        # on one machine the exact value is SEPT's to the bit: no tolerance
+        # is needed for the ceiling to hold
+        inst = validate_and_canonicalize(1, "1/13", [(169, [0.5, 0.25]),
+                                                     (1, [0.75])])
+        row, = compare([inst])
+        assert row.skipped == "" and row.exact_value == row.sept_value
 
     def test_ratios_at_least_one(self):
         spec = ExperimentSpec(n_types=2, jobs_per_type=2, machines=2,
