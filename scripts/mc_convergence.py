@@ -7,7 +7,8 @@ standard-error units: infinitely many where the standard error is 0 and
 the mean misses the value by more than 1e-9 relative.  ``--policy``
 picks what is evaluated: SEPT (the default), the exact solver's table,
 or the stratified solver's table, which runs on the divisibility-rounded
-instance it was solved for.
+instance it was solved for.  A typed error prints one
+"error: <Type>: <message>" line and exits 1, as the ``bernsched`` CLI does.
 
 Usage:
     python3 scripts/mc_convergence.py --trials 1000 10000 100000 --seed 3
@@ -18,7 +19,7 @@ import argparse
 import math
 import sys
 
-from bernsched.cli import build_policy
+from bernsched.cli import TYPED_ERRORS, build_policy
 from bernsched.harness import ExperimentSpec, generate
 from bernsched.policies import expected_cost_exact, expected_cost_mc
 
@@ -32,7 +33,20 @@ def main(argv=None):
     ap.add_argument("--policy", choices=("sept", "exact", "stratified"),
                     default="sept")
     args = ap.parse_args(argv)
+    if args.count < 1:
+        ap.error("--count must be at least 1")
+    try:
+        worst = worst_deviation(args)
+    except TYPED_ERRORS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    print(f"worst deviation: {worst:.2f} standard errors")
+    return 0 if worst <= 4 else 1
 
+
+def worst_deviation(args):
+    """Print one line per instance; the largest error in standard-error
+    units."""
     spec = ExperimentSpec(n_types=2, jobs_per_type=2, machines=2,
                           scheme="separated", count=args.count, seed=args.seed)
     worst = 0.0
@@ -50,8 +64,7 @@ def main(argv=None):
             worst = max(worst, z)
             line.append(f"T={t}: {mean:.4f} ({z:.2f} se)")
         print("  ".join(line))
-    print(f"worst deviation: {worst:.2f} standard errors")
-    return 0 if worst <= 4 else 1
+    return worst
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@
 Generates seeded instance suites for each size scheme and machine count,
 solves every instance exactly and with the grid-restricted solver, and
 writes per-instance CSV/JSON rows plus a printed summary.  Any ratio
-outside [1, B(n, eps)] aborts and saves the offending instance.
+outside [1, B(n, eps)] aborts and saves the offending instance.  A typed
+error prints one "error: <Type>: <message>" line and exits 1, as the
+``bernsched`` CLI does.
 
 Usage:
     python3 scripts/run_experiments.py --out results/ --count 20 --seed 7
@@ -16,6 +18,7 @@ import math
 import os
 import sys
 
+from bernsched.cli import TYPED_ERRORS
 from bernsched.harness import (
     SCHEMES,
     BoundViolation,
@@ -38,7 +41,16 @@ def main(argv=None):
     ap.add_argument("--epsilon", default="1/13")
     ap.add_argument("--machines", type=int, nargs="+", default=[1, 2])
     args = ap.parse_args(argv)
+    try:
+        return sweep(args)
+    except TYPED_ERRORS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
+
+def sweep(args):
+    """Compare every cell and write its rows, then the summary; 1 at the
+    first bound violation, whose instance is saved."""
     os.makedirs(args.out, exist_ok=True)
     cell_max = []  # each cell's max ratio, nan where no row has one
     for scheme in SCHEMES:

@@ -49,6 +49,11 @@ from .policies import (
 )
 from .timegrid import GridError
 
+#: What ``main`` (and each script under ``scripts/``) reports as one
+#: "error: <Type>: <message>" line on stderr, exiting 1.
+TYPED_ERRORS = (ReplayError, SolverCapError, GridError, InstanceError,
+                NumericsError, OSError)
+
 
 def _profile_str(profile):
     return ",".join(format_rat(x) for x in profile)
@@ -295,8 +300,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ReplayError, SolverCapError, GridError, InstanceError,
-            NumericsError, OSError) as exc:
+    except TYPED_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -30,9 +30,10 @@ kernels take a whole block on integer times:
 * the table kernel, for ``ExactTablePolicy`` and
   ``StratifiedTablePolicy``, in the unit of the rule the table's solver
   ran.  Each distinct outcome vector of a block walks the table's states
-  once, all of them taking each step together; each distinct state is
-  read once, on integer times where the table is a solver's
-  ``DecisionTable``.
+  once, all of them taking each step together.  Each distinct state is
+  read once per policy, table and instance where the table is a solver's
+  ``DecisionTable``, on integer times, and once per call where it is a
+  dict, as loaded from a file.
 
 Replay is the per-realization reference and the fallback.  Any other
 policy, a case that neither kernel takes (totals that could exceed
@@ -61,6 +62,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -68,7 +70,7 @@ from functools import partial
 import numpy as np
 
 from .dp_exact import (STATE_CAP, DecisionTable, ExactRule, SolverCapError,
-                       _interner, _Memo)
+                       _interner)
 from .dp_stratified import GridRule
 from .instances import Instance
 from .numerics import SeedStream
@@ -351,32 +353,61 @@ def _table_kernel(policy, inst: Instance):
     time plus, when the job is long, its size; the long child comes from
     the rule's ``after_long`` and the short child keeps the profile.  An
     idle state stands for the state its ``after_idle`` advance leads to.
-    Each distinct state is read once and kept under an int id: through
-    the table's ``integer_get`` where it is a ``DecisionTable`` in the
-    rule's unit (a solver's table always is), and otherwise through its
-    ``get`` on the ``Fraction`` profile replay would ask for.  Only the
-    block's distinct rows walk (``_per_distinct_row``), all of them
-    taking each of their N steps together, and each row takes its
-    distinct row's cost.  Totals are int64 in units and divided once by
-    the unit, which is replay's correctly rounded float while they stay
-    within 2**53.
+    Each distinct state is read once and kept under an int id, its step
+    in a row of an int64 array: through the table's ``integer_get`` where
+    it is a ``DecisionTable`` in the rule's unit (a solver's table always
+    is), and otherwise through its ``get`` on the ``Fraction`` profile
+    replay would ask for.  A ``DecisionTable`` cannot change, so the
+    policy keeps the walk while its table, the instance and the grid stay
+    the same objects: a state is read once per policy, table and
+    instance, and once per call in a dict table, as loaded from a file.
+    Only the block's distinct rows walk (``_per_distinct_row``), all of
+    them taking each of their N steps together, one gather a step, and
+    each row takes its distinct row's cost.  Totals are int64 in units
+    and divided once by the unit, which is replay's correctly rounded
+    float while they stay within 2**53.
 
     The distinct rows replay instead, in order of first occurrence, when
     one of them meets a state the kernel cannot step as replay does: a
     missing state, a decision other than ``("start", j)`` with type-j
     jobs left or ``("idle",)``, an idle in an exact table, an idle that
     does not progress, an idle whose target idles too, or a time that
-    lets a total exceed 2**53.  So replay's first error and its results
-    stand unchanged.  (On the grid replay raises at a second idle in a
-    row, as it does not progress: the first one's target is already in
-    the idle group's Q-set.)
+    lets a total exceed 2**53.  Such a state is never kept, so every call
+    that meets it replays, and replay's first error and its results stand
+    unchanged.  (On the grid replay raises at a second idle in a row, as
+    it does not progress: the first one's target is already in the idle
+    group's Q-set.)
     """
     if type(policy) is ExactTablePolicy:
-        rule = ExactRule(inst)
+        grid = None
     elif type(policy) is StratifiedTablePolicy:
-        rule = GridRule(policy.grid)
+        grid = policy.grid
     else:
         return None
+    key = (policy.table, inst, grid)
+    kept = policy._walk  # (table, instance, grid, walk) of the last call
+    walk = (kept[3] if kept and all(map(operator.is_, kept, key))
+            else _table_walk(*key))
+    # a dict table may change before the next call; a DecisionTable cannot
+    policy._walk = (*key, walk) if isinstance(key[0], DecisionTable) else None
+    if walk is None:
+        return None
+
+    def distinct_totals(outcomes):
+        try:
+            return walk(outcomes)
+        except _Fallback:
+            return _replay_rows(policy, inst, outcomes)
+    return partial(_per_distinct_row, distinct_totals)
+
+
+def _table_walk(table, inst: Instance, grid):
+    """``_table_kernel``'s walk of a table on an instance, in the unit of
+    ``ExactRule(inst)``, or of ``GridRule(grid)`` where a grid is given;
+    None where that unit exceeds 2**53 or the rule's sizes are not the
+    instance's.  Nothing in it refers to the policy, so a dropped policy
+    frees it at once."""
+    rule = ExactRule(inst) if grid is None else GridRule(grid)
     unit, sizes, counts = rule.unit, rule.sizes, inst.counts
     n_jobs = inst.total_jobs
     if unit > 2**53 or unit % inst.unit or sizes != tuple(
@@ -385,7 +416,6 @@ def _table_kernel(policy, inst: Instance):
     column = {job: k for k, job in enumerate(inst.job_ids())}
     starts = {("start", j): j for j in range(inst.n_types)}
     keys, _ids, state_id = _interner()  # state id -> (times, nu), and back
-    table = policy.table
     if isinstance(table, DecisionTable) and table.unit == unit:
         read = table.integer_get
     else:
@@ -421,29 +451,31 @@ def _table_kernel(policy, inst: Instance):
                 state_id((rule.after_long(times, j), less)),
                 state_id((times, less)))
 
-    # state id -> (column, time, size, long child, short child)
-    steps = _Memo(describe)
+    # row sid: (column, time, size, long child, short child) of state sid,
+    # -1 until it is described; the rows double when the states outgrow them
+    steps = np.full((64, 5), -1, np.int64)
 
     def walk(outcomes):
+        nonlocal steps
         rows = np.arange(len(outcomes))
         sid = np.full(len(outcomes), state_id(((0,) * inst.machines, counts)))
         total = np.zeros(len(outcomes), dtype=np.int64)
         for _ in range(n_jobs):
-            distinct, inverse = np.unique(sid, return_inverse=True)
-            col, t, size, long_child, short_child = np.array(
-                [steps[s] for s in distinct.tolist()],
-                dtype=np.int64)[inverse.reshape(-1)].T
+            step = steps[sid]
+            new = sid[step[:, 0] < 0]
+            if len(new):  # a _Fallback keeps none of them
+                new = list(dict.fromkeys(new.tolist()))
+                described = [describe(s) for s in new]
+                while len(keys) > len(steps):
+                    steps = np.vstack((steps, np.full(steps.shape, -1)))
+                steps[new] = described
+                step = steps[sid]
+            col, t, size, long_child, short_child = step.T
             is_long = outcomes[rows, col]
             total += t + is_long * size
             sid = np.where(is_long, long_child, short_child)
         return total / unit
-
-    def distinct_totals(outcomes):
-        try:
-            return walk(outcomes)
-        except _Fallback:
-            return _replay_rows(policy, inst, outcomes)
-    return lambda outcomes: _per_distinct_row(distinct_totals, outcomes)
+    return walk
 
 
 def _running_sum(start: float, terms) -> float:
@@ -628,6 +660,7 @@ class ExactTablePolicy(Policy):
     idles."""
 
     name = "exact"
+    _walk = None  # kept by _table_kernel
 
     def __init__(self, solution):
         self.table = solution.policy

@@ -292,6 +292,12 @@ class TestRunExperiments:
         assert written["overall_max_ratio"] == (
             None if printed == "nan" else float(printed))
 
+    def test_typed_error_is_one_line(self, tmp_path, capsys):
+        script = _script("run_experiments")
+        assert script.main(["--out", str(tmp_path), "--epsilon", "1/1"]) == 1
+        assert capsys.readouterr().err == "error: InstanceError: epsilon " \
+            "must be 1/E with integer E >= 2, got 1\n"
+
 
 class TestMcConvergence:
     def test_mean_without_spread_must_be_the_truth(self, monkeypatch, capsys):
@@ -312,3 +318,18 @@ class TestMcConvergence:
 
         monkeypatch.setattr(script, "expected_cost_mc", exact)
         assert script.main(argv) == 0
+
+    def test_typed_error_is_one_line(self, capsys):
+        script = _script("mc_convergence")
+        assert script.main(["--count", "1", "--trials", "0"]) == 1
+        assert capsys.readouterr().err == \
+            "error: ReplayError: need at least one trial\n"
+
+    def test_count_below_one_is_a_usage_error(self, capsys):
+        script = _script("mc_convergence")
+        with pytest.raises(SystemExit) as exc:
+            script.main(["--count", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--count must be at least 1" in captured.err
+        assert "worst deviation" not in captured.out

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -818,6 +820,114 @@ class TestIntegerReads:
                 assert self._bits(policy, case_inst) == self.want[name], name
             policy.table = dict(policy.table.items())
             assert self._bits(policy, case_inst) == self.want[name], name
+
+
+class TestKeptSteps:
+    """A solver's table keeps its kernel steps on the policy while its
+    table, the instance and the grid stay the same objects: a second call
+    reads no state, and a change of any of the three starts afresh."""
+
+    def test_second_calls_read_no_state(self, monkeypatch):
+        armed = []
+        integer_get = DecisionTable.integer_get
+
+        def read_once(table, key, default=None):
+            if armed:
+                raise AssertionError("DecisionTable.integer_get called")
+            return integer_get(table, key, default)
+        monkeypatch.setattr(DecisionTable, "integer_get", read_once)
+        inst, = generate(ExperimentSpec(n_types=2, jobs_per_type=3,
+                                        machines=2, count=1, seed=1))
+        cases = zip(("exact", "stratified"), _table_cases(inst))
+        for name, (policy, case_inst) in cases:
+            armed.clear()
+            first = TestIntegerReads._bits(policy, case_inst)
+            armed.append(True)
+            second = TestIntegerReads._bits(policy, case_inst)
+            assert first == second == TestIntegerReads.want[name], name
+
+    @staticmethod
+    def _changed(change):
+        """(policy evaluated once, then changed; a fresh policy of the
+        change; the instance to evaluate both on; the first result)."""
+        first = make(2, [(3, [0.25, 0.75]), (1, [0.5, 1.0])])
+        solution = solve_exact(first)
+        if change == "grid":  # the same sizes on a grid of another epsilon
+            raw = [(169, [0.25, 0.5]), (1, [0.25, 0.93])]
+            rounded, groups, grid, _ = prepare(make(1, raw))
+            solution = solve_stratified(rounded, groups, grid)
+            other = prepare(make(1, raw, "1/2"))[2]
+            policy = StratifiedTablePolicy(solution, grid)
+            before = _outcome(expected_cost_exact, policy, rounded)
+            policy.grid = other
+            return (policy, StratifiedTablePolicy(solution, other), rounded,
+                    before)
+        policy = ExactTablePolicy(solution)
+        before = _outcome(expected_cost_exact, policy, first)
+        if change == "table":  # other probabilities, other decisions
+            table = solve_exact(make(2, [(3, [0.75, 0.75]),
+                                         (1, [0.05, 0.5])])).policy
+            policy.table = table
+            return (policy, ExactTablePolicy(SimpleNamespace(policy=table)),
+                    first, before)
+        assert change == "instance"  # one job fewer: other columns
+        return (policy, ExactTablePolicy(solution),
+                make(2, [(3, [0.75]), (1, [0.5, 1.0])]), before)
+
+    @pytest.mark.parametrize("change", ["table", "instance", "grid"])
+    def test_changed_inputs_equal_a_fresh_policy(self, change):
+        policy, fresh, inst, before = self._changed(change)
+        for evaluate, args in ((expected_cost_exact, ()),
+                               (expected_cost_mc, (200, 4))):
+            want = _outcome(evaluate, fresh, inst, *args)
+            assert _outcome(evaluate, policy, inst, *args) == want
+        assert _outcome(expected_cost_exact, fresh, inst) != before
+
+    def test_failing_table_replays_on_every_call(self, monkeypatch):
+        # a grid table read as an exact one: its idle states, and the
+        # states that exact long jobs reach, make the kernel replay
+        policy, inst = _idling_cases()[1]
+        policy = ExactTablePolicy(SimpleNamespace(policy=policy.table))
+        want = [_outcome(_scalar_exact, policy, inst),
+                _outcome(_scalar_mc, policy, inst, 40, 1)]
+        assert want[0][0] is ReplayError
+        calls = []
+        monkeypatch.setattr(policies, "replay", _counting_replay(calls))
+        for _ in range(2):
+            calls.clear()
+            got = [_outcome(expected_cost_exact, policy, inst),
+                   _outcome(expected_cost_mc, policy, inst, 40, 1)]
+            assert got == want
+            assert calls
+
+    def test_dict_tables_are_read_on_every_call(self):
+        reads = []
+
+        class Counted(dict):
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+        for policy, inst in _idling_cases():
+            policy.table = Counted(policy.table.items())
+            counts = []
+            for _ in range(2):
+                reads.clear()
+                expected_cost_mc(policy, inst, 60, 3)
+                counts.append(len(reads))
+            assert counts[0] == counts[1] > 0
+
+    def test_dropped_policy_frees_its_steps(self):
+        cases = _idling_cases()
+        while cases:  # the last reference to each policy is the name
+            policy, inst = cases.pop()
+            expected_cost_exact(policy, inst)
+            kept = weakref.ref(policy._walk[3])  # the walk and its steps
+            gc.disable()
+            try:
+                del policy
+                assert kept() is None
+            finally:
+                gc.enable()
 
 
 class TestPerDistinctRow:
