@@ -50,34 +50,37 @@ def main(argv=None):
 
 def sweep(args):
     """Compare every cell and write its rows, then the summary; 1 at the
-    first bound violation, whose instance is saved."""
+    first bound violation, whose instance is saved.  Every cell's
+    instances are generated before the output directory is made, so a
+    typed input error leaves no directory behind."""
+    cells = [
+        (f"{scheme}_m{m}", generate(ExperimentSpec(
+            n_types=args.types, jobs_per_type=args.jobs, machines=m,
+            epsilon=args.epsilon, scheme=scheme, count=args.count,
+            seed=args.seed,
+        )))
+        for scheme in SCHEMES for m in args.machines
+    ]
     os.makedirs(args.out, exist_ok=True)
     cell_max = []  # each cell's max ratio, nan where no row has one
-    for scheme in SCHEMES:
-        for m in args.machines:
-            spec = ExperimentSpec(
-                n_types=args.types, jobs_per_type=args.jobs, machines=m,
-                epsilon=args.epsilon, scheme=scheme, count=args.count,
-                seed=args.seed,
-            )
-            tag = f"{scheme}_m{m}"
-            try:
-                rows = compare(generate(spec))
-            except BoundViolation as exc:
-                bad = os.path.join(args.out, f"{tag}_violation.json")
-                save_instance(exc.instance, bad)
-                print(f"BOUND VIOLATION in {tag}: {exc} (instance -> {bad})")
-                return 1
-            summary = report(
-                rows,
-                csv_path=os.path.join(args.out, f"{tag}.csv"),
-                json_path=os.path.join(args.out, f"{tag}.json"),
-            )
-            cell_max.append(summary["max_ratio"])
-            print(f"{tag}: {summary['rows']} rows, "
-                  f"{summary['skipped']} skipped, "
-                  f"max ratio {summary['max_ratio']:.6f}, "
-                  f"max states {summary['max_states']}")
+    for tag, instances in cells:
+        try:
+            rows = compare(instances)
+        except BoundViolation as exc:
+            bad = os.path.join(args.out, f"{tag}_violation.json")
+            save_instance(exc.instance, bad)
+            print(f"BOUND VIOLATION in {tag}: {exc} (instance -> {bad})")
+            return 1
+        summary = report(
+            rows,
+            csv_path=os.path.join(args.out, f"{tag}.csv"),
+            json_path=os.path.join(args.out, f"{tag}.json"),
+        )
+        cell_max.append(summary["max_ratio"])
+        print(f"{tag}: {summary['rows']} rows, "
+              f"{summary['skipped']} skipped, "
+              f"max ratio {summary['max_ratio']:.6f}, "
+              f"max states {summary['max_states']}")
     grand_max = max((r for r in cell_max if not math.isnan(r)),
                     default=float("nan"))
     print(f"overall max ratio: {grand_max:.6f}")

@@ -75,10 +75,16 @@ def solve_stratified(inst: Instance, groups: GroupStructure, grid: TimeGrid,
     return solve_core(inst, GridRule(grid), state_cap)
 
 
-@lru_cache(maxsize=None)
 def sandwich_bound(n_types: int, epsilon: Fraction) -> Fraction:
     """Worst-case ratio certificate between the restricted and exact optima:
-    (1+eps) * (1 + (2n+4)(1+eps)eps) * (1+5eps), exact rational.  Memoized:
-    a run of ``compare`` asks for few (type count, eps) pairs, often."""
+    (1+eps) * (1 + (2n+4)(1+eps)eps) * (1+5eps), exact rational."""
     eps = Fraction(epsilon)
     return (1 + eps) * (1 + (2 * n_types + 4) * (1 + eps) * eps) * (1 + 5 * eps)
+
+
+@lru_cache(maxsize=None)
+def sandwich_bound_float(n_types: int, e: int) -> float:
+    """``sandwich_bound(n_types, 1/e)`` as its correctly rounded float.
+    Memoized on integers: a run of ``compare`` asks for few (type count, E)
+    pairs, often, and a row then neither hashes nor converts a ``Fraction``."""
+    return float(sandwich_bound(n_types, Fraction(1, e)))

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from .dp_exact import STATE_CAP, SolverCapError, solve_exact
-from .dp_stratified import sandwich_bound, solve_stratified
+from .dp_stratified import sandwich_bound_float, solve_stratified
 from .instances import (
     Instance,
     InstanceError,
@@ -101,7 +101,10 @@ def generate(spec: ExperimentSpec):
 
 
 def prepare(inst: Instance):
-    """Divisibility-round and build the grid: (rounded, groups, grid, merges)."""
+    """Divisibility-round and build the grid: (rounded, groups, grid, merges).
+    Where rounding moves no size, ``rounded`` is ``inst`` itself, so the
+    grid and the stratified solve read the integer view the exact solve
+    built."""
     groups = build_groups(inst)
     rounded, groups2, merges = round_for_divisibility(inst, groups)
     grid = build_grid(rounded, groups2)
@@ -166,7 +169,8 @@ def compare(instances, *, state_cap: int = STATE_CAP):
     for idx, inst in enumerate(instances):
         row = ComparisonRow(instance_id=f"i{idx:04d}", n_types=inst.n_types,
                             total_jobs=inst.total_jobs, machines=inst.machines)
-        row.bound = float(sandwich_bound(inst.n_types, inst.epsilon))
+        row.bound = sandwich_bound_float(inst.n_types,
+                                         inst.epsilon.denominator)
         try:
             t0 = time.perf_counter()
             exact = solve_exact(inst, state_cap=state_cap)

@@ -201,7 +201,10 @@ def round_for_divisibility(inst: Instance, groups: GroupStructure):
     representative of r units of 1/L is r.
 
     Returns (rounded_instance, new_groups, merges) where merges is a list of
-    rounded sizes that absorbed more than one original type.
+    rounded sizes that absorbed more than one original type.  Rounding
+    that moves no size returns ``inst`` itself, with no merges, so the
+    exact solve, the grid and the stratified solve share one integer view;
+    the partition and divisibility checks below run either way.
     """
     e, sizes = inst.epsilon.denominator, inst.int_sizes
     gamma = groups.gamma
@@ -212,6 +215,7 @@ def round_for_divisibility(inst: Instance, groups: GroupStructure):
 
     unit = e * inst.unit
     absorbed = {}  # rounded size in units of 1/unit -> original types
+    moved = False
     for h, g in enumerate(groups.groups):
         step = reps[h]
         for j in g:
@@ -222,11 +226,12 @@ def round_for_divisibility(inst: Instance, groups: GroupStructure):
                     f"divisibility rounding grew {inst.types[j].size} to "
                     f"{Fraction(new, unit)}, beyond (1+eps)"
                 )
+            moved = moved or new != old
             absorbed.setdefault(new, []).append(j)
     merges = [Fraction(p, unit) for p in sorted(absorbed)
               if len(absorbed[p]) > 1]
 
-    out = Instance(inst.machines, inst.epsilon, tuple(
+    out = inst if not moved else Instance(inst.machines, inst.epsilon, tuple(
         JobType(size=Fraction(p, unit), qs=tuple(sorted(
             q for j in absorbed[p] for q in inst.types[j].qs)))
         for p in sorted(absorbed, reverse=True)))

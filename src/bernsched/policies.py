@@ -553,15 +553,16 @@ def expected_cost_reached(policy, inst: Instance,
     """
     ctl = policy.bind(inst)
     unit, den = inst.unit, inst.q_den
-    size = {job: inst.int_sizes[job[0]] for job in inst.job_ids()}
-    qnum = {(j, i): a for j, row in enumerate(inst.q_nums)  # q over den
-            for i, a in enumerate(row)}
     if type(ctl) is FixedAssignmentPolicy:
-        total = sum(weight * qnum[job] * size[job]
-                    for job, weight in _queue_weights(ctl))
+        sizes, q_nums = inst.int_sizes, inst.q_nums  # q over den
+        total = sum(weight * q_nums[j][i] * sizes[j]
+                    for (j, i), weight in _queue_weights(ctl))
         return Fraction(total, den * unit)
     if type(ctl) is not ListPolicy:
         raise ReplayError(f"no reached-state evaluator for {policy.name!r}")
+    size = {job: inst.int_sizes[job[0]] for job in inst.job_ids()}
+    qnum = {(j, i): a for j, row in enumerate(inst.q_nums)  # q over den
+            for i, a in enumerate(row)}
     order = [job for job in dict.fromkeys(ctl.order) if job in size]
     if len(order) != len(size):
         raise ReplayError("list exhausted with jobs remaining")

@@ -799,3 +799,19 @@ class TestOneMachine:
             want = float(expected_cost_reached(SeptPolicy(), inst))
             got = solve(inst, ExactRule(inst), 10 ** 6).value
             assert repr(got) == repr(want), inst.counts
+
+
+@given(machines=st.integers(2, 4),
+       jobs=st.dictionaries(st.integers(1, 59), st.integers(1, 6),
+                            min_size=2, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_exact_is_spt_when_every_q_is_one(machines, jobs):
+    """With every q = 1 the instance is a deterministic P||ΣC_j, which SPT
+    solves exactly (Conway, Maxwell and Miller, *Theory of Scheduling*,
+    1967), and SEPT is SPT: on any number of machines the exact value is
+    SEPT's to the float bit, under either traversal."""
+    inst = make(machines, [(p, [1.0] * c) for p, c in jobs.items()])
+    want = float(expected_cost_reached(SeptPolicy(), inst))
+    for solve in (_solve_dfs, _solve_levels):
+        got = solve(inst, ExactRule(inst), 10 ** 6).value
+        assert repr(got) == repr(want), solve.__name__

@@ -8,15 +8,22 @@ from pathlib import Path
 import pytest
 
 from bernsched import dp_exact, harness
-from bernsched.dp_exact import SolverCapError
+from bernsched.dp_exact import SolverCapError, solve_exact
+from bernsched.dp_stratified import sandwich_bound
 from bernsched.harness import (
     ComparisonRow,
     ExperimentSpec,
     compare,
     generate,
     report,
+    solve_pipeline,
 )
-from bernsched.instances import InstanceError, validate_and_canonicalize
+from bernsched.instances import (
+    InstanceError,
+    instance_from_dict,
+    instance_to_dict,
+    validate_and_canonicalize,
+)
 from bernsched.policies import SeptPolicy
 from bernsched.timegrid import GridError
 
@@ -169,7 +176,7 @@ class TestCompare:
             raise AssertionError("baseline evaluated")
 
         monkeypatch.setattr(harness, "expected_cost_reached", baseline_fails)
-        monkeypatch.setattr(harness, "sandwich_bound", lambda n, eps: 1)
+        monkeypatch.setattr(harness, "sandwich_bound_float", lambda n, e: 1)
         inst = validate_and_canonicalize(1, "1/13", [(169, [1.0, 1.0])])
         with pytest.raises(harness.BoundViolation):
             compare([inst])
@@ -207,6 +214,35 @@ class TestCompare:
             if not row.skipped:
                 assert row.ratio >= 1 - 1e-9
                 assert row.ratio <= row.bound + 1e-9
+
+
+class TestSharedInstance:
+    """Rounding that moves no size hands back its input, so the exact
+    solve, the grid and the stratified solve read one integer view."""
+
+    @pytest.mark.parametrize("scheme", ["separated", "powers-of-c"])
+    def test_stratified_solve_on_the_instance_itself(self, scheme):
+        spec = ExperimentSpec(n_types=2, jobs_per_type=2, machines=2,
+                              scheme=scheme, count=2, seed=1)
+        for inst in generate(spec):
+            solve_exact(inst)  # builds the integer view the solves share
+            solution, _grid, rounded, merges = solve_pipeline(inst)
+            assert rounded is inst and merges == []
+            copy = instance_from_dict(instance_to_dict(inst))
+            assert copy == inst and copy is not inst
+            other = solve_pipeline(copy)[0]
+            assert (solution.value, solution.states) == \
+                (other.value, other.states)
+            assert dict(solution.policy) == dict(other.policy)
+
+    @pytest.mark.parametrize("n, e", [(1, 2), (2, 13), (3, 7), (4, 3),
+                                      (2, 1000)])
+    def test_row_bound_is_the_exact_bound_rounded(self, n, e):
+        inst = validate_and_canonicalize(
+            1, f"1/{e}", [(e ** (2 * k), [0.5, 0.5]) for k in range(n)])
+        row, = compare([inst], state_cap=1)
+        assert row.bound.hex() == \
+            float(sandwich_bound(n, Fraction(1, e))).hex()
 
 
 class TestReport:
@@ -297,6 +333,20 @@ class TestRunExperiments:
         assert script.main(["--out", str(tmp_path), "--epsilon", "1/1"]) == 1
         assert capsys.readouterr().err == "error: InstanceError: epsilon " \
             "must be 1/E with integer E >= 2, got 1\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--epsilon", "1/1"], "epsilon must be 1/E with integer E >= 2, "
+                               "got 1"),
+        (["--machines", "0"], "need at least one machine"),
+        (["--count", "-1"], "count must not be negative"),
+    ], ids=["epsilon", "machines", "count"])
+    def test_typed_error_creates_no_directory(self, tmp_path, capsys,
+                                              argv, message):
+        script = _script("run_experiments")
+        out = tmp_path / "res"
+        assert script.main(["--out", str(out), *argv]) == 1
+        assert capsys.readouterr().err == f"error: InstanceError: {message}\n"
+        assert not out.exists()
 
 
 class TestMcConvergence:

@@ -96,12 +96,23 @@ class TestDivisibilityRounding:
         groups = build_groups(inst)
         out, new_groups, _ = round_for_divisibility(inst, groups)
         assert [t.size for t in out.types] == [28, 26]
+        assert out is not inst
 
     def test_already_divisible_identity(self):
+        # rounding that moves no size hands back its input
         inst = make(1, "1/13", [(28561, [1.0]), (169, [1.0]), (1, [1.0])])
         groups = build_groups(inst)
-        out, _, merges = round_for_divisibility(inst, groups)
+        out, new_groups, merges = round_for_divisibility(inst, groups)
         assert [t.size for t in out.types] == [28561, 169, 1]
+        assert out is inst and new_groups == groups
+        assert merges == []
+
+    def test_powers_of_c_in_one_group_identity(self):
+        inst = make(1, "1/2", [(8, [1.0]), (4, [0.5]), (2, [1.0])])
+        groups = build_groups(inst)
+        assert groups.groups == ((0, 1, 2),)
+        out, new_groups, merges = round_for_divisibility(inst, groups)
+        assert out is inst and new_groups == groups
         assert merges == []
 
     def test_collision_merges(self):
@@ -370,5 +381,6 @@ def test_rounding_matches_fraction_reference(instance):
         return
     out, new_groups, merges = round_for_divisibility(inst, groups)
     assert (out, new_groups, merges) == want
+    assert (out is inst) == (out == inst)
     assert all(type(t.size) is Fraction for t in out.types)
     assert all(type(p) is Fraction for p in merges)
