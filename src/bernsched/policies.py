@@ -33,21 +33,26 @@ kernels take a whole block on integer times:
   once, all of them taking each step together.  Each distinct state is
   read once per policy, table and instance where the table is a solver's
   ``DecisionTable``, on integer times, and once per call where it is a
-  dict, as loaded from a file.
+  dict, as loaded from a file.  A ``DecisionTable`` with at least 2**N
+  states also keeps each outcome vector's cost, in a float64 array
+  indexed by the vector's code, so a vector is walked once per policy,
+  table and instance; a dict table and a table with fewer states walk on
+  every call, and a block that replays keeps no cost.
 
 Replay is the per-realization reference and the fallback.  Any other
 policy, a case that neither kernel takes (totals that could exceed
 2**53, a list that does not cover the jobs), and a block in which the
 table kernel meets a state it cannot step exactly as replay does (a
 missing state, say) are replayed once per distinct row, in order of
-first occurrence, and each cost is scattered back to its rows.  Either
-way the results and errors are per-realization replay's to the bit: the
-probabilities are multiplied in the same order, each cost is the
-correctly rounded float of its exact total, and the sums run in
-sequence in the same order.  ``replay`` with ``enumerate_realizations``,
-or with successive ``sample_realization`` calls on one
-``SeedStream(seed).generator()``, is that reference.  Enumeration
-branches on at most ``MAX_ENUMERATED`` stochastic jobs.
+first occurrence, and each cost is scattered back to its rows (the
+rows of an enumeration block are distinct already, so they are not
+grouped).  Either way the results and errors are per-realization
+replay's to the bit: the probabilities are multiplied in the same order,
+each cost is the correctly rounded float of its exact total, and the
+sums run in sequence in the same order.  ``replay`` with
+``enumerate_realizations``, or with successive ``sample_realization``
+calls on one ``SeedStream(seed).generator()``, is that reference.
+Enumeration branches on at most ``MAX_ENUMERATED`` stochastic jobs.
 
 ``expected_cost_reached`` needs no enumeration, so that limit does not
 apply to it.  It prices the list, SEPT and fixed-assignment policies
@@ -251,16 +256,22 @@ def _trial_blocks(inst: Instance, trials: int, seed: int):
         yield rng.random((min(trials - start, _BLOCK), len(qs))) < qs
 
 
-def _per_distinct_row(cost, outcomes):
+def _row_codes(outcomes):
+    """Each row's int64 code, bit k its column k; at most 62 columns."""
+    return outcomes @ (1 << np.arange(outcomes.shape[1], dtype=np.int64))
+
+
+def _per_distinct_row(cost, outcomes, codes=None):
     """``cost`` of every row of a boolean matrix, from one call of
     ``cost`` on the distinct rows in order of first occurrence.
 
-    Rows are grouped by an int64 code of their bits; 1 << 63 overflows
-    int64, so rows of more than 62 columns are grouped by their
-    ``np.packbits`` bytes, each row one void scalar."""
-    if outcomes.shape[1] <= 62:
-        codes = outcomes @ (1 << np.arange(outcomes.shape[1], dtype=np.int64))
-    else:
+    Rows are grouped by their ``_row_codes``, or by ``codes`` where the
+    caller has them; 1 << 63 overflows int64, so rows of more than 62
+    columns are grouped by their ``np.packbits`` bytes, each row one void
+    scalar."""
+    if codes is None and outcomes.shape[1] <= 62:
+        codes = _row_codes(outcomes)
+    elif codes is None:
         packed = np.packbits(outcomes, axis=1)
         codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _codes, first, inverse = np.unique(codes, return_index=True,
@@ -269,6 +280,13 @@ def _per_distinct_row(cost, outcomes):
     costs = np.empty(len(first))
     costs[order] = cost(outcomes[first[order]])
     return costs[inverse]
+
+
+def _each_row(cost, outcomes, codes=None):
+    """``cost`` of every row of a boolean matrix whose rows are distinct,
+    as enumeration's are: ``_per_distinct_row``'s result without the
+    grouping, since the rows' order is their order of first occurrence."""
+    return cost(outcomes)
 
 
 def _replay_rows(policy, inst: Instance, outcomes):
@@ -340,11 +358,13 @@ class _Fallback(Exception):
     """A state the table kernel cannot step exactly as replay does."""
 
 
-def _table_kernel(policy, inst: Instance):
+def _table_kernel(policy, inst: Instance, group=_per_distinct_row):
     """For an exact or stratified table policy, a function from a (rows x
     jobs) outcome matrix, columns in ``job_ids`` order, to each row's total
     completion time as a float; None for any other policy, and for a
-    stratified one whose grid's sizes are not the instance's.
+    stratified one whose grid's sizes are not the instance's.  ``group``
+    gives each row the cost of its distinct row: ``_per_distinct_row``, or
+    ``_each_row`` where the rows are already distinct.
 
     Every row walks the table's states on integer times, in the unit of
     the rule its solver ran: ``ExactRule(inst)`` for an exact table and
@@ -361,22 +381,33 @@ def _table_kernel(policy, inst: Instance):
     policy keeps the walk while its table, the instance and the grid stay
     the same objects: a state is read once per policy, table and
     instance, and once per call in a dict table, as loaded from a file.
-    Only the block's distinct rows walk (``_per_distinct_row``), all of
-    them taking each of their N steps together, one gather a step, and
-    each row takes its distinct row's cost.  Totals are int64 in units
-    and divided once by the unit, which is replay's correctly rounded
-    float while they stay within 2**53.
+    Only the block's distinct rows walk (``group``), all of them taking
+    each of their N steps together, one gather a step, and each row takes
+    its distinct row's cost.  Totals are int64 in units and divided once
+    by the unit, which is replay's correctly rounded float while they stay
+    within 2**53.
+
+    A row's cost depends only on its outcome vector, so the kept walk of
+    a ``DecisionTable`` also keeps each walked row's cost under its
+    ``_row_codes`` code, in a float64 array of 2**N entries, NaN until
+    priced, where 2**N is at most the table's length (8 bytes a state at
+    most).  A block then computes its codes once, gathers the costs it
+    knows, and walks only the rows it does not, grouped by those codes: a
+    repeat call, or Monte-Carlo after enumeration, walks no row.  A dict
+    table, and a table with fewer states than 2**N, groups and walks
+    every block afresh.
 
     The distinct rows replay instead, in order of first occurrence, when
     one of them meets a state the kernel cannot step as replay does: a
     missing state, a decision other than ``("start", j)`` with type-j
     jobs left or ``("idle",)``, an idle in an exact table, an idle that
     does not progress, an idle whose target idles too, or a time that
-    lets a total exceed 2**53.  Such a state is never kept, so every call
-    that meets it replays, and replay's first error and its results stand
-    unchanged.  (On the grid replay raises at a second idle in a row, as
-    it does not progress: the first one's target is already in the idle
-    group's Q-set.)
+    lets a total exceed 2**53.  Such a state is never kept, nor is any
+    cost of a block that replays, so every call that meets it replays,
+    and replay's first error and its results stand unchanged.  (On the
+    grid replay raises at a second idle in a row, as it does not
+    progress: the first one's target is already in the idle group's
+    Q-set.)
     """
     if type(policy) is ExactTablePolicy:
         grid = None
@@ -393,20 +424,22 @@ def _table_kernel(policy, inst: Instance):
     if walk is None:
         return None
 
-    def distinct_totals(outcomes):
+    def totals(outcomes):
         try:
-            return walk(outcomes)
+            return walk(outcomes, group)
         except _Fallback:
-            return _replay_rows(policy, inst, outcomes)
-    return partial(_per_distinct_row, distinct_totals)
+            return group(partial(_replay_rows, policy, inst), outcomes)
+    return totals
 
 
 def _table_walk(table, inst: Instance, grid):
     """``_table_kernel``'s walk of a table on an instance, in the unit of
-    ``ExactRule(inst)``, or of ``GridRule(grid)`` where a grid is given;
-    None where that unit exceeds 2**53 or the rule's sizes are not the
-    instance's.  Nothing in it refers to the policy, so a dropped policy
-    frees it at once."""
+    ``ExactRule(inst)``, or of ``GridRule(grid)`` where a grid is given,
+    as a function of an outcome matrix and a ``group``; None where that
+    unit exceeds 2**53 or the rule's sizes are not the instance's.  Its
+    ``memo`` attribute is the array of costs by code, or None where the
+    table keeps none.  Nothing in it refers to the policy, so a dropped
+    policy frees it at once."""
     rule = ExactRule(inst) if grid is None else GridRule(grid)
     unit, sizes, counts = rule.unit, rule.sizes, inst.counts
     n_jobs = inst.total_jobs
@@ -475,7 +508,23 @@ def _table_walk(table, inst: Instance, grid):
             total += t + is_long * size
             sid = np.where(is_long, long_child, short_child)
         return total / unit
-    return walk
+
+    memo = (np.full(1 << n_jobs, np.nan)
+            if isinstance(table, DecisionTable) and 1 << n_jobs <= len(table)
+            else None)
+
+    def priced(outcomes, group):
+        if memo is None:
+            return group(walk, outcomes)
+        codes = _row_codes(outcomes)
+        costs = memo[codes]
+        new = np.flatnonzero(np.isnan(costs))
+        if len(new):  # a _Fallback keeps none of them
+            costs[new] = memo[codes[new]] = group(walk, outcomes[new],
+                                                  codes[new])
+        return costs
+    priced.memo = memo
+    return priced
 
 
 def _running_sum(start: float, terms) -> float:
@@ -483,7 +532,7 @@ def _running_sum(start: float, terms) -> float:
     return float(np.cumsum(np.concatenate(([start], terms)))[-1])
 
 
-def _cost_function(policy, inst: Instance):
+def _cost_function(policy, inst: Instance, group):
     """A function from an outcome matrix to each row's total completion
     time.  The fixed-order policies and the two table policies each have a
     numpy kernel that steps all rows together on integer times; any other
@@ -491,15 +540,18 @@ def _cost_function(policy, inst: Instance):
     distinct row, in order of first occurrence, so a failing row raises
     what replaying the rows in order raises first.  A table kernel also
     replays a block that meets a state it cannot step as replay does.  So
-    ``replay`` stays the reference for every result and every error."""
-    kernel = _fixed_order_kernel(policy, inst) or _table_kernel(policy, inst)
+    ``replay`` stays the reference for every result and every error.
+    ``group`` finds the distinct rows: ``_per_distinct_row`` for trials,
+    ``_each_row`` for enumeration, whose rows are distinct already."""
+    kernel = (_fixed_order_kernel(policy, inst)
+              or _table_kernel(policy, inst, group))
     if kernel is not None:
         return kernel
-    return partial(_per_distinct_row, partial(_replay_rows, policy, inst))
+    return partial(group, partial(_replay_rows, policy, inst))
 
 
 def expected_cost_exact(policy, inst: Instance) -> float:
-    costs = _cost_function(policy, inst)
+    costs = _cost_function(policy, inst, _each_row)
     total = 0.0
     for prob, outcomes in _outcome_blocks(inst):
         total = _running_sum(total, prob * costs(outcomes))
@@ -511,9 +563,11 @@ def expected_cost_mc(policy, inst: Instance, trials: int, seed: int):
     seeded stream (``_trial_blocks``).  The sums are taken of the costs
     less the first trial's, so that the variance does not cancel away
     on large means (Chan, Golub and LeVeque, 1983)."""
+    if isinstance(trials, bool) or not hasattr(trials, "__index__"):
+        raise ReplayError(f"trials must be an integer, not {trials!r}")
     if trials < 1:
         raise ReplayError("need at least one trial")
-    costs = _cost_function(policy, inst)
+    costs = _cost_function(policy, inst, _per_distinct_row)
     first = None
     shifted = 0.0
     shifted_sq = 0.0

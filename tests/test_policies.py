@@ -133,8 +133,11 @@ class TestMonteCarlo:
         assert a == b
 
     def test_trials_validated(self, example_35):
-        with pytest.raises(ReplayError):
-            expected_cost_mc(SeptPolicy(), example_35, trials=0, seed=0)
+        # a float or a bool is no trial count, not even 2.0 or True
+        for trials in (0, 2.0, True):
+            with pytest.raises(ReplayError):
+                expected_cost_mc(SeptPolicy(), example_35, trials=trials,
+                                 seed=0)
 
     @pytest.mark.parametrize("block", [policies._BLOCK, 5, 1])
     def test_one_stream_per_call(self, block, monkeypatch):
@@ -847,6 +850,100 @@ class TestKeptSteps:
             assert first == second == TestIntegerReads.want[name], name
 
     @staticmethod
+    def _count_walked(monkeypatch):
+        """A list that gets the number of rows of every call of a cost
+        function through either grouping, which the table kernel's walk
+        takes only for rows its memo has not priced."""
+        walked = []
+
+        def counting(group):
+            def counted(cost, outcomes, codes=None):
+                def cost_counted(rows):
+                    walked.append(len(rows))
+                    return cost(rows)
+                return group(cost_counted, outcomes, codes)
+            return counted
+        for name in ("_per_distinct_row", "_each_row"):
+            monkeypatch.setattr(policies, name,
+                                counting(getattr(policies, name)))
+        return walked
+
+    def test_repeat_calls_walk_no_row(self, monkeypatch):
+        walked = self._count_walked(monkeypatch)
+        inst, = generate(ExperimentSpec(n_types=2, jobs_per_type=3,
+                                        machines=2, count=1, seed=1))
+        cases = zip(("exact", "stratified"), _table_cases(inst),
+                    _table_cases(inst))
+        for name, (policy, case_inst), (enumerated, _) in cases:
+            exact, mean, stderr = TestIntegerReads.want[name]
+            walked.clear()
+            first = expected_cost_mc(policy, case_inst, 2000, 7)
+            assert walked, name
+            walked.clear()
+            assert expected_cost_mc(policy, case_inst, 2000, 7) == first
+            assert not walked, name
+            # enumeration prices every outcome vector that trials draw
+            assert expected_cost_exact(enumerated, case_inst).hex() == exact
+            walked.clear()
+            got = expected_cost_mc(enumerated, case_inst, 2000, 7)
+            assert not walked, name
+            assert tuple(x.hex() for x in got) == (mean, stderr) == tuple(
+                x.hex() for x in first), name
+
+    @staticmethod
+    def _copy(policy, table):
+        """A new policy of ``policy``'s kind on ``table``, nothing kept."""
+        solution = SimpleNamespace(policy=table)
+        if type(policy) is StratifiedTablePolicy:
+            return StratifiedTablePolicy(solution, policy.grid)
+        return ExactTablePolicy(solution)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_memo_equals_fresh_and_dict_tables(self, data):
+        # one policy priced run after run, with or without an enumeration
+        # first, gives a fresh policy's bits and its dict table's
+        inst = data.draw(kernel_table_instances)
+        runs = data.draw(st.lists(st.tuples(st.integers(1, 300),
+                                            st.integers(0, 2**32)),
+                                  min_size=1, max_size=3))
+        enumerate_first = data.draw(st.booleans())
+        block = data.draw(st.sampled_from([policies._BLOCK, 5]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(policies, "_BLOCK", block)
+            for policy, case_inst in _table_cases(inst):
+                if enumerate_first:
+                    expected_cost_exact(policy, case_inst)
+                as_dict = dict(policy.table.items())
+                for trials, seed in runs:
+                    got = expected_cost_mc(policy, case_inst, trials, seed)
+                    for other in (self._copy(policy, policy.table),
+                                  self._copy(policy, as_dict)):
+                        assert expected_cost_mc(other, case_inst, trials,
+                                                seed) == got
+                assert expected_cost_exact(policy, case_inst) == \
+                    expected_cost_exact(self._copy(policy, as_dict),
+                                        case_inst)
+
+    def test_small_tables_keep_no_memo(self, monkeypatch):
+        # one type of 12 jobs on one machine: 78 states, 2**12 vectors
+        inst = make(1, [(3, [0.25, 0.5, 0.75] * 4)])
+        walked = self._count_walked(monkeypatch)
+        for policy, case_inst in _table_cases(inst):
+            assert len(policy.table) < 1 << case_inst.total_jobs
+            as_dict = self._copy(policy, dict(policy.table.items()))
+            want = (expected_cost_exact(as_dict, case_inst),
+                    expected_cost_mc(as_dict, case_inst, 2000, 3))
+            for _ in range(2):  # every call walks its rows
+                walked.clear()
+                assert (expected_cost_exact(policy, case_inst),
+                        expected_cost_mc(policy, case_inst, 2000, 3)) == want
+                assert walked
+            assert policy._walk[3].memo is None
+        assert expected_cost_mc(policy, case_inst, 40, 3) == \
+            _scalar_mc(policy, case_inst, 40, 3)
+
+    @staticmethod
     def _changed(change):
         """(policy evaluated once, then changed; a fresh policy of the
         change; the instance to evaluate both on; the first result)."""
@@ -885,20 +982,35 @@ class TestKeptSteps:
 
     def test_failing_table_replays_on_every_call(self, monkeypatch):
         # a grid table read as an exact one: its idle states, and the
-        # states that exact long jobs reach, make the kernel replay
-        policy, inst = _idling_cases()[1]
-        policy = ExactTablePolicy(SimpleNamespace(policy=policy.table))
-        want = [_outcome(_scalar_exact, policy, inst),
-                _outcome(_scalar_mc, policy, inst, 40, 1)]
-        assert want[0][0] is ReplayError
-        calls = []
-        monkeypatch.setattr(policies, "replay", _counting_replay(calls))
-        for _ in range(2):
-            calls.clear()
-            got = [_outcome(expected_cost_exact, policy, inst),
-                   _outcome(expected_cost_mc, policy, inst, 40, 1)]
-            assert got == want
-            assert calls
+        # states that exact long jobs reach, make the kernel replay, and
+        # replay raises; on a table whose totals exceed 2**53 replay
+        # gives every cost.  Either way the memo keeps no cost of a block
+        # that replays
+        grid_table, inst = _idling_cases()[1]
+        big = make(2, [(2**60, [0.5, 0.25]), (3 * 2**58, [0.75]),
+                       (Fraction(2**60, 3), [0.5])])
+        cases = [(ExactTablePolicy(SimpleNamespace(policy=grid_table.table)),
+                  inst), (ExactTablePolicy(solve_exact(big)), big)]
+        wants = []
+        for policy, inst in cases:
+            want = [_outcome(_scalar_exact, policy, inst),
+                    _outcome(_scalar_mc, policy, inst, 40, 1)]
+            wants.append(want)
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(policies, "replay", _counting_replay(calls))
+                for _ in range(2):
+                    calls.clear()
+                    got = [_outcome(expected_cost_exact, policy, inst),
+                           _outcome(expected_cost_mc, policy, inst, 40, 1)]
+                    assert got == want
+                    assert calls
+                    memo = policy._walk[3].memo
+                    assert len(memo) == 1 << inst.total_jobs
+                    assert np.isnan(memo).all()
+        (grid_exact, _), (big_exact, (big_mean, _)) = wants
+        assert grid_exact[0] is ReplayError
+        assert isinstance(big_exact, float) and isinstance(big_mean, float)
 
     def test_dict_tables_are_read_on_every_call(self):
         reads = []
@@ -922,10 +1034,12 @@ class TestKeptSteps:
             policy, inst = cases.pop()
             expected_cost_exact(policy, inst)
             kept = weakref.ref(policy._walk[3])  # the walk and its steps
+            memo = weakref.ref(policy._walk[3].memo)
             gc.disable()
             try:
                 del policy
                 assert kept() is None
+                assert memo() is None
             finally:
                 gc.enable()
 
@@ -961,6 +1075,35 @@ class TestPerDistinctRow:
         first = [list(r) for r in dict.fromkeys(map(tuple, picks))]
         assert calls == [first]
         assert got.tolist() == cost(outcomes).tolist()
+
+    def test_enumeration_does_not_group(self, monkeypatch):
+        # enumeration yields each outcome vector once, so the table
+        # kernel, its replay fallback and replay itself take its rows as
+        # they are, with the default blocks and with blocks of five
+        def cases():
+            inst = make(2, [(169, [0.25, 0.5, 0.75]), (1, [0.25, 0.93])])
+            tables = _table_cases(inst)
+            failing = ExactTablePolicy(SimpleNamespace(
+                policy=tables[1][0].table))  # a grid table read as exact
+
+            class Replayed(ListPolicy):  # a policy no kernel takes
+                pass
+            jobs = inst.job_ids()
+            copies = [(TestKeptSteps._copy(p, dict(p.table.items())), i)
+                      for p, i in tables]  # dict tables, as from a file
+            return tables + copies + [
+                (failing, inst), (Replayed(jobs[::-1]), inst),
+                (ListPolicy(jobs[1:]), inst), (SeptPolicy(), inst)]
+        want = [_outcome(_scalar_exact, p, i) for p, i in cases()]
+        assert sum(isinstance(w, tuple) for w in want) == 2  # two fail
+
+        def no_grouping(*args):
+            raise AssertionError("_per_distinct_row called")
+        monkeypatch.setattr(policies, "_per_distinct_row", no_grouping)
+        for block in (policies._BLOCK, 5):
+            monkeypatch.setattr(policies, "_BLOCK", block)
+            assert [_outcome(expected_cost_exact, p, i)
+                    for p, i in cases()] == want
 
     def test_wide_rows_equal_per_trial_replay(self, monkeypatch):
         # 70 columns group by packbits; no benchmark input is that wide
