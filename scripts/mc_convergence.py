@@ -8,7 +8,8 @@ the mean misses the value by more than 1e-9 relative.  ``--policy``
 picks what is evaluated: SEPT (the default), the exact solver's table,
 or the stratified solver's table, which runs on the divisibility-rounded
 instance it was solved for.  A typed error prints one
-"error: <Type>: <message>" line and exits 1, as the ``bernsched`` CLI does.
+"error: <Type>: <message>" line and exits 1, through the ``bernsched``
+CLI's own ``run_reported``.
 
 Usage:
     python3 scripts/mc_convergence.py --trials 1000 10000 100000 --seed 3
@@ -19,7 +20,7 @@ import argparse
 import math
 import sys
 
-from bernsched.cli import TYPED_ERRORS, build_policy
+from bernsched.cli import build_policy, run_reported
 from bernsched.harness import ExperimentSpec, generate
 from bernsched.policies import expected_cost_exact, expected_cost_mc
 
@@ -35,18 +36,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.count < 1:
         ap.error("--count must be at least 1")
-    try:
-        worst = worst_deviation(args)
-    except TYPED_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    print(f"worst deviation: {worst:.2f} standard errors")
-    return 0 if worst <= 4 else 1
+    return run_reported(check, args)
 
 
-def worst_deviation(args):
-    """Print one line per instance; the largest error in standard-error
-    units."""
+def check(args):
+    """Print one line per instance, then the largest error in
+    standard-error units; 1 where it passes four."""
     spec = ExperimentSpec(n_types=2, jobs_per_type=2, machines=2,
                           scheme="separated", count=args.count, seed=args.seed)
     worst = 0.0
@@ -64,7 +59,8 @@ def worst_deviation(args):
             worst = max(worst, z)
             line.append(f"T={t}: {mean:.4f} ({z:.2f} se)")
         print("  ".join(line))
-    return worst
+    print(f"worst deviation: {worst:.2f} standard errors")
+    return 0 if worst <= 4 else 1
 
 
 if __name__ == "__main__":

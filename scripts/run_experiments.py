@@ -5,30 +5,29 @@ Generates seeded instance suites for each size scheme and machine count,
 solves every instance exactly and with the grid-restricted solver, and
 writes per-instance CSV/JSON rows plus a printed summary.  Any ratio
 outside [1, B(n, eps)] aborts and saves the offending instance.  A typed
-error prints one "error: <Type>: <message>" line and exits 1, as the
-``bernsched`` CLI does.
+error prints one "error: <Type>: <message>" line and exits 1, through the
+``bernsched`` CLI's own ``run_reported``; every JSON file is written by
+``instances.write_json``.
 
 Usage:
     python3 scripts/run_experiments.py --out results/ --count 20 --seed 7
 """
 
 import argparse
-import json
 import math
 import os
 import sys
 
-from bernsched.cli import TYPED_ERRORS
+from bernsched.cli import run_reported
 from bernsched.harness import (
     SCHEMES,
     BoundViolation,
     ExperimentSpec,
     compare,
     generate,
-    json_safe,
     report,
 )
-from bernsched.instances import save_instance
+from bernsched.instances import save_instance, write_json
 
 
 def main(argv=None):
@@ -40,12 +39,7 @@ def main(argv=None):
     ap.add_argument("--jobs", type=int, default=2, help="jobs per type")
     ap.add_argument("--epsilon", default="1/13")
     ap.add_argument("--machines", type=int, nargs="+", default=[1, 2])
-    args = ap.parse_args(argv)
-    try:
-        return sweep(args)
-    except TYPED_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    return run_reported(sweep, ap.parse_args(argv))
 
 
 def sweep(args):
@@ -84,10 +78,8 @@ def sweep(args):
     grand_max = max((r for r in cell_max if not math.isnan(r)),
                     default=float("nan"))
     print(f"overall max ratio: {grand_max:.6f}")
-    with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        json.dump(json_safe({"overall_max_ratio": grand_max}), fh, indent=2,
-                  allow_nan=False)
-        fh.write("\n")
+    write_json({"overall_max_ratio": grand_max},
+               os.path.join(args.out, "summary.json"), indent=2)
     return 0
 
 

@@ -2,10 +2,13 @@
 
 Subcommands: gen, solve-exact, solve-stratified, simulate, compare,
 grid-dump, round.  All numeric times print as exact "num/den" strings;
-JSON outputs follow the documented schemas.  Exit code is nonzero on any
-invariant violation; a typed error (replay, solver cap, grid, instance,
-numerics) or an output file that cannot be written (``OSError``) prints
-"error: <Type>: <message>" to stderr and exits 1.
+JSON outputs follow the documented schemas, and every JSON document, to
+a file or to stdout, goes through ``instances.write_json``.  Exit code is
+nonzero on any invariant violation.  ``run_reported`` is the one place
+that turns a typed error (replay, solver cap, grid, instance, numerics)
+or an output file that cannot be written (``OSError``) into the line
+"error: <Type>: <message>" on stderr and exit status 1; ``main`` and the
+scripts under ``scripts/`` run through it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .harness import (
     ExperimentSpec,
     compare,
     generate,
-    json_safe,
     prepare,
     report,
     solve_pipeline,
@@ -36,6 +38,7 @@ from .instances import (
     round_for_divisibility,
     round_to_powers_of_c,
     save_instance,
+    write_json,
 )
 from .numerics import NumericsError, format_rat, parse_rat
 from .policies import (
@@ -49,10 +52,17 @@ from .policies import (
 )
 from .timegrid import GridError
 
-#: What ``main`` (and each script under ``scripts/``) reports as one
-#: "error: <Type>: <message>" line on stderr, exiting 1.
-TYPED_ERRORS = (ReplayError, SolverCapError, GridError, InstanceError,
-                NumericsError, OSError)
+
+def run_reported(func, *args) -> int:
+    """The exit status of ``func(*args)``: what it returns, 0 for None, and
+    1 for a typed error, reported as "error: <Type>: <message>" on
+    stderr."""
+    try:
+        return func(*args) or 0
+    except (ReplayError, SolverCapError, GridError, InstanceError,
+            NumericsError, OSError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def _profile_str(profile):
@@ -79,9 +89,7 @@ def dump_policy(table, kind: str, path: str):
     decisions = dict(sorted(
         (state_to_str(key), "idle" if d[0] == "idle" else d[1])
         for key, d in table.items()))
-    with open(path, "w") as fh:
-        json.dump({"kind": kind, "decisions": decisions}, fh, indent=2)
-        fh.write("\n")
+    write_json({"kind": kind, "decisions": decisions}, path, indent=2)
 
 
 def _decision(value):
@@ -163,7 +171,7 @@ def cmd_solve_exact(args):
     sol = solve_exact(inst)
     if args.dump_policy:
         dump_policy(sol.policy, "exact", args.dump_policy)
-    print(json.dumps({"value": sol.value, "states": sol.states}))
+    write_json({"value": sol.value, "states": sol.states})
 
 
 def cmd_solve_stratified(args):
@@ -172,14 +180,12 @@ def cmd_solve_stratified(args):
     if args.dump_policy:
         dump_policy(sol.policy, "stratified", args.dump_policy)
     if args.diagnostics:
-        with open(args.diagnostics, "w") as fh:
-            json.dump(sol.diagnostics.as_dict(), fh, indent=2)
-            fh.write("\n")
-    print(json.dumps({
+        write_json(sol.diagnostics.as_dict(), args.diagnostics, indent=2)
+    write_json({
         "value": sol.value,
         "states": sol.states,
         "merged_sizes": [format_rat(p) for p in merges],
-    }))
+    })
 
 
 def cmd_simulate(args):
@@ -193,7 +199,7 @@ def cmd_simulate(args):
             policy, eval_inst, trials=args.trials, seed=args.seed
         )
         out = {"mean": mean, "stderr": stderr, "method": "mc"}
-    print(json.dumps(out))
+    write_json(out)
 
 
 def cmd_compare(args):
@@ -208,9 +214,8 @@ def cmd_compare(args):
         save_instance(exc.instance, "bound_violation_instance.json")
         print("offending instance saved to bound_violation_instance.json",
               file=sys.stderr)
-        raise SystemExit(1)
-    summary = report(rows, csv_path=args.csv, json_path=args.json_out)
-    print(json.dumps(json_safe(summary), allow_nan=False))
+        return 1
+    write_json(report(rows, csv_path=args.csv, json_path=args.json_out))
 
 
 def cmd_grid_dump(args):
@@ -244,7 +249,7 @@ def cmd_round(args):
     if args.out:
         save_instance(out, args.out)
     else:
-        print(json.dumps(instance_to_dict(out), indent=2))
+        write_json(instance_to_dict(out), indent=2)
 
 
 def main(argv=None):
@@ -298,12 +303,7 @@ def main(argv=None):
     p.set_defaults(func=cmd_round)
 
     args = parser.parse_args(argv)
-    try:
-        args.func(args)
-    except TYPED_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return run_reported(args.func, args)
 
 
 if __name__ == "__main__":

@@ -4,13 +4,13 @@
 ``policies.expected_cost_reached``, which needs no enumeration of outcome
 vectors, so ``policies.MAX_ENUMERATED`` does not limit them: the state
 cap does.  ``expected_cost_exact`` is still importable from here, where the
-benchmark's tracing spans it by name.
+benchmark's tracing spans it by name.  ``report`` writes its JSON through
+``instances.write_json``, which also owns ``json_safe``.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 import time
 from dataclasses import asdict, dataclass, fields
@@ -25,6 +25,7 @@ from .instances import (
     parse_epsilon,
     round_for_divisibility,
     validate_and_canonicalize,
+    write_json,
 )
 from .numerics import SeedStream
 from .policies import (FixedAssignmentPolicy, SeptPolicy,
@@ -202,26 +203,13 @@ def compare(instances, *, state_cap: int = STATE_CAP):
     return rows
 
 
-def json_safe(value):
-    """``value`` with every non-finite float, in nested dicts and lists
-    too, replaced by None: JSON (RFC 8259) has no NaN or Infinity, so
-    ``json.dumps`` writes ``null`` for them."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: json_safe(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [json_safe(v) for v in value]
-    return value
-
-
 def report(rows, csv_path=None, json_path=None):
     """CSV (fixed header) and JSON (array plus summary block) outputs.  The
     summary's ``max_ratio`` and ``max_states`` cover every row whose bound
     check passed (a finite ratio), skipped for a later step or not.  The
-    returned summary holds ``nan`` where no row has a ratio; the JSON file
-    holds ``null`` for it and for every missing value of a row, where the
-    CSV holds ``nan``."""
+    returned summary holds ``nan`` where no row has a ratio; the JSON file,
+    written by ``instances.write_json``, holds ``null`` for it and for
+    every missing value of a row, where the CSV holds ``nan``."""
     checked = [r for r in rows if math.isfinite(r.ratio)]
     summary = {
         "rows": len(rows),
@@ -236,11 +224,6 @@ def report(rows, csv_path=None, json_path=None):
             for r in rows:
                 writer.writerow(r.as_dict())
     if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(
-                json_safe({"rows": [r.as_dict() for r in rows],
-                           "summary": summary}),
-                fh, indent=2, allow_nan=False,
-            )
-            fh.write("\n")
+        write_json({"rows": [r.as_dict() for r in rows], "summary": summary},
+                   json_path, indent=2)
     return summary

@@ -14,17 +14,23 @@ denominators, and its probabilities as numerators over D, the lcm of
 their (power-of-two) denominators.  Grouping, divisibility rounding, the
 time grid's construction and the solvers work on that view; a
 ``Fraction`` is built only for a public value or an error message.
+
+``write_json`` is the one JSON writer of the package and its scripts:
+instance files, policy dumps, diagnostics, reports and every JSON line
+the CLI prints go through it, so each is strict RFC 8259 JSON.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .numerics import NumericsError, format_rat, parse_rat
+from .numerics import NumericsError, as_index, format_rat, parse_rat
 
 
 class InstanceError(ValueError):
@@ -140,13 +146,21 @@ def validate_and_canonicalize(machines, epsilon, raw_types) -> Instance:
     dropped; types are sorted by size descending and probabilities
     ascending within each type.  At most one machine per job is kept: no
     policy uses more, and each would lengthen every profile of a solve.
+    The machine count must be an integer (not a bool, not 2.0), no size
+    or probability may be a bool, and the total work must leave every
+    expected cost a finite float.
     """
+    machines = as_index(machines, "machine count", InstanceError)
     if machines < 1:
         raise InstanceError("need at least one machine")
     eps = parse_epsilon(epsilon)
 
     by_size = {}
     for size, qs in raw_types:
+        # bool is an int subclass: True would read as 1
+        if any(type(x) is bool for x in (size, *qs)):
+            raise InstanceError("a size or probability is a boolean, "
+                                "not a number")
         p = parse_rat(size)
         if p <= 0:
             raise InstanceError(f"non-positive size {size}")
@@ -162,7 +176,21 @@ def validate_and_canonicalize(machines, epsilon, raw_types) -> Instance:
     if not types:
         raise InstanceError("empty job list")
     n_jobs = sum(t.count for t in types)
-    return Instance(machines=min(machines, n_jobs), epsilon=eps, types=types)
+    inst = Instance(machines=min(machines, n_jobs), epsilon=eps, types=types)
+    # Costs are reported as floats, which end below 2**1024.  With N jobs
+    # and W the total work (every job long), an exact solve's completion
+    # times are at most W; the grid's rounding (1 + eps <= 3/2), stretch
+    # (1 + 5 eps <= 7/2), thresholds and its release and idle delays (at
+    # most 2N of them, each under two intervals past a threshold, none
+    # longer than 6 (n + 4) W) keep the grid-restricted ones below
+    # 200 N**2 W.  So no cost passes N * W * 2**64 while N < 2**28, far
+    # past any solvable instance.  W is in units of 1/unit, so the test
+    # is on integers.
+    work = sum(s * t.count for s, t in zip(inst.int_sizes, types))
+    if n_jobs * work * 2**64 >= 2**1023 * inst.unit:
+        raise InstanceError("total work too large: an expected cost "
+                            "would overflow a float")
+    return inst
 
 
 def build_groups(inst: Instance) -> GroupStructure:
@@ -304,13 +332,9 @@ def instance_from_dict(d: dict) -> Instance:
     try:
         machines = d["machines"]
         raw = [(t["size"], t["jobs"]) for t in d["types"]]
-        # bool is an int subclass, and int() would truncate 2.7 to 2
-        if type(machines) not in (int, float) or machines != int(machines):
-            raise InstanceError(f"machine count {machines!r} is not an integer")
-        if any(type(x) is bool for p, qs in raw for x in (p, *qs)):
-            raise InstanceError("a size or probability is a boolean, "
-                                "not a number")
-        return validate_and_canonicalize(int(machines), d["epsilon"], raw)
+        if type(machines) is float and machines.is_integer():
+            machines = int(machines)  # JSON may write 2 as 2.0
+        return validate_and_canonicalize(machines, d["epsilon"], raw)
     except (InstanceError, NumericsError):
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -329,6 +353,31 @@ def load_instance(path) -> Instance:
 
 
 def save_instance(inst: Instance, path):
-    with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(instance_to_dict(inst), path, indent=2, sort_keys=True)
+
+
+def json_safe(value):
+    """``value`` with every non-finite float, in nested dicts and lists
+    too, replaced by None: JSON (RFC 8259) has no NaN or Infinity, so
+    ``write_json`` writes ``null`` for them."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [json_safe(v) for v in value]
+    return value
+
+
+def write_json(value, path=None, *, indent=None, sort_keys=False):
+    """Write ``value`` as one strict JSON document ending in a newline, to
+    the file ``path``, or to stdout where ``path`` is None.  Non-finite
+    floats become ``null`` (``json_safe``), and ``allow_nan=False`` makes
+    anything else that is not JSON an error before a byte is written."""
+    text = json.dumps(json_safe(value), indent=indent, sort_keys=sort_keys,
+                      allow_nan=False) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)

@@ -78,7 +78,7 @@ from .dp_exact import (STATE_CAP, DecisionTable, ExactRule, SolverCapError,
                        _interner)
 from .dp_stratified import GridRule
 from .instances import Instance
-from .numerics import SeedStream
+from .numerics import SeedStream, as_index
 from .timegrid import TimeGrid
 
 
@@ -563,9 +563,7 @@ def expected_cost_mc(policy, inst: Instance, trials: int, seed: int):
     seeded stream (``_trial_blocks``).  The sums are taken of the costs
     less the first trial's, so that the variance does not cancel away
     on large means (Chan, Golub and LeVeque, 1983)."""
-    if isinstance(trials, bool) or not hasattr(trials, "__index__"):
-        raise ReplayError(f"trials must be an integer, not {trials!r}")
-    if trials < 1:
+    if as_index(trials, "trials", ReplayError) < 1:
         raise ReplayError("need at least one trial")
     costs = _cost_function(policy, inst, _per_distinct_row)
     first = None

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bernsched import cli
+from bernsched import cli, harness
 from bernsched.cli import dump_policy, main, state_to_str, str_to_state
 from bernsched.dp_exact import ExactRule, _solve_dfs, _solve_levels, solve_exact
 from bernsched.harness import BoundViolation, ComparisonRow
@@ -198,6 +198,21 @@ def test_round_divisibility(capsys, tmp_path):
     assert rounded.types[0].size == 1002
 
 
+def test_round_divisibility_reports_merges(capsys, tmp_path):
+    # at eps = 1/2 the group's step is 20/2 = 10, so 26 and 27 both round
+    # up to 30 and merge into one type
+    inst = validate_and_canonicalize(1, "1/2", [(27, [0.5]), (26, [0.25]),
+                                                (20, [1.0])])
+    path = str(tmp_path / "i.json")
+    save_instance(inst, path)
+    assert main(["round", "--instance", path, "--mode", "divisibility"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "merged sizes: 30\n"
+    data = json.loads(captured.out)
+    assert data["types"] == [{"size": "30", "jobs": [0.25, 0.5]},
+                             {"size": "20", "jobs": [1.0]}]
+
+
 def test_round_powers(capsys, tmp_path):
     inst = validate_and_canonicalize(1, "1/13", [(200, [1.0])])
     path = str(tmp_path / "i.json")
@@ -238,6 +253,10 @@ def test_typed_errors_exit_1(capsys, tmp_path, monkeypatch):
                          ({"types": [{"size": "3", "jobs": [True]}]},
                           "InstanceError"),
                          ({"types": [{"size": True, "jobs": [0.5]}]},
+                          "InstanceError"),
+                         # its exact value used to end the solve in a bare
+                         # OverflowError
+                         ({"types": [{"size": str(10 ** 309), "jobs": [0.5]}]},
                           "InstanceError")):
         bad.write_text(json.dumps({"machines": 1, "epsilon": "1/13",
                                    "types": [{"size": "3", "jobs": [0.5]}],
@@ -338,6 +357,24 @@ def test_bound_violation_reported_before_its_instance_is_saved(
     assert lines[0] == "BOUND VIOLATION: planted"
     assert lines[1].startswith("error: IsADirectoryError: ")
     assert len(lines) == 2
+
+
+def test_bound_violation_saves_its_instance(capsys, tmp_path, monkeypatch):
+    # every ratio is at least 1, above a bound of 0.5: the first row stops
+    # the run, and its instance is saved in the working directory
+    inst = validate_and_canonicalize(1, "1/13", [(169, [0.5]), (1, [0.25])])
+    path = str(tmp_path / "inst.json")
+    save_instance(inst, path)
+    row, = harness.compare([inst])
+    monkeypatch.setattr(harness, "sandwich_bound_float", lambda n, e: 0.5)
+    monkeypatch.chdir(tmp_path)
+    assert main(["compare", "--instances", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"BOUND VIOLATION: ratio {row.ratio} outside [1, 0.5] on i0000",
+        "offending instance saved to bound_violation_instance.json"]
+    assert load_instance(tmp_path / "bound_violation_instance.json") == inst
 
 
 @pytest.mark.parametrize("value", [0.4, 1.0, False, True, "1", "0"])

@@ -800,6 +800,18 @@ class TestOneMachine:
             got = solve(inst, ExactRule(inst), 10 ** 6).value
             assert repr(got) == repr(want), inst.counts
 
+    @pytest.mark.parametrize("counts", [(50, 10), (30, 30)])
+    def test_exact_is_sept_past_depth_first(self, counts):
+        """ROADMAP item 16's equality past the depth-first bound: two
+        types of 60 jobs in all (86,955 and 189,930 states), which
+        ``solve_exact`` hands to the level traversal."""
+        qs = (0.25, 0.5, 0.75, 1.0)
+        inst = make(1, [(p, [qs[i % 4] for i in range(c)])
+                        for p, c in zip((Fraction(13, 3), 2), counts)])
+        assert dp_exact._mixed_radix(inst.counts)[1] >= LEVELS_MIN_NU
+        want = float(expected_cost_reached(SeptPolicy(), inst))
+        assert repr(solve_exact(inst).value) == repr(want)
+
 
 @given(machines=st.integers(2, 4),
        jobs=st.dictionaries(st.integers(1, 59), st.integers(1, 6),

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bernsched.dp_exact import solve_exact
 from bernsched.instances import (
     GroupStructure,
     InstanceError,
@@ -51,6 +53,30 @@ class TestCanonicalize:
     def test_nonpositive_size(self):
         with pytest.raises(InstanceError):
             make(1, "1/13", [(0, [0.5])])
+
+    @pytest.mark.parametrize("machines", [2.5, 2.0, True, "2", None])
+    def test_machine_count_is_an_integer(self, machines):
+        # 2.5 and 2.0 used to load and fail in the solve with a bare
+        # TypeError, and True loaded as one machine
+        with pytest.raises(InstanceError, match="machine count must be an "
+                                                "integer"):
+            make(machines, "1/13", [(5, [0.5]), (1, [0.5])])
+
+    @pytest.mark.parametrize("raw", [[(True, [0.5])], [(5, [0.5, True])]])
+    def test_boolean_size_or_probability(self, raw):
+        # True used to read as size or probability 1
+        with pytest.raises(InstanceError, match="is a boolean"):
+            make(1, "1/13", raw)
+
+    def test_work_beyond_float_range(self):
+        # a size of 10**309 made every solve end in a bare OverflowError
+        # when its exact value became a float
+        for raw in ([(10 ** 309, [0.5])], [(Fraction(10 ** 309, 7), [1.0])],
+                    [(10 ** 300, [0.5, 1.0]), (1, [0.25])]):
+            with pytest.raises(InstanceError, match="overflow a float"):
+                make(1, "1/13", raw)
+        inst = make(2, "1/13", [(10 ** 200, [0.5, 1.0]), (1, [0.25])])
+        assert math.isfinite(solve_exact(inst).value)
 
 
 class TestGroups:

@@ -1,15 +1,18 @@
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bernsched.instances import validate_and_canonicalize
 from bernsched.numerics import (
     NumericsError,
     SeedStream,
     format_rat,
     parse_rat,
 )
+from bernsched.policies import SeptPolicy, expected_cost_mc
 from oracles import ceil_to_multiple_of, divides, floor_div
 
 
@@ -80,7 +83,21 @@ def test_seed_stream_key_is_uint64():
 
 
 def test_stream_index_range():
-    for bad in (-1, 2**64):
+    # 1.5 used to read as index 1, and True as index 1
+    for bad in (-1, 2**64, 1.5, True):
         with pytest.raises(NumericsError):
             SeedStream(0, bad)
     assert SeedStream(0, 2**64 - 1).stream_index == 2**64 - 1
+
+
+def test_seed_is_an_integer():
+    # int() made 2.9 seed 2, True seed 1 and "3" seed 3; None was a bare
+    # TypeError
+    for bad in (2.9, True, "3", None):
+        with pytest.raises(NumericsError, match="seed must be an integer"):
+            SeedStream(bad)
+    inst = validate_and_canonicalize(1, "1/13", [(3, [0.5]), (1, [0.5])])
+    with pytest.raises(NumericsError):
+        expected_cost_mc(SeptPolicy(), inst, trials=10, seed=2.9)
+    # anything with __index__ is an integer
+    assert SeedStream(np.int64(-1), np.uint8(3)).master_seed == 2**64 - 1

@@ -91,6 +91,24 @@ class TestReplay:
             replay(policy, example_35, {j: True for j in example_35.job_ids()})
 
 
+    @pytest.mark.parametrize("decide, message", [
+        (lambda view: ("start", (0, 0)),
+         "policy started unavailable job (0, 0)"),
+        (lambda view: ("pause",), "unknown decision ('pause',)"),
+        (lambda view: ("retire",), "all machines retired with jobs remaining"),
+        (lambda view: ("advance", view.t_star + 1), "replay did not terminate"),
+    ], ids=["restart", "unknown", "retire", "advance"])
+    def test_guards(self, example_35, decide, message):
+        # a policy that starts a started job, answers what replay does not
+        # know, retires its last machine with jobs left, or never starts
+        # anything is stopped, each with its own message
+        stub = type("Stub", (policies.Policy,),
+                    {"decide": staticmethod(decide)})()
+        with pytest.raises(ReplayError) as exc:
+            replay(stub, example_35, {j: True for j in example_35.job_ids()})
+        assert str(exc.value) == message
+
+
 class TestExpectedCost:
     def test_exact_policy_matches_dp(self, example_35):
         sol = solve_exact(example_35)
